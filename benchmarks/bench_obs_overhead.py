@@ -12,13 +12,13 @@ pins that promise on the 10-statement overlapping workload
   and is only paid when requested).
 
 The acceptance gate is ``disabled overhead < 2%``: the **disabled** arm
-against a **stripped** arm where the tracing wrappers are monkeypatched
-out (``PlanExecutor._run`` → ``_run_node``,
-``EngineExecutor.execute_fused`` → ``_execute_fused``) — i.e. what the
+against a **stripped** arm where the plan executor's tracing wrapper is
+monkeypatched out (``PlanExecutor._run`` → ``_run_node``) — i.e. what the
 instrumentation costs when nobody is tracing, measured against code
-with the wrappers gone.  Arms are interleaved and min-of-N wall times
-are compared, so the margin absorbs scheduler noise.  Results go to
-``BENCH_PR4.json``.
+with the wrapper gone.  (The engine executor has no wrapper to strip:
+its one pipeline opens its spans on the no-op ``NULL_TRACER`` span.)
+Arms are interleaved and min-of-N wall times are compared, so the margin
+absorbs scheduler noise.  Results go to ``BENCH_PR4.json``.
 
 Usage::
 
@@ -39,7 +39,6 @@ from pathlib import Path
 from repro.algebra.executor import PlanExecutor
 from repro.api import AssessSession
 from repro.analysis import extract_statements
-from repro.engine.executor import EngineExecutor
 from repro.experiments.statements import prepare_engine
 from repro.obs import tracing
 
@@ -54,16 +53,13 @@ def load_workload() -> list:
 
 @contextmanager
 def stripped_instrumentation():
-    """Monkeypatch the tracing wrappers out — the pre-instrumentation code."""
+    """Monkeypatch the tracing wrapper out — the pre-instrumentation code."""
     original_run = PlanExecutor._run
-    original_fused = EngineExecutor.execute_fused
     PlanExecutor._run = PlanExecutor._run_node
-    EngineExecutor.execute_fused = EngineExecutor._execute_fused
     try:
         yield
     finally:
         PlanExecutor._run = original_run
-        EngineExecutor.execute_fused = original_fused
 
 
 def run_arm(session: AssessSession, statements, plan: str) -> float:

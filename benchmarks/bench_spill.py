@@ -147,7 +147,6 @@ def run_arm(mode: str, rows: int, store: str, repetitions: int,
     ]
     env = dict(os.environ)
     env.pop("REPRO_MEMORY_BYTES", None)
-    env.pop("REPRO_SPILL_BYTES", None)
     if morsel_rows:
         env["REPRO_MORSEL_ROWS"] = str(morsel_rows)
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")

@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..core.query import CubeQuery, Predicate, PredicateOp
 from ..core.statement import AssessStatement
 from ..engine.columns import plan_zone_pruning
-from ..engine.spill import grouping_state_bytes
 from ..olap.engine import MultidimensionalEngine
 from .plan import (
     AddConstantNode,
@@ -222,29 +221,18 @@ class Statistics:
     def spill_admitted(self, query: CubeQuery) -> bool:
         """Whether the executor would route this get through the spill tier.
 
-        Mirrors ``EngineExecutor._spill_admits`` (pessimistic grouping-state
-        estimate vs the budget) plus the float-exactness gate: measures
-        whose sums are not exactly re-aggregable make the executor fall
-        back to the serial in-RAM path, so the model must price them
-        serial too.
+        Asks the executor's own lowering (budget admission plus the
+        float-exactness gate: measures whose sums are not exactly
+        re-aggregable run in RAM as one morsel, so the model must price
+        them serial too).
         """
-        budget = self.memory_budget()
-        if budget is None:
+        if self.memory_budget() is None:
             return False
         try:
             aggregate = self.engine.build_aggregate_query(query)
-            fact = self.engine.catalog.table(aggregate.fact)
-            slots = len(aggregate.aggregates)
-            if grouping_state_bytes(len(fact), 0, slots) <= budget:
-                return False
-            for spec in aggregate.aggregates:
-                if spec.op in ("sum", "avg") and not fact.sums_exactly(
-                    spec.column
-                ):
-                    return False
+            return self.engine.executor.tier_of(aggregate) == "spill"
         except Exception:
             return False
-        return True
 
     def cache_probe(self, query: CubeQuery) -> Optional[str]:
         """Whether the engine's result cache would answer a get warm.

@@ -43,7 +43,7 @@ from ...cache.fingerprint import Fingerprint, fingerprint_query
 from ...core.diagnostics import DiagnosticBag, Span
 from ...core.statement import AssessStatement
 from ...engine.query import FACT, AggregateQuery
-from ...engine.spill import grouping_state_bytes
+from ...engine.spill import grouping_state_bytes, over_budget
 from ...olap.materialized import REAGGREGATION_OPS
 from ...parser.parser import parse_raw
 from ..codes import severity_of
@@ -911,12 +911,11 @@ class WorkloadAnalyzer:
         """Emit ``ASSESS508`` when the executor would provably route the
         statement's target get through the bounded-memory spill tier.
 
-        Mirrors ``EngineExecutor._spill_admits`` — the pessimistic
-        grouping-state estimate against the executor's memory budget —
-        plus the float-exactness gate the spill lowering re-checks at
-        runtime.  Soundness convention: any missing statistic (unknown
-        budget, unabstractable measure column) keeps the analyzer
-        silent, never optimistic.
+        Applies the executor's admission test (``spill.over_budget``)
+        to abstract fact-row statistics, plus the float-exactness gate
+        the lowering re-checks at runtime.  Soundness convention: any
+        missing statistic (unknown budget, unabstractable measure
+        column) keeps the analyzer silent, never optimistic.
         """
         engine = record.engine
         executor = getattr(engine, "executor", None)
@@ -931,10 +930,8 @@ class WorkloadAnalyzer:
         fact_rows = stats.fact_rows(aggregate.fact)
         if fact_rows is None:
             return
-        estimate = grouping_state_bytes(
-            fact_rows, 0, len(aggregate.aggregates)
-        )
-        if estimate <= budget:
+        slots = len(aggregate.aggregates)
+        if not over_budget(fact_rows, slots, budget):
             return
         for agg in aggregate.aggregates:
             if agg.op not in ("sum", "avg"):
@@ -944,6 +941,7 @@ class WorkloadAnalyzer:
                 # Unknown or inexact measures make the lowering fall
                 # back to serial in-RAM; no spill claim.
                 return
+        estimate = grouping_state_bytes(fact_rows, 0, slots)
         bags[record.item.index].report(
             "ASSESS508", severity_of("ASSESS508"),
             f"grouping-state estimate {estimate:,} B exceeds the "

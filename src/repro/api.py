@@ -47,7 +47,6 @@ class AssessSession:
         registry: Optional[FunctionRegistry] = None,
         parallelism: Optional[int] = None,
         morsel_rows: Optional[int] = None,
-        parallel_backend: str = "thread",
         memory_budget: Optional[int] = None,
         telemetry=None,
     ):
@@ -69,14 +68,12 @@ class AssessSession:
 
             parallelism = env_parallelism()
         if parallelism is not None and parallelism > 1:
-            engine.set_parallelism(
-                parallelism, morsel_rows=morsel_rows, backend=parallel_backend
-            )
+            engine.set_parallelism(parallelism, morsel_rows=morsel_rows)
         # Bounded-memory execution: an explicit ``memory_budget`` (bytes)
         # routes oversized fact passes through the spill-to-disk tier.
         # ``None`` leaves the engine's budget alone (the executor already
-        # picked up REPRO_MEMORY_BYTES / REPRO_SPILL_BYTES from the
-        # environment, and another session may have configured one).
+        # picked up REPRO_MEMORY_BYTES from the environment, and another
+        # session may have configured one).
         # Spilled results are bit-identical to in-RAM, so this too is
         # safe to set globally.
         if memory_budget is not None:
@@ -110,12 +107,11 @@ class AssessSession:
         self,
         degree: Optional[int],
         morsel_rows: Optional[int] = None,
-        backend: str = "thread",
         min_rows: Optional[int] = None,
     ) -> None:
         """Reconfigure parallel execution (``None``/``1`` turns it off)."""
         self.engine.set_parallelism(
-            degree, morsel_rows=morsel_rows, backend=backend, min_rows=min_rows
+            degree, morsel_rows=morsel_rows, min_rows=min_rows
         )
 
     @property

@@ -23,7 +23,7 @@ Derivation then never touches the fact table: cached coordinates roll up
 member-by-member through the engine's rollup resolver, residual
 predicates filter with :meth:`Predicate.mask`, and the re-grouping runs
 through the same :func:`~repro.engine.kernels.combine_codes` /
-``_aggregate`` kernels as cold execution.  Because both paths order
+``aggregate`` kernels as cold execution.  Because both paths order
 groups lexicographically by member value, a derived result has the same
 row order as a cold one.
 
@@ -45,8 +45,8 @@ from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..core.query import CubeQuery, Predicate, PredicateOp
-from ..engine.executor import ResultSet, _aggregate, _hash_encode_with_mapping
-from ..engine.kernels import combine_codes, encode_column, sums_exactly
+from ..engine.executor import ResultSet, _hash_encode_with_mapping
+from ..engine.kernels import aggregate, combine_codes, encode_column, sums_exactly
 from ..olap.materialized import REAGGREGATION_OPS
 
 RollupResolver = Callable[[str, str, str], Optional[Mapping]]
@@ -234,7 +234,7 @@ def derive_result(
         values = cached.column(name)
         if mask is not None:
             values = values[mask]
-        columns[name] = _aggregate(group_ids, group_count, values, reagg)
+        columns[name] = aggregate(group_ids, group_count, values, reagg)
     return ResultSet(columns)
 
 

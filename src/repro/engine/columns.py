@@ -67,6 +67,32 @@ def ranges_length(ranges: Ranges, n_rows: int) -> int:
     return sum(hi - lo for lo, hi in ranges)
 
 
+def split_ranges(
+    ranges: Ranges, n_rows: int, window_rows: int
+) -> List[Tuple[int, Ranges, int]]:
+    """Cut a row selection at every multiple of ``window_rows``.
+
+    Returns ``(window index, ranges, rows)`` for each window holding at
+    least one selected row, in row order.  An unpruned table that fits
+    one window stays ``None`` (zero-copy gathers).
+    """
+    if ranges is None:
+        if n_rows <= window_rows:
+            return [(0, None, n_rows)]
+        ranges = [(0, n_rows)]
+    windows: Dict[int, List[Tuple[int, int]]] = {}
+    for lo, hi in ranges:
+        while lo < hi:
+            index = lo // window_rows
+            cut = min(hi, (index + 1) * window_rows)
+            windows.setdefault(index, []).append((lo, cut))
+            lo = cut
+    return [
+        (index, parts, sum(hi - lo for lo, hi in parts))
+        for index, parts in windows.items()
+    ]
+
+
 # ----------------------------------------------------------------------
 # Column representations
 # ----------------------------------------------------------------------

@@ -12,14 +12,15 @@ performing it cell-at-a-time on cube objects.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.errors import EngineError
 from ..obs.metrics import METRICS, MetricsRegistry
 from ..obs.tracer import active as _active_tracer
-from ..parallel.config import ParallelConfig
+from ..parallel.config import DEFAULT_MORSEL_ROWS, ParallelConfig
+from ..parallel.config import env_morsel_rows as _env_morsel_rows
 from ..parallel.merge import decode_keys as _decode_keys
 from ..parallel.merge import merge_morsels as _merge_morsels
 from ..parallel.morsel import (
@@ -29,24 +30,26 @@ from ..parallel.morsel import (
     JoinSpec,
     KeySpec,
     MorselTask,
-    morsel_ranges,
+    partial_aggregate as _partial_aggregate,
     run_morsel,
+    semijoin as _semijoin,
 )
 from .catalog import Catalog
 from .columns import (
     Ranges,
     ZonePruner,
     plan_zone_pruning as _plan_zone_pruning,
-    ranges_length as _ranges_length,
+    split_ranges as _split_ranges,
 )
+from .kernels import aggregate as _aggregate
 from .kernels import combine_codes as _combine_codes
 from .kernels import encode_column as _encode_column
-from .kernels import sums_exactly as _sums_exactly
 from .spill import (
     SpillAggregator,
     choose_partitions as _choose_partitions,
     env_memory_budget as _env_memory_budget,
     grouping_state_bytes as _grouping_state_bytes,
+    over_budget as _over_budget,
 )
 from .query import (
     AggregateQuery,
@@ -90,6 +93,37 @@ class ResultSet:
         return f"ResultSet(rows={self._n}, columns={list(self.columns)})"
 
 
+class _Member(NamedTuple):
+    """One query of a batch, as lowered onto the shared finest grouping."""
+
+    keys: Tuple[Tuple[str, str], ...]  # (table, column) per grouping column
+    residual_keys: Tuple[Tuple[str, str], ...]  # same, per residual predicate
+    finish: Tuple[Tuple[int, ...], ...]  # per aggregate: (slot,) | avg (sum, count)
+    is_finest: bool  # grouped exactly like the finest key, no residual
+    shared: bool  # answered from the shared pass (else: its own pass)
+
+
+class _Lowering(NamedTuple):
+    """The physical shape of one fact pass (see ``EngineExecutor._lower``)."""
+
+    finest: List[Tuple[str, str]]  # the finest shared key, (table, column)
+    tables: List[Table]  # the table each finest column lives in
+    cardinalities: List[int]  # dictionary cardinality of each finest column
+    key_space: int  # their product: the folded key's range
+    specs: List[Tuple[str, Optional[str]]]  # deduplicated (op, column) partials
+    members: List[_Member]
+
+
+class _Groups(NamedTuple):
+    """The merged finest groups of a pass, keyed by finest column."""
+
+    count: int
+    codes: Dict[Tuple[str, str], Tuple[np.ndarray, int]]  # (codes, cardinality)
+    values: Dict[Tuple[str, str], np.ndarray]  # decoded coordinates
+    specs: List[Tuple[str, Optional[str]]]
+    merged: List[np.ndarray]  # one array per spec, aligned with the groups
+
+
 class EngineExecutor:
     """Evaluates pushed queries against a catalog."""
 
@@ -109,8 +143,8 @@ class EngineExecutor:
         # it (AssessSession(parallelism=N) / REPRO_PARALLELISM).  When
         # set, eligible fact passes are partitioned, dispatched to the
         # config's worker pool, and merged deterministically — results
-        # stay bit-identical to serial or the query falls back to the
-        # serial path (see repro.parallel and docs/performance.md).
+        # stay bit-identical to serial or the query runs as one morsel
+        # (see repro.parallel and docs/performance.md).
         self.parallel: Optional[ParallelConfig] = None
         # Zone-map morsel pruning (skipping fact zones whose min/max
         # statistics prove no row can pass the predicates).  Only active
@@ -119,23 +153,19 @@ class EngineExecutor:
         # ablation benchmarks and differential tests.
         self.zone_pruning = not os.environ.get("REPRO_NO_PRUNE")
         # Bounded-memory execution: when a byte budget is set
-        # (REPRO_MEMORY_BYTES / REPRO_SPILL_BYTES env, or
-        # AssessSession(memory_budget=)), fact passes whose worst-case
-        # grouping state exceeds it run through the spill-to-disk
-        # partitioned aggregation tier (engine/spill.py) instead of the
-        # in-RAM kernels — bit-identical under the same exactness gate
-        # that guards the parallel merge.
+        # (REPRO_MEMORY_BYTES env, or AssessSession(memory_budget=)),
+        # fact passes whose worst-case grouping state exceeds it merge
+        # their morsels through the spill-to-disk partitioned
+        # aggregation tier (engine/spill.py) instead of in RAM —
+        # bit-identical under the same exactness gate that guards the
+        # parallel merge.
         self.memory_budget: Optional[int] = _env_memory_budget()
 
-    def _count_scan(self, fact: Table, rows: Optional[int] = None) -> None:
-        """One executed fact pass: bump the scan counters together.
-
-        ``rows`` is the post-pruning row count actually scanned (defaults
-        to the whole fact table).
-        """
+    def _count_scan(self, rows: int) -> None:
+        """One executed fact pass over ``rows`` post-pruning fact rows."""
         self.scan_count += 1
         self.metrics.inc("engine.scans")
-        self.metrics.inc("engine.rows_scanned", len(fact) if rows is None else rows)
+        self.metrics.inc("engine.rows_scanned", rows)
 
     def _zone_pruner(
         self,
@@ -154,55 +184,31 @@ class EngineExecutor:
         """
         if not self.zone_pruning or not fact.has_zone_maps:
             return None
-        tracer = _active_tracer()
-        if not tracer.enabled:
-            pruner = _plan_zone_pruning(
-                self.catalog, fact, fact_name, predicates, joins
-            )
-            if pruner is not None:
-                self._count_pruning(pruner)
-            return pruner
-        with tracer.span("storage.prune", fact=fact_name) as span:
+        with _active_tracer().span("storage.prune", fact=fact_name) as span:
             pruner = _plan_zone_pruning(
                 self.catalog, fact, fact_name, predicates, joins
             )
             if pruner is None:
                 span.set(zones=0, zones_pruned=0, rows_pruned=0)
                 return None
-            self._count_pruning(pruner)
+            zones, zones_pruned, rows_pruned = (
+                pruner.zones_checked, pruner.zones_pruned, pruner.rows_pruned
+            )
+            self.metrics.inc("engine.storage.prunes")
+            self.metrics.inc("engine.storage.zones_checked", zones)
+            self.metrics.inc("engine.storage.zones_pruned", zones_pruned)
+            self.metrics.inc("engine.storage.rows_pruned", rows_pruned)
+            # zones_checked forces the survival vector, so planning-time and
+            # apply-time misalignment drops are both counted by now.
+            if pruner.misaligned:
+                self.metrics.inc(
+                    "engine.storage.zone_misaligned", pruner.misaligned
+                )
             span.set(
-                zones=pruner.zones_checked,
-                zones_pruned=pruner.zones_pruned,
-                rows_pruned=pruner.rows_pruned,
+                zones=zones, zones_pruned=zones_pruned, rows_pruned=rows_pruned
             )
             return pruner
 
-    def _count_pruning(self, pruner: ZonePruner) -> None:
-        self.metrics.inc("engine.storage.prunes")
-        self.metrics.inc("engine.storage.zones_checked", pruner.zones_checked)
-        self.metrics.inc("engine.storage.zones_pruned", pruner.zones_pruned)
-        self.metrics.inc("engine.storage.rows_pruned", pruner.rows_pruned)
-        # zones_checked forces the survival vector, so planning-time and
-        # apply-time misalignment drops are both counted by now.
-        if pruner.misaligned:
-            self.metrics.inc("engine.storage.zone_misaligned", pruner.misaligned)
-
-    def _pruned_ranges(
-        self,
-        fact: Table,
-        fact_name: str,
-        predicates: Sequence[ColumnPredicate],
-        joins,
-    ) -> Ranges:
-        """Surviving row ranges of a serial scan (``None`` = scan all)."""
-        pruner = self._zone_pruner(fact, fact_name, predicates, joins)
-        if pruner is None:
-            return None
-        return pruner.surviving_row_ranges()
-
-    # ------------------------------------------------------------------
-    # Aggregate (get)
-    # ------------------------------------------------------------------
     def execute(self, query) -> ResultSet:
         """Dispatch on the query shape."""
         if isinstance(query, AggregateQuery):
@@ -213,123 +219,23 @@ class EngineExecutor:
             return self.execute_pivot(query)
         raise EngineError(f"cannot execute query of type {type(query).__name__}")
 
+    # ------------------------------------------------------------------
+    # Aggregate (get): one pipeline for every tier and batch size
+    #
+    #   lowering -> morsel source -> partial aggregator -> merge sink
+    #
+    # A single get is the fused batch of one, a serial pass is the scan of
+    # one morsel, and the parallel and spill tiers slice the same source.
+    # ------------------------------------------------------------------
     def execute_aggregate(self, query: AggregateQuery) -> ResultSet:
         """Star join + filter + group-by + aggregate.
 
-        Pipeline: (1) resolve each needed dimension's FK column to row
-        positions; (2) fold predicates into one fact-row mask (dimension
-        predicates are evaluated once per dimension row, then propagated
-        through the FK — a semi-join); (3) gather grouping columns; (4)
-        factorise them into dense group ids; (5) aggregate with bincount /
-        ufunc.at kernels.
+        The fused batch ``([query], query.where, [()])``: its finest
+        shared grouping *is* its result.
         """
-        fact = self.catalog.table(query.fact)
-        if self._spill_admits(fact, len(query.aggregates)):
-            result = self._spill_aggregate(fact, query)
-            if result is not None:
-                return result
-        if self.parallel is not None and self.parallel.eligible(len(fact)):
-            result = self._parallel_aggregate(fact, query)
-            if result is not None:
-                return result
-        ranges = self._pruned_ranges(fact, query.fact, query.where, query.joins)
-        n_scan = _ranges_length(ranges, len(fact))
-        tracer = _active_tracer()
-        if not tracer.enabled:
-            positions = self._dimension_positions(fact, query, ranges)
-            mask = self._selection_mask(fact, query, positions, ranges)
-            self._count_scan(fact, n_scan)
-            return self._grouped_aggregate(fact, query, positions, mask, ranges)
-        with tracer.span("engine.scan", fact=query.fact) as span:
-            with tracer.span("engine.semijoin") as semijoin:
-                positions = self._dimension_positions(fact, query, ranges)
-                mask = self._selection_mask(fact, query, positions, ranges)
-                semijoin.set(
-                    rows_in=n_scan,
-                    rows_matched=n_scan if mask is None else int(mask.sum()),
-                    predicates=len(query.where),
-                )
-            self._count_scan(fact, n_scan)
-            with tracer.span("engine.groupby") as groupby:
-                result = self._grouped_aggregate(
-                    fact, query, positions, mask, ranges
-                )
-                groupby.set(rows_out=len(result), keys=len(query.group_by))
-            span.set(
-                rows_in=n_scan,
-                rows_out=len(result),
-                cells_out=len(result) * max(len(result.column_names), 1),
-            )
-            return result
+        results, _ = self._run_batch([query], query.where, [()], fused=False)
+        return results[0]
 
-    def _grouped_aggregate(
-        self,
-        fact: Table,
-        query: AggregateQuery,
-        positions: "Dict[str, np.ndarray]",
-        mask: Optional[np.ndarray],
-        ranges: Ranges = None,
-    ) -> ResultSet:
-        """Group and aggregate the masked fact rows (steps 3–5).
-
-        Split out of :meth:`execute_aggregate` so the fused-scan fallback
-        can reuse the exact same grouping code with a shared semi-join
-        mask — bit-identity between the two paths is then structural.
-
-        ``ranges`` is the zone-pruned row selection the positions and mask
-        were computed over (``None`` = whole table); fact-resident columns
-        are gathered through it, so pruned rows are never decoded.
-        """
-        n_rows = (
-            _ranges_length(ranges, len(fact)) if mask is None else int(mask.sum())
-        )
-
-        # Integer key codes: dimension-sourced grouping columns use the FK
-        # row positions directly (already dense integers), fact-resident
-        # columns are dictionary-encoded.  Avoiding factorization of member
-        # strings is what keeps large group-bys cheap.
-        code_columns: List[Tuple[np.ndarray, int]] = []
-        emitters = []
-        for gb in query.group_by:
-            if gb.table in (FACT, fact.name):
-                codes, cardinality = fact.dictionary_gather(gb.column, ranges)
-                values = fact.gather(gb.column, ranges)
-                if mask is not None:
-                    codes = codes[mask]
-                    values = values[mask]
-                code_columns.append((codes, cardinality))
-                emitters.append(lambda first, values=values: values[first])
-            else:
-                dimension = self.catalog.table(gb.table)
-                pos = positions[gb.table]
-                if mask is not None:
-                    pos = pos[mask]
-                # Encode members once over the (small) dimension table, then
-                # gather the codes through the FK positions: grouping on a
-                # coarse attribute (e.g. region) collapses correctly while
-                # the per-fact-row work stays integer-only.
-                dim_codes, cardinality = dimension.dictionary(gb.column)
-                code_columns.append((dim_codes[pos], cardinality))
-                member_column = dimension.column(gb.column)
-                emitters.append(
-                    lambda first, pos=pos, col=member_column: col[pos[first]]
-                )
-
-        group_ids, group_count, first_rows = _combine_codes(code_columns, n_rows)
-
-        columns: Dict[str, np.ndarray] = {}
-        for gb, emit in zip(query.group_by, emitters):
-            columns[gb.alias] = emit(first_rows)
-        for agg in query.aggregates:
-            measure = fact.gather(agg.column, ranges)
-            if mask is not None:
-                measure = measure[mask]
-            columns[agg.alias] = _aggregate(group_ids, group_count, measure, agg.op)
-        return ResultSet(columns)
-
-    # ------------------------------------------------------------------
-    # Fused multi-group-by scan
-    # ------------------------------------------------------------------
     def execute_fused(
         self,
         queries: Sequence[AggregateQuery],
@@ -349,999 +255,501 @@ class EngineExecutor:
         columns plus residual predicate columns); each member is then
         derived from the finest partial aggregates via the distributive
         re-aggregation rules, with residual predicates evaluated on the
-        (tiny) finest-group coordinates.  ``sum`` members are only derived
-        when the masked measure passes the same float-exactness gate the
-        result cache uses; anything else (``avg``, fractional sums) falls
-        back to a direct grouping pass that reuses the shared mask — never
-        faster than fused, never different by a bit.
+        (tiny) finest-group coordinates.  A member whose sums would be
+        re-added but fail the float-exactness gate runs as its own
+        one-morsel pass instead — never faster than fused, never
+        different by a bit.
 
         Returns the per-query results (input order) and a parallel list of
-        flags: ``True`` when the result was derived from the fused pass,
-        ``False`` when it fell back to a direct grouping pass.
+        flags: ``True`` when the result was derived from the shared pass,
+        ``False`` when the member needed its own pass.
         """
-        if queries:
-            fact = self.catalog.table(queries[0].fact)
-            slots = sum(len(query.aggregates) for query in queries)
-            if self._spill_admits(fact, slots):
-                fused = self._spill_fused(fact, queries, scan_where, residuals)
-                if fused is not None:
-                    return fused
-            if self.parallel is not None and self.parallel.eligible(len(fact)):
-                fused = self._parallel_fused(fact, queries, scan_where, residuals)
-                if fused is not None:
-                    return fused
-        tracer = _active_tracer()
-        if not tracer.enabled:
-            return self._execute_fused(queries, scan_where, residuals)
-        with tracer.span("engine.fused-scan", members=len(queries)) as span:
-            results, derived_flags = self._execute_fused(
-                queries, scan_where, residuals
-            )
-            derived = int(sum(derived_flags))
-            span.set(
-                derived=derived,
-                fallbacks=len(derived_flags) - derived,
-                rows_out=int(sum(len(result) for result in results)),
-            )
-            return results, derived_flags
+        if not queries:
+            return [], []
+        return self._run_batch(queries, scan_where, residuals, fused=True)
 
-    def _execute_fused(
+    def tier_of(self, query: AggregateQuery) -> str:
+        """How a get would run: ``"serial"``, ``"parallel"`` or ``"spill"``.
+
+        The lowering's own verdict, free of side effects — the cost model
+        prices gets by it instead of re-deriving admission and the gate.
+        """
+        fact = self.catalog.table(query.fact)
+        tiers = self._admitted_tiers(fact, len(query.aggregates))
+        if tiers and self._lower(fact, [query], [()], tiers[0]).members[0].shared:
+            return tiers[0]
+        return "serial"
+
+    def _admitted_tiers(self, fact: Table, n_slots: int) -> List[str]:
+        """The multi-morsel tiers a pass qualifies for, preferred first.
+
+        A memory budget below the pass's worst-case grouping state (every
+        scanned row opening a group — deliberately pessimistic, so such a
+        budget reliably routes through the bounded-memory path) admits
+        the spill tier, which supersedes the parallel one.
+        """
+        tiers = []
+        if _over_budget(len(fact), n_slots, self.memory_budget):
+            tiers.append("spill")
+        if self.parallel is not None and self.parallel.eligible(len(fact)):
+            tiers.append("parallel")
+        return tiers
+
+    def _run_batch(
         self,
         queries: Sequence[AggregateQuery],
         scan_where: Sequence[ColumnPredicate],
         residuals: Sequence[Sequence[ColumnPredicate]],
+        fused: bool,
+        tier: Optional[str] = None,
     ) -> "Tuple[List[ResultSet], List[bool]]":
-        if not queries:
-            return [], []
-        fact = self.catalog.table(queries[0].fact)
+        """Run one batch through the pipeline (``tier`` forces the tier)."""
         fact_name = queries[0].fact
-
-        # Zone pruning uses the shared scan predicates only: every member
-        # mask is ``base ∧ residual``, so a zone no row of which passes the
-        # base predicates contributes to no member (residuals could prune
-        # further, but per-member, which would break the shared gathers).
-        ranges = self._pruned_ranges(
-            fact, fact_name, scan_where, queries[0].joins
-        )
-        n_scan = _ranges_length(ranges, len(fact))
-
-        # Union dimension positions: one FK resolution serves every member.
-        referenced = set()
-        for query in queries:
-            referenced |= {gb.table for gb in query.group_by}
-            referenced |= {cp.table for cp in query.where}
-        positions: Dict[str, np.ndarray] = {}
-        for join in queries[0].joins:
-            if join.table not in referenced:
-                continue
-            dimension = self.catalog.table(join.table)
-            index = dimension.key_index(join.dim_key)
-            positions[join.table] = index.positions_of(
-                fact.gather(join.fact_fk, ranges)
+        fact = self.catalog.table(fact_name)
+        tiers: List[str] = []
+        if tier is None:
+            tiers = self._admitted_tiers(
+                fact, sum(len(query.aggregates) for query in queries)
             )
+            tier = tiers[0] if tiers else "serial"
+        lowering = self._lower(fact, queries, residuals, tier)
+        if tier != "serial" and not any(m.shared for m in lowering.members):
+            # Nothing may be merged across morsels: every admitted tier
+            # declines and the batch runs in RAM as one morsel.
+            for declined in tiers:
+                self.metrics.inc(f"engine.{declined}.fallbacks")
+            tier = "serial"
+            lowering = self._lower(fact, queries, residuals, tier)
+        shared = [i for i, m in enumerate(lowering.members) if m.shared]
 
-        self._count_scan(fact, n_scan)
-        self.metrics.inc("engine.fused_scans")
-        base_mask = self._predicate_mask(
-            fact, fact_name, scan_where, positions, ranges
-        )
-        n_rows = n_scan if base_mask is None else int(base_mask.sum())
-
-        def column_key(table: str) -> str:
-            return FACT if table in (FACT, fact_name) else table
-
-        # The finest shared key: every member grouping column plus every
-        # residual predicate column, ordered by first appearance.
-        finest: List[Tuple[str, str]] = []
-        seen = set()
-        for query, residual in zip(queries, residuals):
-            for gb in query.group_by:
-                key = (column_key(gb.table), gb.column)
-                if key not in seen:
-                    seen.add(key)
-                    finest.append(key)
-            for cp in residual:
-                key = (column_key(cp.table), cp.column)
-                if key not in seen:
-                    seen.add(key)
-                    finest.append(key)
-
-        codes_of: Dict[Tuple[str, str], Tuple[np.ndarray, int]] = {}
-        value_emitters: Dict[Tuple[str, str], object] = {}
-        key_space = 1
-        for table, column in finest:
-            if table == FACT:
-                codes, cardinality = fact.dictionary_gather(column, ranges)
-                values = fact.gather(column, ranges)
-                if base_mask is not None:
-                    codes = codes[base_mask]
-                    values = values[base_mask]
-                emit = (lambda first, values=values: values[first])
-            else:
-                dimension = self.catalog.table(table)
-                pos = positions[table]
-                if base_mask is not None:
-                    pos = pos[base_mask]
-                dim_codes, cardinality = dimension.dictionary(column)
-                codes = dim_codes[pos]
-                member_column = dimension.column(column)
-                emit = (lambda first, pos=pos, col=member_column: col[pos[first]])
-            codes_of[(table, column)] = (codes, cardinality)
-            value_emitters[(table, column)] = emit
-            key_space *= max(cardinality, 1)
-        if key_space >= _MAX_COMBINED_KEY:
-            # The folded finest key would overflow int64; run every member
-            # as its own direct pass (still sharing mask and positions).
-            return self._fused_fallback_all(
-                fact, queries, residuals, positions, base_mask, ranges
-            )
-
-        finest_ids, finest_count, finest_first = _combine_codes(
-            [codes_of[key] for key in finest], n_rows
-        )
-        group_codes = {
-            key: (codes_of[key][0][finest_first], codes_of[key][1]) for key in finest
-        }
-        group_values = {
-            key: value_emitters[key](finest_first) for key in finest  # type: ignore[operator]
-        }
-
-        # Finest partial aggregates, computed once per distinct (column, op).
-        partials: Dict[Tuple[str, str], np.ndarray] = {}
-        sum_exact: Dict[str, bool] = {}
-        count_state: Dict[str, np.ndarray] = {}
-
-        def masked_measure(column: str) -> np.ndarray:
-            # Pruned rows are all base-mask rejects, so gathering through
-            # the surviving ranges yields the identical masked sequence the
-            # unpruned scan would — exactness gating included.
-            measure = fact.gather(column, ranges)
-            return measure if base_mask is None else measure[base_mask]
-
-        def partial_of(column: str, op: str) -> np.ndarray:
-            pkey = (column, op)
-            if pkey not in partials:
-                partials[pkey] = _aggregate(
-                    finest_ids, finest_count, masked_measure(column), op
+        tracer = _active_tracer()
+        attrs = {"members": len(queries)} if fused else {"fact": fact_name}
+        with tracer.span(
+            "engine.fused-scan" if fused else "engine.scan", **attrs
+        ) as span:
+            results: List[Optional[ResultSet]] = [None] * len(queries)
+            rows_in = 0
+            if shared:
+                if fused:
+                    self.metrics.inc("engine.fused_scans")
+                rows_in, groups = self._shared_pass(
+                    fact, fact_name, scan_where, queries[0].joins, lowering,
+                    tier, span,
                 )
-            return partials[pkey]
-
-        def count_of() -> np.ndarray:
-            if "count" not in count_state:
-                count_state["count"] = _aggregate(
-                    finest_ids, finest_count, np.empty(0), "count"
-                )
-            return count_state["count"]
-
-        results: List[ResultSet] = []
-        derived_flags: List[bool] = []
-        for query, residual in zip(queries, residuals):
-            derivable = True
-            for agg in query.aggregates:
-                if agg.op == "avg":
-                    derivable = False
-                    break
-                if agg.op == "sum":
-                    if agg.column not in sum_exact:
-                        sum_exact[agg.column] = _sums_exactly(
-                            masked_measure(agg.column)
-                        )
-                    if not sum_exact[agg.column]:
-                        derivable = False
-                        break
-            if not derivable:
-                results.append(
-                    self._fused_member_direct(
-                        fact, query, residual, positions, base_mask, ranges
+                for i in shared:
+                    results[i] = self._finish_member(
+                        queries[i], residuals[i], lowering.members[i], groups
                     )
-                )
-                derived_flags.append(False)
-                self.metrics.inc("engine.fused_fallbacks")
-                continue
-
-            results.append(
-                self._derive_fused_member(
-                    query, residual, column_key, group_codes, group_values,
-                    finest_count, partial_of, count_of,
-                )
+            for i, query in enumerate(queries):
+                if results[i] is None:
+                    # This member as its own one-morsel pass: exactly its
+                    # standalone execution, pruned by its own predicates.
+                    results[i] = self._run_batch(
+                        [query], query.where, [()], fused=False, tier="serial"
+                    )[0][0]
+            if fused:
+                fallbacks = len(queries) - len(shared)
+                self.metrics.inc("engine.fused_derived", len(shared))
+                self.metrics.inc("engine.fused_fallbacks", fallbacks)
+                span.set(derived=len(shared), fallbacks=fallbacks)
+            span.set(
+                rows_in=rows_in,
+                rows_out=sum(len(result) for result in results),
+                cells_out=sum(
+                    len(result) * max(len(result.column_names), 1)
+                    for result in results
+                ),
             )
-            derived_flags.append(True)
-            self.metrics.inc("engine.fused_derived")
-        return results, derived_flags
+        return results, [m.shared for m in lowering.members]
 
-    def _derive_fused_member(
-        self,
-        query: AggregateQuery,
-        residual: Sequence[ColumnPredicate],
-        column_key,
-        group_codes: "Dict[Tuple[str, str], Tuple[np.ndarray, int]]",
-        group_values: "Dict[Tuple[str, str], np.ndarray]",
-        finest_count: int,
-        partial_of,
-        count_of,
-    ) -> ResultSet:
-        """Derive one member's result from finest-granularity partials.
-
-        Shared by the serial fused path (``partial_of`` computes from the
-        finest grouping of this scan, lazily) and the parallel fused path
-        (``partial_of`` reads morsel-merged partials): the derivation
-        arithmetic is identical by construction, which is what keeps the
-        two bit-identical.  Residual predicates are evaluated on
-        finest-group coordinates (residual columns are part of the finest
-        key, so they are constant within each finest group).
-        """
-        rmask: Optional[np.ndarray] = None
-        for cp in residual:
-            key = (column_key(cp.table), cp.column)
-            part = cp.predicate.mask(group_values[key])
-            rmask = part if rmask is None else (rmask & part)
-
-        if rmask is None:
-            group_rows = finest_count
-            member_codes = [
-                group_codes[(column_key(gb.table), gb.column)]
-                for gb in query.group_by
-            ]
-        else:
-            group_rows = int(rmask.sum())
-            member_codes = [
-                (group_codes[(column_key(gb.table), gb.column)][0][rmask],
-                 group_codes[(column_key(gb.table), gb.column)][1])
-                for gb in query.group_by
-            ]
-        ids, count, first = _combine_codes(member_codes, group_rows)
-
-        columns: Dict[str, np.ndarray] = {}
-        for gb in query.group_by:
-            values = group_values[(column_key(gb.table), gb.column)]
-            if rmask is not None:
-                values = values[rmask]
-            columns[gb.alias] = values[first]
-        for agg in query.aggregates:
-            if agg.op == "count":
-                values = count_of()
-                reagg = "sum"
-            else:
-                values = partial_of(agg.column, agg.op)
-                reagg = "sum" if agg.op == "sum" else agg.op
-            if rmask is not None:
-                values = values[rmask]
-            columns[agg.alias] = _aggregate(ids, count, values, reagg)
-        return ResultSet(columns)
-
-    def _fused_member_direct(
-        self,
-        fact: Table,
-        query: AggregateQuery,
-        residual: Sequence[ColumnPredicate],
-        positions: Dict[str, np.ndarray],
-        base_mask: Optional[np.ndarray],
-        ranges: Ranges = None,
-    ) -> ResultSet:
-        """Direct grouping pass for one fused member, reusing the scan mask.
-
-        The member mask is ``base ∧ residual`` — the same predicate parts a
-        standalone execution would AND together, so the result is
-        bit-identical to :meth:`execute_aggregate` on the member's query.
-        """
-        self._count_scan(fact, _ranges_length(ranges, len(fact)))
-        residual_mask = self._predicate_mask(
-            fact, query.fact, residual, positions, ranges
-        )
-        if base_mask is None:
-            mask = residual_mask
-        elif residual_mask is None:
-            mask = base_mask
-        else:
-            mask = base_mask & residual_mask
-        return self._grouped_aggregate(fact, query, positions, mask, ranges)
-
-    def _fused_fallback_all(
+    # -- stage 1: lowering ---------------------------------------------
+    def _lower(
         self,
         fact: Table,
         queries: Sequence[AggregateQuery],
         residuals: Sequence[Sequence[ColumnPredicate]],
-        positions: Dict[str, np.ndarray],
-        base_mask: Optional[np.ndarray],
-        ranges: Ranges = None,
-    ) -> "Tuple[List[ResultSet], List[bool]]":
-        results = [
-            self._fused_member_direct(
-                fact, query, residual, positions, base_mask, ranges
-            )
-            for query, residual in zip(queries, residuals)
-        ]
-        self.metrics.inc("engine.fused_fallbacks", len(queries))
-        return results, [False] * len(queries)
+        tier: str,
+    ) -> "_Lowering":
+        """Lower a batch onto one finest grouping and physical partials.
 
-    # ------------------------------------------------------------------
-    # Morsel-driven parallel execution
-    # ------------------------------------------------------------------
-    def _lower_aggregates(self, fact: Table, aggregates):
-        """Lower logical aggregates onto physical partial specs.
-
-        Returns ``(specs, plan)`` where ``specs`` is the deduplicated
-        list of ``(op, column)`` partials every morsel computes (op in
-        sum/count/min/max) and ``plan`` maps each logical aggregate to
-        its merged slots: ``("direct", slot)`` or
-        ``("avg", sum_slot, count_slot)`` — avg is divided after the
-        merge, exactly the totals/counts division of the serial kernel.
-
-        Returns ``None`` when any measure fails the float-exactness gate
-        (fractional sums do not re-associate bit-identically): the caller
-        then stays on the serial path.
+        The finest shared key is every member grouping column plus every
+        residual predicate column, ordered by first appearance.  Logical
+        aggregates become deduplicated ``(op, column)`` partial specs
+        (op in sum/count/min/max; ``avg`` is a sum slot and a count slot,
+        divided after the merge).  A member is answered from the shared
+        pass unless its sums would be *re-added* — morsels merged
+        (``tier`` is not serial) or a finer grouping rolled up — and fail
+        the float-exactness gate: fractional sums do not re-associate
+        bit-identically.  A serial member whose grouping is the finest
+        one reads its row-order aggregates straight off the single
+        morsel and needs no gate.  Free of side effects.
         """
+        fact_name = queries[0].fact
+
+        def key_of(ref) -> Tuple[str, str]:
+            table = FACT if ref.table in (FACT, fact_name) else ref.table
+            return table, ref.column
+
+        finest = list(dict.fromkeys(
+            key_of(ref)
+            for query, residual in zip(queries, residuals)
+            for ref in (*query.group_by, *residual)
+        ))
+        tables = [
+            fact if table == FACT else self.catalog.table(table)
+            for table, _ in finest
+        ]
+        cardinalities = [
+            table.cardinality(column)
+            for table, (_, column) in zip(tables, finest)
+        ]
+        key_space = 1
+        for cardinality in cardinalities:
+            key_space *= cardinality
+        # The folded finest key must fit int64.  Members of a batch may
+        # still fit on their own; a single get has no narrower key.
+        fits = key_space < _MAX_COMBINED_KEY
+        if not fits and len(queries) == 1:
+            raise EngineError(
+                f"group-by key space {key_space} of the get on "
+                f"{fact_name!r} does not fit a 64-bit group key"
+            )
+
         specs: List[Tuple[str, Optional[str]]] = []
 
         def slot(op: str, column: Optional[str]) -> int:
-            key = (op, column)
-            if key not in specs:
-                specs.append(key)
-            return specs.index(key)
+            if (op, column) not in specs:
+                specs.append((op, column))
+            return specs.index((op, column))
 
-        plan: List[Tuple] = []
-        for agg in aggregates:
-            if agg.op not in ("sum", "count", "min", "max", "avg"):
-                return None
-            if agg.op in ("sum", "avg") and not fact.sums_exactly(agg.column):
-                return None
-            if agg.op == "count":
-                plan.append(("direct", slot("count", None)))
-            elif agg.op == "avg":
-                plan.append(("avg", slot("sum", agg.column), slot("count", None)))
-            else:
-                plan.append(("direct", slot(agg.op, agg.column)))
-        return specs, plan
+        members = []
+        for query, residual in zip(queries, residuals):
+            keys = tuple(key_of(gb) for gb in query.group_by)
+            is_finest = not residual and list(dict.fromkeys(keys)) == finest
+            shared = fits and (
+                (tier == "serial" and is_finest)
+                or all(
+                    fact.sums_exactly(agg.column)
+                    for agg in query.aggregates
+                    if agg.op in ("sum", "avg")
+                )
+            )
+            finish = []
+            for agg in query.aggregates if shared else ():
+                if agg.op == "count":
+                    finish.append((slot("count", None),))
+                elif agg.op == "avg":
+                    finish.append(
+                        (slot("sum", agg.column), slot("count", None))
+                    )
+                else:
+                    finish.append((slot(agg.op, agg.column),))
+            members.append(_Member(
+                keys, tuple(key_of(cp) for cp in residual), tuple(finish),
+                is_finest, shared,
+            ))
+        return _Lowering(
+            finest, tables, cardinalities, key_space, specs, members
+        )
 
-    def _parallel_key_info(
-        self, fact: Table, fact_name: str, keys: "Sequence[Tuple[str, str]]"
-    ):
-        """Global dictionary info for each ``(table, column)`` key column.
-
-        Each entry is ``(kind, alias, codes, cardinality, uniques)``:
-        fact-resident columns carry their full-column dictionary codes
-        (sliced per morsel by the driver), dimension columns carry the
-        whole (small) dimension's codes (gathered through FK positions by
-        the worker).  ``uniques`` decodes merged group keys back into
-        coordinate values.  Also returns the folded key space, so callers
-        can bail to serial before an int64 overflow.
-        """
-        infos = []
-        key_space = 1
-        for table, column in keys:
-            if table in (FACT, fact_name):
-                codes, cardinality = fact.dictionary(column)
-                uniques = fact.dictionary_values(column)
-                infos.append(("fact", None, codes, cardinality, uniques))
-            else:
-                dimension = self.catalog.table(table)
-                codes, cardinality = dimension.dictionary(column)
-                uniques = dimension.dictionary_values(column)
-                infos.append(("dim", table, codes, cardinality, uniques))
-            key_space *= max(cardinality, 1)
-        return infos, key_space
-
-    def _morsel_task_source(
+    # -- stage 2: morsel source ----------------------------------------
+    def _morsel_source(
         self,
         fact: Table,
         fact_name: str,
         predicates: Sequence[ColumnPredicate],
-        joins_needed,
-        key_infos,
-        agg_specs: "Sequence[Tuple[str, Optional[str]]]",
-        morsel_rows: int,
-        pruner: Optional[ZonePruner] = None,
+        joins,
+        lowering: "_Lowering",
+        tier: str,
     ):
-        """Shared per-morsel task construction (parallel and spill paths).
+        """Zone-pruned morsels of one fact pass, and their task builder.
+
+        Returns ``(morsels, build)``: the surviving ``(index, ranges,
+        rows)`` row selections and a builder producing the
+        :class:`MorselTask` of one of them on demand.  A serial pass is
+        one morsel covering every surviving range; the parallel and
+        spill tiers cut the same ranges at morsel-sized windows, so a
+        window no zone of which can satisfy the predicates is never
+        enqueued — its rows would contribute zero groups, and the merged
+        result is unchanged.  Morsels stay in row order, which is what
+        keeps the merge deterministic.
 
         Dimension-side work (key indexes, dimension predicate masks,
         dimension dictionaries) is computed once here and shared by every
-        task; per-fact-row arrays are windowed per morsel (so compressed
-        or memory-mapped columns decode one morsel at a time).  With a
-        ``pruner``, morsels no zone of which can satisfy the predicates
-        are never enqueued at all — their rows would contribute zero
-        groups, so the merged result is unchanged; skipped tasks keep
-        their original index, preserving the deterministic merge order.
-
-        Returns ``(surviving, build)``: the surviving ``(index, lo, hi)``
-        morsel ranges and a builder producing the :class:`MorselTask` for
-        one of them on demand — the spill path builds (and drops) tasks
-        one at a time, so only one morsel's decoded windows are ever live.
+        task; per-fact-row arrays are gathered per morsel, so compressed
+        or memory-mapped columns decode one morsel at a time and pruned
+        rows are never decoded.  Pruning uses the shared scan predicates
+        only: every member mask is ``base ∧ residual``, so a zone no row
+        of which passes the base predicates contributes to no member.
         """
-        fact_pred_columns = []
-        dim_preds = []
+        fact_predicates = []
+        dim_masks = []
         for cp in predicates:
             if cp.table in (FACT, fact_name):
-                fact_pred_columns.append((cp.predicate, cp.column))
+                fact_predicates.append((cp.predicate, cp.column))
             else:
+                # Evaluated once per dimension row, then propagated
+                # through the FK by the morsel — a semi-join.
                 dimension = self.catalog.table(cp.table)
-                dim_mask = cp.predicate.mask(dimension.column(cp.column))
-                dim_preds.append(DimPredicate(cp.table, dim_mask))
-        dim_predicates = tuple(dim_preds)
+                dim_masks.append(DimPredicate(
+                    cp.table, cp.predicate.mask(dimension.column(cp.column))
+                ))
+        dim_predicates = tuple(dim_masks)
+        # Join elimination: untouched dimensions are never resolved.
+        referenced = {table for table, _ in lowering.finest}
+        referenced |= {cp.table for cp in predicates}
         join_sources = [
             (
                 join.table,
                 self.catalog.table(join.table).key_index(join.dim_key),
                 join.fact_fk,
             )
-            for join in joins_needed
+            for join in joins
+            if join.table in referenced
         ]
-        measure_columns = [
-            column for _, column in agg_specs if column is not None
-        ]
+        # Integer key codes: dimension-sourced grouping columns encode
+        # members once over the (small) dimension table, fact-resident
+        # columns gather their global dictionary codes per morsel.
+        # Avoiding factorization of member strings per fact row is what
+        # keeps large group-bys cheap.
+        dim_codes = {
+            key: table.dictionary(key[1])[0]
+            for key, table in zip(lowering.finest, lowering.tables)
+            if key[0] != FACT
+        }
+        measure_columns = {
+            column for _, column in lowering.specs if column is not None
+        }
 
-        surviving: List[Tuple[int, int, int]] = []
-        pruned_morsels = 0
-        for index, (lo, hi) in enumerate(
-            morsel_ranges(len(fact), morsel_rows)
-        ):
-            if pruner is not None and not pruner.range_may_match(lo, hi):
-                pruned_morsels += 1
-                continue
-            surviving.append((index, lo, hi))
-        if pruned_morsels:
-            self.metrics.inc("engine.storage.morsels_pruned", pruned_morsels)
+        pruner = self._zone_pruner(fact, fact_name, predicates, joins)
+        ranges = None if pruner is None else pruner.surviving_row_ranges()
+        window = max(len(fact) if tier == "serial" else self._morsel_rows(), 1)
+        morsels = _split_ranges(ranges, len(fact), window)
+        if tier != "serial":
+            pruned = -(-len(fact) // window) - len(morsels)
+            if pruned:
+                self.metrics.inc("engine.storage.morsels_pruned", pruned)
 
-        def build(index: int, lo: int, hi: int) -> MorselTask:
-            joins = tuple(
-                JoinSpec(alias, key_index, fact.window(fk_column, lo, hi))
-                for alias, key_index, fk_column in join_sources
-            )
-            fps = tuple(
-                FactPredicate(predicate, fact.window(column, lo, hi))
-                for predicate, column in fact_pred_columns
-            )
-            key_specs = tuple(
-                KeySpec(
-                    kind,
-                    alias,
-                    codes[lo:hi] if kind == "fact" else codes,
-                    cardinality,
-                )
-                for kind, alias, codes, cardinality, _ in key_infos
-            )
-            windows = {
-                column: fact.window(column, lo, hi)
+        def build(index: int, ranges: Ranges, rows: int) -> MorselTask:
+            measures = {
+                column: fact.gather(column, ranges)
                 for column in measure_columns
             }
-            aggs = tuple(
-                AggSpec(op, None if column is None else windows[column])
-                for op, column in agg_specs
+            return MorselTask(
+                index, 0, rows,
+                tuple(
+                    JoinSpec(alias, key_index, fact.gather(fk_column, ranges))
+                    for alias, key_index, fk_column in join_sources
+                ),
+                tuple(
+                    FactPredicate(predicate, fact.gather(column, ranges))
+                    for predicate, column in fact_predicates
+                ),
+                dim_predicates,
+                tuple(
+                    KeySpec(
+                        "fact", None,
+                        fact.dictionary_gather(column, ranges)[0], cardinality,
+                    )
+                    if table == FACT
+                    else KeySpec(
+                        "dim", table, dim_codes[(table, column)], cardinality
+                    )
+                    for (table, column), cardinality in zip(
+                        lowering.finest, lowering.cardinalities
+                    )
+                ),
+                tuple(
+                    AggSpec(op, None if column is None else measures[column])
+                    for op, column in lowering.specs
+                ),
             )
-            return MorselTask(index, lo, hi, joins, fps, dim_predicates,
-                              key_specs, aggs)
 
-        return surviving, build
+        return morsels, build
 
-    def _parallel_tasks(
+    def _morsel_rows(self) -> int:
+        """Window size of a sliced scan (the parallel morsel size)."""
+        if self.parallel is not None:
+            return self.parallel.morsel_rows
+        return _env_morsel_rows() or DEFAULT_MORSEL_ROWS
+
+    # -- stage 3: partial aggregator -----------------------------------
+    def _partials(self, morsels, build, tier: str, n_predicates: int):
+        """Yield each morsel's partial result, in morsel order.
+
+        One morsel at a time on the driver thread — a serial pass, or a
+        sliced one without a worker pool — each built, run under the
+        ``engine.semijoin`` / ``engine.groupby`` spans, and dropped
+        before the next, so only one morsel's decoded windows are ever
+        live.  With a pool, morsels are dispatched in waves (workers
+        cannot emit spans — the tracer is driver-local — so the driver
+        back-fills each worker's measured time as a ``parallel.morsel``
+        event); the spill tier bounds a wave so retained state stays
+        within reach of the budget.
+        """
+        tracer = _active_tracer()
+        pool = self.parallel
+        if len(morsels) < 2 or pool is None or not pool.enabled:
+            for morsel in morsels:
+                task = build(*morsel)
+                with tracer.span(
+                    "engine.semijoin", rows_in=morsel[2], predicates=n_predicates
+                ) as semijoin:
+                    positions, mask = _semijoin(task)
+                with tracer.span("engine.groupby", keys=len(task.keys)) as span:
+                    result = _partial_aggregate(task, positions, mask)
+                    span.set(rows_out=len(result.keys))
+                semijoin.set(rows_matched=result.rows_matched)
+                yield result
+            return
+        wave = pool.degree * 4 if tier == "spill" else len(morsels)
+        for start in range(0, len(morsels), wave):
+            tasks = [build(*morsel) for morsel in morsels[start:start + wave]]
+            self.metrics.inc("engine.parallel.morsels", len(tasks))
+            for result in pool.map_ordered(run_morsel, tasks):
+                if tracer.enabled:
+                    event = tracer.event(
+                        "parallel.morsel",
+                        index=result.index,
+                        rows_in=result.rows_in,
+                        rows_matched=result.rows_matched,
+                        groups=len(result.keys),
+                    )
+                    event.duration = result.seconds
+                yield result
+
+    # -- stage 4: merge sink -------------------------------------------
+    def _shared_pass(
         self,
         fact: Table,
         fact_name: str,
         predicates: Sequence[ColumnPredicate],
-        joins_needed,
-        key_infos,
-        agg_specs: "Sequence[Tuple[str, Optional[str]]]",
-        pruner: Optional[ZonePruner] = None,
-    ) -> List[MorselTask]:
-        """Slice the fact pass into per-morsel tasks (all built eagerly)."""
-        assert self.parallel is not None
-        surviving, build = self._morsel_task_source(
-            fact, fact_name, predicates, joins_needed, key_infos, agg_specs,
-            self.parallel.morsel_rows, pruner,
-        )
-        return [build(index, lo, hi) for index, lo, hi in surviving]
+        joins,
+        lowering: "_Lowering",
+        tier: str,
+        span,
+    ) -> "Tuple[int, _Groups]":
+        """Scan once and merge the morsel partials into the finest groups.
 
-    def _dispatch_morsels(self, tasks: List[MorselTask], tracer):
-        """Run the tasks on the pool; emit per-morsel trace events."""
-        assert self.parallel is not None
-        results = self.parallel.map_ordered(run_morsel, tasks)
-        self.metrics.inc("engine.parallel.morsels", len(tasks))
-        if tracer.enabled:
-            for result in results:
-                event = tracer.event(
-                    "parallel.morsel",
-                    index=result.index,
-                    rows_in=result.rows_in,
-                    rows_matched=result.rows_matched,
-                    groups=len(result.keys),
-                )
-                # Workers cannot emit spans (the tracer is driver-local),
-                # so the driver back-fills the measured worker time.
-                event.duration = result.seconds
-        return results
-
-    def _parallel_aggregate(
-        self, fact: Table, query: AggregateQuery
-    ) -> Optional[ResultSet]:
-        """Morsel-parallel execute_aggregate; None → caller runs serial.
-
-        Ineligible queries (gate-failing measures, key spaces that would
-        overflow the int64 fold) return ``None`` and are counted under
-        ``engine.parallel.fallbacks``.
+        The sink is the identity for one morsel, ``merge_morsels`` in RAM,
+        and a :class:`SpillAggregator` under a budget (range-partitioned
+        buffers, runs spilled to temp files when the budget is exceeded,
+        merged partition by partition).  All three emit the finest groups
+        in folded-key order — the group order of a single pass — so
+        decoding the keys through the global dictionaries yields the same
+        coordinates whatever the tier.  Returns the scanned row count and
+        the groups.
         """
-        lowered = self._lower_aggregates(fact, query.aggregates)
-        if lowered is None:
-            self.metrics.inc("engine.parallel.fallbacks")
-            return None
-        agg_specs, agg_plan = lowered
-        key_infos, key_space = self._parallel_key_info(
-            fact, query.fact, [(gb.table, gb.column) for gb in query.group_by]
+        morsels, build = self._morsel_source(
+            fact, fact_name, predicates, joins, lowering, tier
         )
-        if key_space >= _MAX_COMBINED_KEY:
-            self.metrics.inc("engine.parallel.fallbacks")
-            return None
-        referenced = {gb.table for gb in query.group_by} | {
-            cp.table for cp in query.where
-        }
-        joins_needed = [j for j in query.joins if j.table in referenced]
-        pruner = self._zone_pruner(fact, query.fact, query.where, query.joins)
-        tasks = self._parallel_tasks(
-            fact, query.fact, query.where, joins_needed, key_infos, agg_specs,
-            pruner,
-        )
-
+        rows_in = sum(rows for _, _, rows in morsels)
+        self._count_scan(rows_in)
+        ops = [op for op, _ in lowering.specs]
+        partials = self._partials(morsels, build, tier, len(predicates))
         tracer = _active_tracer()
-        with tracer.span(
-            "engine.scan",
-            fact=query.fact,
-            parallel=True,
-            degree=self.parallel.degree,
-            morsels=len(tasks),
-        ) as span:
-            self._count_scan(fact, sum(task.hi - task.lo for task in tasks))
-            self.metrics.inc("engine.parallel.queries")
-            results = self._dispatch_morsels(tasks, tracer)
-            with tracer.span("parallel.merge", morsels=len(results)) as merge_span:
-                result = self._merge_aggregate(
-                    query, key_infos, agg_specs, agg_plan, results
-                )
-                if tracer.enabled:
-                    merge_span.set(rows_out=len(result))
-            if tracer.enabled:
-                span.set(
-                    rows_in=len(fact),
-                    rows_out=len(result),
-                    cells_out=len(result) * max(len(result.column_names), 1),
-                )
-            return result
-
-    def _merge_aggregate(
-        self, query: AggregateQuery, key_infos, agg_specs, agg_plan, results
-    ) -> ResultSet:
-        """Merge morsel partials into the final result set."""
-        merged_keys, merged = _merge_morsels(results, [op for op, _ in agg_specs])
-        return self._finalize_merged(query, key_infos, agg_plan, merged_keys, merged)
-
-    def _finalize_merged(
-        self, query: AggregateQuery, key_infos, agg_plan, merged_keys, merged
-    ) -> ResultSet:
-        """Decode merged keys and apply the post-merge aggregate plan.
-
-        Shared by the parallel merge and the spill merge — both produce
-        merged keys in globally sorted folded-key order, which is exactly
-        the group order of the serial fold, so decoding through the global
-        dictionaries reproduces the serial result bit for bit.
-        """
-        codes = _decode_keys(merged_keys, [info[3] for info in key_infos])
-        columns: Dict[str, np.ndarray] = {}
-        for gb, info, code in zip(query.group_by, key_infos, codes):
-            columns[gb.alias] = info[4][code]
-        for agg, step in zip(query.aggregates, agg_plan):
-            if step[0] == "avg":
-                totals = merged[step[1]]
-                counts = merged[step[2]]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    columns[agg.alias] = totals / counts
-            else:
-                columns[agg.alias] = merged[step[1]]
-        return ResultSet(columns)
-
-    # ------------------------------------------------------------------
-    # Bounded-memory (spill-to-disk) execution
-    # ------------------------------------------------------------------
-    def _spill_admits(self, fact: Table, n_slots: int) -> bool:
-        """Should this fact pass run through the spill tier?
-
-        True when a memory budget is configured and the worst-case
-        grouping state of the pass (every scanned row opening a group)
-        exceeds it.  Deliberately pessimistic: a budget below the working
-        set reliably routes through the bounded-memory path.
-        """
-        if self.memory_budget is None:
-            return False
-        return _grouping_state_bytes(len(fact), 0, n_slots) > self.memory_budget
-
-    def _spill_morsel_rows(self) -> int:
-        """Chunk size of a spill-tier scan (the parallel morsel size)."""
-        if self.parallel is not None:
-            return self.parallel.morsel_rows
-        from ..parallel.config import DEFAULT_MORSEL_ROWS, env_morsel_rows
-
-        return env_morsel_rows() or DEFAULT_MORSEL_ROWS
-
-    def _stream_morsels(self, surviving, build, tracer):
-        """Yield per-morsel results one at a time (bounded retained state).
-
-        With a parallel config the morsels are dispatched in bounded waves
-        through the worker pool (spill composes with the morsel path);
-        serially, each task is built, run, and dropped before the next, so
-        only one morsel's decoded windows are ever live.
-        """
-        if self.parallel is not None and self.parallel.enabled:
-            wave = max(1, self.parallel.degree) * 4
-            for start in range(0, len(surviving), wave):
-                batch = [
-                    build(index, lo, hi)
-                    for index, lo, hi in surviving[start:start + wave]
-                ]
-                for result in self._dispatch_morsels(batch, tracer):
-                    yield result
+        codes = None
+        if tier == "spill":
+            self.metrics.inc("engine.spill.queries")
+            estimate = _grouping_state_bytes(
+                len(fact), len(lowering.finest), len(ops)
+            )
+            with SpillAggregator(
+                lowering.key_space,
+                ops,
+                self.memory_budget,
+                metrics=self.metrics,
+                n_partitions=_choose_partitions(estimate, self.memory_budget),
+            ) as spiller:
+                for partial in partials:
+                    spiller.add(partial.keys, partial.partials)
+                merged_keys, merged = spiller.merge_all()
+                span.set(spill=True, morsels=len(morsels), spills=spiller.spills)
         else:
-            for index, lo, hi in surviving:
-                yield run_morsel(build(index, lo, hi))
-
-    def _spill_aggregate(
-        self, fact: Table, query: AggregateQuery
-    ) -> Optional[ResultSet]:
-        """Bounded-memory execute_aggregate; None → caller runs in RAM.
-
-        Streams per-morsel partial results (the same ``run_morsel``
-        workers the parallel path uses) into a :class:`SpillAggregator`,
-        which range-partitions them over the folded key space, spills
-        buffered runs to temp files when the budget is exceeded, and
-        merges partitions with the distributive re-aggregation kernels —
-        bit-identical to the in-RAM path under the same float-exactness
-        gate that guards the parallel merge.  Gate-failing measures
-        return ``None`` (counted under ``engine.spill.fallbacks``); the
-        caller then runs the unbudgeted in-RAM path.
-        """
-        lowered = self._lower_aggregates(fact, query.aggregates)
-        if lowered is None:
-            self.metrics.inc("engine.spill.fallbacks")
-            return None
-        agg_specs, agg_plan = lowered
-        key_infos, key_space = self._parallel_key_info(
-            fact, query.fact, [(gb.table, gb.column) for gb in query.group_by]
-        )
-        if key_space >= _MAX_COMBINED_KEY:
-            self.metrics.inc("engine.spill.fallbacks")
-            return None
-        referenced = {gb.table for gb in query.group_by} | {
-            cp.table for cp in query.where
-        }
-        joins_needed = [j for j in query.joins if j.table in referenced]
-        pruner = self._zone_pruner(fact, query.fact, query.where, query.joins)
-        surviving, build = self._morsel_task_source(
-            fact, query.fact, query.where, joins_needed, key_infos, agg_specs,
-            self._spill_morsel_rows(), pruner,
-        )
-        budget = self.memory_budget
-        assert budget is not None
-        estimate = _grouping_state_bytes(len(fact), len(key_infos), len(agg_specs))
-
-        tracer = _active_tracer()
-        with tracer.span(
-            "engine.scan",
-            fact=query.fact,
-            spill=True,
-            morsels=len(surviving),
-        ) as span:
-            self._count_scan(fact, sum(hi - lo for _, lo, hi in surviving))
-            self.metrics.inc("engine.spill.queries")
-            with SpillAggregator(
-                key_space,
-                [op for op, _ in agg_specs],
-                budget,
-                metrics=self.metrics,
-                n_partitions=_choose_partitions(estimate, budget),
-            ) as spiller:
-                for morsel in self._stream_morsels(surviving, build, tracer):
-                    spiller.add(morsel.keys, morsel.partials)
-                merged_keys, merged = spiller.merge_all()
-                spills = spiller.spills
-            result = self._finalize_merged(
-                query, key_infos, agg_plan, merged_keys, merged
-            )
-            if tracer.enabled:
+            results = list(partials)
+            if len(results) == 1:
+                codes = results[0].codes  # a lone morsel's groups, unfolded
+            if tier == "parallel":
+                self.metrics.inc("engine.parallel.queries")
                 span.set(
-                    rows_in=len(fact),
-                    rows_out=len(result),
-                    spills=spills,
+                    parallel=True,
+                    degree=self.parallel.degree,
+                    morsels=len(morsels),
                 )
-            return result
-
-    def _spill_fused(
-        self,
-        fact: Table,
-        queries: Sequence[AggregateQuery],
-        scan_where: Sequence[ColumnPredicate],
-        residuals: Sequence[Sequence[ColumnPredicate]],
-    ) -> "Optional[Tuple[List[ResultSet], List[bool]]]":
-        """Bounded-memory execute_fused; None → caller runs in RAM.
-
-        The finest shared partial aggregation streams through the
-        :class:`SpillAggregator` exactly like :meth:`_spill_aggregate`;
-        members are then derived from the merged finest groups with the
-        shared :meth:`_derive_fused_member` arithmetic (the merged state
-        is result-sized, not scan-sized).  ``None`` when no member would
-        be derivable — the serial fused path then runs its per-member
-        fallbacks directly.
-        """
-        fact_name = queries[0].fact
-        lowering = self._fused_lowering(fact, fact_name, queries, residuals)
-        if lowering is None:
-            self.metrics.inc("engine.spill.fallbacks")
-            return None
-        (column_key, derivable_flags, finest, key_infos, key_space,
-         agg_specs) = lowering
-
-        referenced = set()
-        for query in queries:
-            referenced |= {gb.table for gb in query.group_by}
-            referenced |= {cp.table for cp in query.where}
-        joins_needed = [j for j in queries[0].joins if j.table in referenced]
-        pruner = self._zone_pruner(fact, fact_name, scan_where, queries[0].joins)
-        surviving, build = self._morsel_task_source(
-            fact, fact_name, scan_where, joins_needed, key_infos, agg_specs,
-            self._spill_morsel_rows(), pruner,
-        )
-        budget = self.memory_budget
-        assert budget is not None
-        estimate = _grouping_state_bytes(len(fact), len(finest), len(agg_specs))
-
-        tracer = _active_tracer()
-        with tracer.span(
-            "engine.fused-scan",
-            members=len(queries),
-            spill=True,
-            morsels=len(surviving),
-        ) as span:
-            self._count_scan(fact, sum(hi - lo for _, lo, hi in surviving))
-            self.metrics.inc("engine.fused_scans")
-            self.metrics.inc("engine.spill.queries")
-            with SpillAggregator(
-                key_space,
-                [op for op, _ in agg_specs],
-                budget,
-                metrics=self.metrics,
-                n_partitions=_choose_partitions(estimate, budget),
-            ) as spiller:
-                for morsel in self._stream_morsels(surviving, build, tracer):
-                    spiller.add(morsel.keys, morsel.partials)
-                merged_keys, merged = spiller.merge_all()
-                spills = spiller.spills
-            results, flags = self._fused_from_merged(
-                fact, fact_name, queries, residuals, scan_where, joins_needed,
-                column_key, derivable_flags, finest, key_infos, agg_specs,
-                merged_keys, merged,
-            )
-            if tracer.enabled:
-                derived = int(sum(flags))
-                span.set(
-                    derived=derived,
-                    fallbacks=len(flags) - derived,
-                    rows_out=int(sum(len(result) for result in results)),
-                    spills=spills,
-                )
-            return results, flags
-
-    def _parallel_fused(
-        self,
-        fact: Table,
-        queries: Sequence[AggregateQuery],
-        scan_where: Sequence[ColumnPredicate],
-        residuals: Sequence[Sequence[ColumnPredicate]],
-    ) -> "Optional[Tuple[List[ResultSet], List[bool]]]":
-        """Morsel-parallel execute_fused; None → caller runs serial.
-
-        Per-morsel workers compute the *finest shared* partial aggregates;
-        the deterministic merge reproduces exactly the finest grouping the
-        serial fused scan builds, and each member is then derived with the
-        shared :meth:`_derive_fused_member` arithmetic.  Members whose
-        measures fail the (full-column) exactness gate fall back to a
-        direct serial grouping pass over the shared predicates — the same
-        fallback the serial fused path uses, so results stay bit-identical
-        to standalone execution either way.
-        """
-        fact_name = queries[0].fact
-        lowering = self._fused_lowering(fact, fact_name, queries, residuals)
-        if lowering is None:
-            # Nothing would be derived from a parallel finest pass (or the
-            # folded key would overflow); let the serial fused path run
-            # its per-member fallbacks directly.
-            self.metrics.inc("engine.parallel.fallbacks")
-            return None
-        (column_key, derivable_flags, finest, key_infos, key_space,
-         agg_specs) = lowering
-
-        referenced = set()
-        for query in queries:
-            referenced |= {gb.table for gb in query.group_by}
-            referenced |= {cp.table for cp in query.where}
-        joins_needed = [j for j in queries[0].joins if j.table in referenced]
-        pruner = self._zone_pruner(fact, fact_name, scan_where, queries[0].joins)
-        tasks = self._parallel_tasks(
-            fact, fact_name, scan_where, joins_needed, key_infos, agg_specs,
-            pruner,
-        )
-
-        tracer = _active_tracer()
-        with tracer.span(
-            "engine.fused-scan",
-            members=len(queries),
-            parallel=True,
-            degree=self.parallel.degree,
-            morsels=len(tasks),
-        ) as span:
-            self._count_scan(fact, sum(task.hi - task.lo for task in tasks))
-            self.metrics.inc("engine.fused_scans")
-            self.metrics.inc("engine.parallel.queries")
-            raw = self._dispatch_morsels(tasks, tracer)
-            with tracer.span("parallel.merge", morsels=len(raw)) as merge_span:
-                merged_keys, merged = _merge_morsels(
-                    raw, [op for op, _ in agg_specs]
-                )
-                if tracer.enabled:
-                    merge_span.set(rows_out=len(merged_keys))
-            results, flags = self._fused_from_merged(
-                fact, fact_name, queries, residuals, scan_where, joins_needed,
-                column_key, derivable_flags, finest, key_infos, agg_specs,
-                merged_keys, merged,
-            )
-            if tracer.enabled:
-                derived = int(sum(flags))
-                span.set(
-                    derived=derived,
-                    fallbacks=len(flags) - derived,
-                    rows_out=int(sum(len(result) for result in results)),
-                )
-            return results, flags
-
-    def _fused_lowering(
-        self,
-        fact: Table,
-        fact_name: str,
-        queries: Sequence[AggregateQuery],
-        residuals: Sequence[Sequence[ColumnPredicate]],
-    ):
-        """Shared lowering for the parallel and spill fused paths.
-
-        Computes per-member derivability flags (same gates as the serial
-        fused path: no avg, sums must pass the exactness gate), the finest
-        shared key list, its global dictionary infos, and the deduplicated
-        partial agg specs.  ``None`` when nothing would be derivable or
-        the folded key space would overflow int64 — the caller then runs
-        the serial fused path.
-        """
-
-        def column_key(table: str) -> str:
-            return FACT if table in (FACT, fact_name) else table
-
-        derivable_flags: List[bool] = []
-        for query in queries:
-            ok = True
-            for agg in query.aggregates:
-                if agg.op == "avg" or agg.op not in ("sum", "count", "min", "max"):
-                    ok = False
-                    break
-                if agg.op == "sum" and not fact.sums_exactly(agg.column):
-                    ok = False
-                    break
-            derivable_flags.append(ok)
-        if not any(derivable_flags):
-            return None
-
-        finest: List[Tuple[str, str]] = []
-        seen = set()
-        for query, residual in zip(queries, residuals):
-            for gb in query.group_by:
-                key = (column_key(gb.table), gb.column)
-                if key not in seen:
-                    seen.add(key)
-                    finest.append(key)
-            for cp in residual:
-                key = (column_key(cp.table), cp.column)
-                if key not in seen:
-                    seen.add(key)
-                    finest.append(key)
-
-        key_infos, key_space = self._parallel_key_info(fact, fact_name, finest)
-        if key_space >= _MAX_COMBINED_KEY:
-            return None
-
-        agg_specs: List[Tuple[str, Optional[str]]] = []
-        for query, ok in zip(queries, derivable_flags):
-            if not ok:
-                continue
-            for agg in query.aggregates:
-                key = ("count", None) if agg.op == "count" else (agg.op, agg.column)
-                if key not in agg_specs:
-                    agg_specs.append(key)
-
-        return (column_key, derivable_flags, finest, key_infos, key_space,
-                agg_specs)
-
-    def _fused_from_merged(
-        self,
-        fact: Table,
-        fact_name: str,
-        queries: Sequence[AggregateQuery],
-        residuals: Sequence[Sequence[ColumnPredicate]],
-        scan_where: Sequence[ColumnPredicate],
-        joins_needed,
-        column_key,
-        derivable_flags: Sequence[bool],
-        finest: "Sequence[Tuple[str, str]]",
-        key_infos,
-        agg_specs: "Sequence[Tuple[str, Optional[str]]]",
-        merged_keys: np.ndarray,
-        merged: Sequence[np.ndarray],
-    ) -> "Tuple[List[ResultSet], List[bool]]":
-        """Derive every fused member from merged finest partials.
-
-        Shared by the parallel merge and the spill merge; both produce the
-        finest grouping in serial group order, so the member derivation is
-        the bit-identical :meth:`_derive_fused_member` arithmetic either
-        way.  Gate-failing members run the serial direct fallback over
-        lazily computed full-table positions and the shared scan mask.
-        """
-        codes = _decode_keys(merged_keys, [info[3] for info in key_infos])
-        finest_count = len(merged_keys)
-        group_codes = {
-            key: (code, info[3])
-            for key, info, code in zip(finest, key_infos, codes)
-        }
-        group_values = {
-            key: info[4][code]
-            for key, info, code in zip(finest, key_infos, codes)
-        }
-        slot_of = {key: i for i, key in enumerate(agg_specs)}
-
-        def partial_of(column: str, op: str) -> np.ndarray:
-            return merged[slot_of[(op, column)]]
-
-        def count_of() -> np.ndarray:
-            return merged[slot_of[("count", None)]]
-
-        # Fallback members need full-table positions and the shared
-        # scan mask; computed serially, once, only if some member
-        # actually falls back.
-        full_state: Dict[str, object] = {}
-
-        def full_positions_mask():
-            if "positions" not in full_state:
-                positions: Dict[str, np.ndarray] = {}
-                for join in joins_needed:
-                    dimension = self.catalog.table(join.table)
-                    index = dimension.key_index(join.dim_key)
-                    positions[join.table] = index.positions_of(
-                        fact.column(join.fact_fk)
-                    )
-                full_state["positions"] = positions
-                full_state["mask"] = self._predicate_mask(
-                    fact, fact_name, scan_where, positions
-                )
-            return full_state["positions"], full_state["mask"]
-
-        results: List[ResultSet] = []
-        for query, residual, ok in zip(queries, residuals, derivable_flags):
-            if ok:
-                results.append(
-                    self._derive_fused_member(
-                        query, residual, column_key, group_codes,
-                        group_values, finest_count, partial_of, count_of,
-                    )
-                )
-                self.metrics.inc("engine.fused_derived")
+                with tracer.span("parallel.merge", morsels=len(results)) as merge:
+                    merged_keys, merged = _merge_morsels(results, ops)
+                    merge.set(rows_out=len(merged_keys))
             else:
-                positions, base_mask = full_positions_mask()
-                results.append(
-                    self._fused_member_direct(
-                        fact, query, residual, positions, base_mask
-                    )
-                )
-                self.metrics.inc("engine.fused_fallbacks")
-        return results, list(derivable_flags)
+                merged_keys, merged = _merge_morsels(results, ops)
+        if codes is None:
+            codes = _decode_keys(merged_keys, lowering.cardinalities)
+        values = [
+            table.dictionary_values(column)[code]
+            for table, (_, column), code in zip(
+                lowering.tables, lowering.finest, codes
+            )
+        ]
+        return rows_in, _Groups(
+            len(merged_keys),
+            dict(zip(lowering.finest, zip(codes, lowering.cardinalities))),
+            dict(zip(lowering.finest, values)),
+            lowering.specs,
+            merged,
+        )
+
+    def _finish_member(
+        self,
+        query: AggregateQuery,
+        residual: Sequence[ColumnPredicate],
+        member: "_Member",
+        groups: "_Groups",
+    ) -> ResultSet:
+        """One member's result from the finest groups of the shared pass.
+
+        A member grouped exactly like the finest key reads the groups as
+        they are.  Any other member filters them by its residual
+        predicates (residual columns are part of the finest key, so they
+        are constant within each finest group), folds its own coarser key
+        over the surviving groups, and re-aggregates the partials with the
+        distributive rules — count partials are summed.
+        """
+        rmask: Optional[np.ndarray] = None
+        ids = count = first = None
+        if not member.is_finest:
+            for cp, key in zip(residual, member.residual_keys):
+                part = cp.predicate.mask(groups.values[key])
+                rmask = part if rmask is None else (rmask & part)
+            member_codes = [groups.codes[key] for key in member.keys]
+            if rmask is not None:
+                member_codes = [
+                    (codes[rmask], cardinality)
+                    for codes, cardinality in member_codes
+                ]
+            n_groups = groups.count if rmask is None else int(rmask.sum())
+            ids, count, first = _combine_codes(member_codes, n_groups)
+
+        def regroup(slot: int) -> np.ndarray:
+            values = groups.merged[slot]
+            if ids is None:
+                return values
+            if rmask is not None:
+                values = values[rmask]
+            op = groups.specs[slot][0]
+            return _aggregate(ids, count, values, "sum" if op == "count" else op)
+
+        columns: Dict[str, np.ndarray] = {}
+        for gb, key in zip(query.group_by, member.keys):
+            values = groups.values[key]
+            if ids is not None:
+                values = (values if rmask is None else values[rmask])[first]
+            columns[gb.alias] = values
+        for agg, slots in zip(query.aggregates, member.finish):
+            if len(slots) == 2:  # avg: merged totals over merged counts
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    columns[agg.alias] = regroup(slots[0]) / regroup(slots[1])
+            else:
+                columns[agg.alias] = regroup(slots[0])
+        return ResultSet(columns)
 
     # ------------------------------------------------------------------
     # Drill-across (JOP)
@@ -1566,105 +974,10 @@ class EngineExecutor:
                 columns[new_name] = _gather_float(source, member_rows)
         return ResultSet(columns)
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _dimension_positions(
-        self, fact: Table, query: AggregateQuery, ranges: Ranges = None
-    ) -> Dict[str, np.ndarray]:
-        """Resolve each referenced dimension's FK column to row positions.
-
-        With a zone-pruned ``ranges`` selection only the surviving fact
-        rows' foreign keys are gathered and resolved.
-        """
-        referenced = {gb.table for gb in query.group_by} | {
-            cp.table for cp in query.where
-        }
-        positions: Dict[str, np.ndarray] = {}
-        for join in query.joins:
-            if join.table not in referenced:
-                continue  # join elimination: untouched dimensions are skipped
-            dimension = self.catalog.table(join.table)
-            index = dimension.key_index(join.dim_key)
-            positions[join.table] = index.positions_of(
-                fact.gather(join.fact_fk, ranges)
-            )
-        return positions
-
-    def _selection_mask(
-        self,
-        fact: Table,
-        query: AggregateQuery,
-        positions: Dict[str, np.ndarray],
-        ranges: Ranges = None,
-    ) -> Optional[np.ndarray]:
-        return self._predicate_mask(fact, query.fact, query.where, positions, ranges)
-
-    def _predicate_mask(
-        self,
-        fact: Table,
-        fact_name: str,
-        predicates: Sequence[ColumnPredicate],
-        positions: Dict[str, np.ndarray],
-        ranges: Ranges = None,
-    ) -> Optional[np.ndarray]:
-        mask: Optional[np.ndarray] = None
-        for cp in predicates:
-            if cp.table in (FACT, fact_name):
-                part = cp.predicate.mask(fact.gather(cp.column, ranges))
-            else:
-                dimension = self.catalog.table(cp.table)
-                dim_mask = cp.predicate.mask(dimension.column(cp.column))
-                part = dim_mask[positions[cp.table]]
-            mask = part if mask is None else (mask & part)
-        return mask
-
-    def _gather_column(
-        self,
-        fact: Table,
-        table: str,
-        column: str,
-        positions: Dict[str, np.ndarray],
-        mask: Optional[np.ndarray],
-    ) -> np.ndarray:
-        if table in (FACT, fact.name):
-            values = fact.column(column)
-            return values if mask is None else values[mask]
-        dimension = self.catalog.table(table)
-        pos = positions[table]
-        if mask is not None:
-            pos = pos[mask]
-        return dimension.column(column)[pos]
-
 
 # ----------------------------------------------------------------------
 # Kernels
 # ----------------------------------------------------------------------
-def _aggregate(
-    group_ids: np.ndarray, group_count: int, measure: np.ndarray, op: str
-) -> np.ndarray:
-    """Aggregate one measure column per group."""
-    measure = np.asarray(measure, dtype=np.float64)
-    if op == "sum":
-        return np.bincount(group_ids, weights=measure, minlength=group_count)
-    if op == "count":
-        return np.bincount(group_ids, minlength=group_count).astype(np.float64)
-    if op == "avg":
-        totals = np.bincount(group_ids, weights=measure, minlength=group_count)
-        counts = np.bincount(group_ids, minlength=group_count)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return totals / counts
-    if op == "min":
-        out = np.full(group_count, np.inf)
-        np.minimum.at(out, group_ids, measure)
-        return out
-    if op == "max":
-        out = np.full(group_count, -np.inf)
-        np.maximum.at(out, group_ids, measure)
-        return out
-    raise EngineError(f"unsupported aggregation operator {op!r}")
-
-
 def _joint_codes(
     left_keys: Sequence[np.ndarray], right_keys: Sequence[np.ndarray]
 ) -> Tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,9 @@
-"""Group-by factorization kernels.
+"""Group-by factorization and aggregation kernels.
 
 The engine's group-by pipeline reduces a multi-column key to dense integer
-group ids.  Two implementations are provided:
+group ids and folds each measure per group with :func:`aggregate` — the
+one sum/count/min/max loop every scan, morsel merge, spill merge and cache
+roll-up goes through.  Two factorizations are provided:
 
 * :func:`factorize_numpy` — the production kernel: per-column ``np.unique``
   encoding combined into a single integer key, factorised once more.  Fully
@@ -19,6 +21,8 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+
+from ..core.errors import EngineError
 
 
 def encode_column(column: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -47,16 +51,18 @@ def sums_exactly(values: np.ndarray) -> bool:
     return bound < 2.0**53
 
 
-def combine_codes(
+def fold_codes(
     code_columns: "Sequence[Tuple[np.ndarray, int]]", n_rows: int
-) -> Tuple[np.ndarray, int, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fold pre-encoded ``(codes, cardinality)`` columns into dense group ids.
 
     This is the production group-by fold: per-column integer codes are
-    combined into one lexicographic key, factorised once more.  Group ids
-    follow the combined-code sort order, i.e. the lexicographic order of the
-    key columns' code order.  With no grouping columns everything is one
-    group (complete aggregation).
+    combined into one lexicographic key, factorised once more.  Returns
+    ``(group_ids, keys, first_row_of_group)`` where ``keys`` holds each
+    group's folded key, ascending — group ids follow the combined-code
+    sort order, i.e. the lexicographic order of the key columns' code
+    order.  With no grouping columns everything is one group (complete
+    aggregation).
 
     When the combined key space is small relative to the row count the
     factorisation runs through a counting pass (``np.bincount``) instead of
@@ -66,7 +72,7 @@ def combine_codes(
     if not code_columns:
         group_ids = np.zeros(n_rows, dtype=np.int64)
         first = np.zeros(1 if n_rows else 0, dtype=np.int64)
-        return group_ids, (1 if n_rows else 0), first
+        return group_ids, first, first
     combined = np.zeros(len(code_columns[0][0]), dtype=np.int64)
     key_space = 1
     for codes, cardinality in code_columns:
@@ -82,11 +88,47 @@ def combine_codes(
         first[group_ids[::-1]] = np.arange(
             combined.size - 1, -1, -1, dtype=np.int64
         )
-        return group_ids, len(present), first
+        return group_ids, present, first
     uniques, first, group_ids = np.unique(
         combined, return_index=True, return_inverse=True
     )
-    return group_ids.astype(np.int64, copy=False), len(uniques), first
+    return group_ids.astype(np.int64, copy=False), uniques, first
+
+
+def combine_codes(
+    code_columns: "Sequence[Tuple[np.ndarray, int]]", n_rows: int
+) -> Tuple[np.ndarray, int, np.ndarray]:
+    """:func:`fold_codes` for callers that need no keys.
+
+    Returns ``(group_ids, group_count, first_row_of_group)``.
+    """
+    group_ids, keys, first = fold_codes(code_columns, n_rows)
+    return group_ids, len(keys), first
+
+
+def aggregate(
+    group_ids: np.ndarray, group_count: int, measure: np.ndarray, op: str
+) -> np.ndarray:
+    """Aggregate one measure column per group (``measure`` unused by count)."""
+    measure = np.asarray(measure, dtype=np.float64)
+    if op == "sum":
+        return np.bincount(group_ids, weights=measure, minlength=group_count)
+    if op == "count":
+        return np.bincount(group_ids, minlength=group_count).astype(np.float64)
+    if op == "avg":
+        totals = np.bincount(group_ids, weights=measure, minlength=group_count)
+        counts = np.bincount(group_ids, minlength=group_count)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return totals / counts
+    if op == "min":
+        out = np.full(group_count, np.inf)
+        np.minimum.at(out, group_ids, measure)
+        return out
+    if op == "max":
+        out = np.full(group_count, -np.inf)
+        np.maximum.at(out, group_ids, measure)
+        return out
+    raise EngineError(f"unsupported aggregation operator {op!r}")
 
 
 def factorize_numpy(

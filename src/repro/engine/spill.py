@@ -10,11 +10,11 @@ partitioned external hash aggregation:
   keys + distributive partials) are **range-partitioned** over the folded
   key space into ``P`` buckets;
 * buffered bucket segments are charged against an accounting-enforced
-  **memory budget** (``REPRO_MEMORY_BYTES`` / ``AssessSession(memory_budget=)``;
-  ``REPRO_SPILL_BYTES`` is honoured as a synonym).  When the buffered bytes
-  exceed the budget, the largest buckets are compacted with the same
-  distributive re-aggregation the parallel merge uses and written out as
-  ``.npz`` **runs** under a private temp directory;
+  **memory budget** (``REPRO_MEMORY_BYTES`` /
+  ``AssessSession(memory_budget=)``).  When the buffered bytes exceed the
+  budget, the largest buckets are compacted with the same distributive
+  re-aggregation the parallel merge uses and written out as ``.npz``
+  **runs** under a private temp directory;
 * the final merge re-reads each bucket's runs plus its still-buffered
   segments and merges them with :func:`repro.parallel.merge.merge_morsels`.
   Range partitioning keeps bucket key ranges disjoint and ordered, so
@@ -56,25 +56,17 @@ _SLOT_BYTES = 8
 
 
 def env_memory_budget() -> Optional[int]:
-    """The memory budget (bytes) configured via the environment.
+    """The memory budget (bytes) set by ``REPRO_MEMORY_BYTES``.
 
-    ``REPRO_MEMORY_BYTES`` is the primary knob; ``REPRO_SPILL_BYTES`` is a
-    synonym (the property suite forces it low).  When both are set the
-    smaller wins.  Unset, empty, non-numeric, or non-positive values mean
-    "unbounded" (``None``).
+    Unset, empty, non-numeric, or non-positive values mean "unbounded"
+    (``None``).
     """
-    budgets = []
-    for name in ("REPRO_MEMORY_BYTES", "REPRO_SPILL_BYTES"):
-        raw = os.environ.get(name, "").strip()
-        if not raw:
-            continue
-        try:
-            value = int(raw)
-        except ValueError:
-            continue
-        if value > 0:
-            budgets.append(value)
-    return min(budgets) if budgets else None
+    raw = os.environ.get("REPRO_MEMORY_BYTES", "").strip()
+    try:
+        value = int(raw)
+    except ValueError:
+        return None
+    return value if value > 0 else None
 
 
 def grouping_state_bytes(rows: int, n_keys: int, n_slots: int) -> int:
@@ -88,6 +80,17 @@ def grouping_state_bytes(rows: int, n_keys: int, n_slots: int) -> int:
     """
     del n_keys  # keys fold into one int64 regardless of arity
     return int(rows) * (_KEY_BYTES + _SLOT_BYTES * (int(n_slots) + 1))
+
+
+def over_budget(rows: int, n_slots: int, budget_bytes: Optional[int]) -> bool:
+    """The spill tier's admission test, shared by executor and analyzer.
+
+    True when a budget is set and the worst-case grouping state of a pass
+    over ``rows`` fact rows exceeds it.
+    """
+    if budget_bytes is None:
+        return False
+    return grouping_state_bytes(rows, 0, n_slots) > budget_bytes
 
 
 def choose_partitions(estimated_bytes: int, budget_bytes: int) -> int:
@@ -182,7 +185,7 @@ class SpillAggregator:
         """Buffer one morsel's partial result, spilling if over budget.
 
         ``keys`` must be sorted ascending (``run_morsel`` guarantees this —
-        its keys come out of ``np.unique``).
+        its groups come out in folded-key order).
         """
         if keys.size == 0:
             return

@@ -217,13 +217,29 @@ class Table:
                     codes, max(stored.cardinality, 1)
                 )
             else:
-                _, codes = np.unique(self.column(column_name), return_inverse=True)
+                uniques, codes = np.unique(
+                    self.column(column_name), return_inverse=True
+                )
                 cardinality = int(codes.max()) + 1 if len(codes) else 0
                 self._dictionaries[column_name] = (
                     codes.astype(np.int64, copy=False),
                     max(cardinality, 1),
                 )
+                self._dictionary_values[column_name] = uniques
         return self._dictionaries[column_name]
+
+    def cardinality(self, column_name: str) -> int:
+        """Dictionary cardinality of a column (at least 1).
+
+        Stored dictionary encodings answer from their header, so sizing a
+        group-by key never materialises a memory-mapped column's codes.
+        """
+        stored = self._data.get(column_name)
+        if column_name not in self._dictionaries and isinstance(
+            stored, DictionaryColumn
+        ):
+            return max(stored.cardinality, 1)
+        return self.dictionary(column_name)[1]
 
     def dictionary_gather(
         self, column_name: str, ranges: Ranges
@@ -247,8 +263,8 @@ class Table:
         """Distinct values of a column in code order (the dictionary itself).
 
         ``dictionary_values(c)[dictionary(c)[0]]`` reconstructs the column:
-        codes index this array.  The parallel merge layer uses it to decode
-        group coordinates from combined keys without touching fact rows.
+        codes index this array.  The executor uses it to decode group
+        coordinates from combined keys without touching fact rows.
         """
         if column_name not in self._dictionary_values:
             stored = self._data.get(column_name)
@@ -257,15 +273,8 @@ class Table:
                 if values.dtype != stored.dtype:
                     values = values.astype(stored.dtype)
                 self._dictionary_values[column_name] = values
-                return values
-            uniques, codes = np.unique(self.column(column_name), return_inverse=True)
-            if column_name not in self._dictionaries:
-                cardinality = int(codes.max()) + 1 if len(codes) else 0
-                self._dictionaries[column_name] = (
-                    codes.astype(np.int64, copy=False),
-                    max(cardinality, 1),
-                )
-            self._dictionary_values[column_name] = uniques
+            else:
+                self.dictionary(column_name)  # one np.unique fills both caches
         return self._dictionary_values[column_name]
 
     def sums_exactly(self, column_name: str) -> bool:

@@ -99,7 +99,6 @@ class MultidimensionalEngine:
         self,
         degree,
         morsel_rows=None,
-        backend: str = "thread",
         min_rows=None,
     ) -> None:
         """Enable (or disable) morsel-driven parallel execution.
@@ -107,8 +106,8 @@ class MultidimensionalEngine:
         ``degree`` ≤ 1 or ``None`` turns parallelism off — the executor
         keeps its serial paths with zero overhead.  Otherwise eligible
         fact passes are split into ``morsel_rows``-row morsels, run on a
-        ``backend`` worker pool and merged deterministically; results
-        stay bit-identical to serial (docs/performance.md, "Parallel
+        thread pool and merged deterministically; results stay
+        bit-identical to serial (docs/performance.md, "Parallel
         execution").  Cached results and fingerprints are unaffected —
         parallelism changes *how* a scan runs, never what it answers.
         """
@@ -121,7 +120,6 @@ class MultidimensionalEngine:
             self.executor.parallel = ParallelConfig(
                 degree=int(degree),
                 morsel_rows=morsel_rows,
-                backend=backend,
                 min_rows=min_rows,
             )
         if previous is not None and previous is not self.executor.parallel:
@@ -143,9 +141,9 @@ class MultidimensionalEngine:
         (``engine/spill.py``) — bit-identical to the in-RAM path under
         the float-exactness gate, with buffered partial results spilled
         to temp files once they outgrow the budget.  ``None`` or a
-        non-positive value removes the bound (the environment knobs
-        ``REPRO_MEMORY_BYTES`` / ``REPRO_SPILL_BYTES`` still apply to
-        newly created executors).  Like parallelism, the budget changes
+        non-positive value removes the bound (the environment knob
+        ``REPRO_MEMORY_BYTES`` still applies to newly created
+        executors).  Like parallelism, the budget changes
         *how* a scan runs, never what it answers — cached results and
         fingerprints are unaffected.
         """

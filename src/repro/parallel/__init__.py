@@ -2,7 +2,7 @@
 
 Public surface:
 
-* :class:`ParallelConfig` — degree / morsel size / backend / eligibility.
+* :class:`ParallelConfig` — degree / morsel size / eligibility.
 * :func:`morsel_ranges`, :func:`run_morsel` — task partitioning + worker.
 * :func:`merge_morsels`, :func:`decode_keys` — the order-stable merge.
 
@@ -11,8 +11,8 @@ The engine integration lives in :mod:`repro.engine.executor`
 ``AssessSession(parallelism=N)`` or the ``REPRO_PARALLELISM`` environment
 variable.  Results are bit-identical to serial execution — measures that
 cannot guarantee that (fractional sums, by the
-:func:`repro.engine.kernels.sums_exactly` gate) transparently fall back
-to the serial path.  See docs/performance.md, "Parallel execution".
+:func:`repro.engine.kernels.sums_exactly` gate) transparently run as one
+morsel instead.  See docs/performance.md, "Execution pipeline".
 """
 
 from .config import DEFAULT_MORSEL_ROWS, ParallelConfig, env_parallelism

@@ -2,13 +2,11 @@
 
 A :class:`ParallelConfig` bundles everything the engine needs to run a
 fact pass morsel-driven: the parallelism *degree* (worker count), the
-*morsel size* (rows per work unit), the *backend* (``"thread"`` by
-default; ``"process"`` behind a flag for very large cubes where NumPy
-kernels alone cannot saturate the machine), and the *eligibility floor*
+*morsel size* (rows per work unit), and the *eligibility floor*
 ``min_rows`` below which the engine does not bother parallelizing (the
 dispatch and merge overhead would dominate a small scan).
 
-The config owns a lazily-created worker pool shared by every query of
+The config owns a lazily-created thread pool shared by every query of
 the session, so enabling parallelism costs one pool construction per
 session, not one per statement.  :meth:`map_ordered` is the only
 dispatch primitive the engine uses: it evaluates a function over the
@@ -27,8 +25,6 @@ DEFAULT_MORSEL_ROWS = 65_536
 """Rows per morsel: big enough that NumPy kernel time dominates the
 per-morsel dispatch overhead, small enough that a 600k-row scan yields
 ~10 morsels for the scheduler to balance."""
-
-BACKENDS = ("thread", "process")
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -63,26 +59,20 @@ def env_morsel_rows() -> Optional[int]:
 class ParallelConfig:
     """How (and whether) the engine parallelizes fact passes."""
 
-    __slots__ = ("degree", "morsel_rows", "backend", "min_rows", "_pool")
+    __slots__ = ("degree", "morsel_rows", "min_rows", "_pool")
 
     def __init__(
         self,
         degree: Optional[int] = None,
         morsel_rows: Optional[int] = None,
-        backend: str = "thread",
         min_rows: Optional[int] = None,
     ):
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown parallel backend {backend!r} (choose from {BACKENDS})"
-            )
         if degree is None:
             degree = os.cpu_count() or 1
         self.degree = max(int(degree), 1)
         if morsel_rows is None:
             morsel_rows = env_morsel_rows() or DEFAULT_MORSEL_ROWS
         self.morsel_rows = max(int(morsel_rows), 1)
-        self.backend = backend
         # Below the floor a scan stays serial.  The default demands at
         # least one full morsel so tiny cubes (tests, demos) keep the
         # exact serial code path with zero behavioural change.
@@ -107,17 +97,12 @@ class ParallelConfig:
     def pool(self):
         """The (lazily created) worker pool of this config."""
         if self._pool is None:
-            if self.backend == "process":
-                from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures import ThreadPoolExecutor
 
-                self._pool = ProcessPoolExecutor(max_workers=self.degree)
-            else:
-                from concurrent.futures import ThreadPoolExecutor
-
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.degree,
-                    thread_name_prefix="repro-morsel",
-                )
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.degree,
+                thread_name_prefix="repro-morsel",
+            )
         return self._pool
 
     def map_ordered(
@@ -142,5 +127,5 @@ class ParallelConfig:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ParallelConfig(degree={self.degree}, morsel_rows={self.morsel_rows}, "
-            f"backend={self.backend!r}, min_rows={self.min_rows})"
+            f"min_rows={self.min_rows})"
         )

@@ -4,22 +4,23 @@ The merge is where the bit-identity guarantee is discharged.  Morsel
 results arrive **in morsel index order** (the pool's ``map`` preserves
 task order regardless of completion order); their key arrays are
 concatenated in that order and factorised once with ``np.unique``, whose
-sorted output reproduces exactly the group order the serial executor's
-``combine_codes`` fold produces over the whole table.  Partials are then
-reduced with the same distributive kernels the serial path uses:
+sorted output reproduces exactly the group order a single pass over the
+whole table produces.  Partials are then re-aggregated with the engine's
+own :func:`~repro.engine.kernels.aggregate` kernel:
 
-* ``sum`` / ``count`` — ``np.bincount`` with weights.  Exact because the
-  engine only routes a measure here after it passed the float-exactness
-  gate (:func:`repro.engine.kernels.sums_exactly`): integral float64
-  values whose total magnitude stays below 2**53 add exactly in *any*
+* ``sum`` / ``count`` — re-added.  Exact because the engine only routes a
+  measure here after it passed the float-exactness gate
+  (:func:`repro.engine.kernels.sums_exactly`): integral float64 values
+  whose total magnitude stays below 2**53 add exactly in *any*
   association order, so per-morsel subtotals plus this reduction equal
-  the serial row-order sum to the last bit.  Counts are exact integers.
-* ``min`` / ``max`` — ``np.minimum.at`` / ``np.maximum.at`` seeded with
-  ±inf; associative and commutative, hence order-insensitive.
+  the row-order sum to the last bit.  Counts are exact integers.
+* ``min`` / ``max`` — associative and commutative, hence
+  order-insensitive.
 
-``avg`` never reaches this module as a partial: the driver lowers it to
-a sum and a count partial and divides the merged totals — the identical
-totals/counts division of the serial kernel.
+One morsel needs no merge — and no gate: its partials are the row-order
+aggregates themselves and pass through untouched.  ``avg`` never reaches
+this module as a partial: the driver lowers it to a sum and a count
+partial and divides the merged totals.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from ..engine.kernels import aggregate
 from .morsel import MorselResult
 
 
@@ -43,29 +45,20 @@ def merge_morsels(
     """
     if not results:
         return np.empty(0, dtype=np.int64), [np.empty(0) for _ in ops]
+    if len(results) == 1:
+        return results[0].keys, list(results[0].partials)
     all_keys = np.concatenate([result.keys for result in results])
     merged_keys, inverse = np.unique(all_keys, return_inverse=True)
     inverse = inverse.astype(np.int64, copy=False)
-    group_count = len(merged_keys)
-
-    merged: List[np.ndarray] = []
-    for slot, op in enumerate(ops):
-        parts = np.concatenate([result.partials[slot] for result in results])
-        if op in ("sum", "count"):
-            merged.append(
-                np.bincount(inverse, weights=parts, minlength=group_count)
-            )
-        elif op == "min":
-            out = np.full(group_count, np.inf)
-            np.minimum.at(out, inverse, parts)
-            merged.append(out)
-        elif op == "max":
-            out = np.full(group_count, -np.inf)
-            np.maximum.at(out, inverse, parts)
-            merged.append(out)
-        else:  # pragma: no cover - driver never emits other ops
-            raise ValueError(f"unsupported merge op {op!r}")
-    return merged_keys, merged
+    return merged_keys, [
+        aggregate(
+            inverse,
+            len(merged_keys),
+            np.concatenate([result.partials[slot] for result in results]),
+            "sum" if op == "count" else op,
+        )
+        for slot, op in enumerate(ops)
+    ]
 
 
 def decode_keys(
@@ -75,14 +68,16 @@ def decode_keys(
 
     Inverts the fold ``combined = (((c0) * card1 + c1) * card2 + c2)...``
     by peeling columns off the low end.  The decoded codes index each
-    column's dictionary uniques, reconstructing the group coordinates the
-    serial path reads off representative rows — same values, because the
-    dictionaries are global and a code is constant within a group.
+    column's dictionary uniques, reconstructing the group coordinates —
+    the dictionaries are global and a code is constant within a group.
     """
+    if not cardinalities:
+        return []
     codes: List[np.ndarray] = []
-    remaining = merged_keys.astype(np.int64, copy=True)
-    for cardinality in reversed(list(cardinalities)):
-        codes.append(remaining % cardinality)
-        remaining //= cardinality
+    remaining = np.asarray(merged_keys, dtype=np.int64)
+    for cardinality in reversed(list(cardinalities)[1:]):
+        remaining, code = np.divmod(remaining, cardinality)
+        codes.append(code)
+    codes.append(remaining)  # what is left is the leading column
     codes.reverse()
     return codes

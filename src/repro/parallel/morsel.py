@@ -1,37 +1,41 @@
-"""Morsel tasks and the per-morsel worker.
+"""Morsel tasks and the partial aggregator every fact pass runs.
 
-A *morsel* is a contiguous range of fact rows.  The driver (the engine
-executor) slices every per-row input — foreign-key columns, fact-resident
-predicate columns, dictionary codes, measures — into one
-:class:`MorselTask` per range and dispatches them to the worker pool.
-:func:`run_morsel` then performs the whole scan pipeline locally:
-semi-join position resolution, predicate masking, group-key folding, and
-partial aggregation, returning a :class:`MorselResult` of *global*
-combined group keys with per-key partials.
+A *morsel* is a selection of fact rows: the whole zone-pruned scan for a
+serial pass, one contiguous ``[lo, hi)`` window of it for the parallel
+and spill tiers.  The driver (the engine executor) gathers every per-row
+input — foreign-key columns, fact-resident predicate columns, dictionary
+codes, measures — into one :class:`MorselTask` per morsel;
+:func:`run_morsel` then performs the whole scan pipeline on it: semi-join
+position resolution, predicate masking, group-key folding, and partial
+aggregation through the engine's one grouping kernel pair
+(:func:`~repro.engine.kernels.fold_codes` /
+:func:`~repro.engine.kernels.aggregate`), returning a
+:class:`MorselResult` of *global* combined group keys with per-key
+partials.
 
-Everything in a task is either a NumPy slice (zero-copy under the thread
-backend, pickled by value under the process backend) or a small shared
-object (a key index, a pre-computed dimension mask).  This module
-deliberately imports nothing from :mod:`repro.engine` — tasks treat
-predicates and key indexes as opaque, which keeps the dependency graph
-acyclic and the worker importable from a process pool.
+Everything in a task is either a NumPy array (a zero-copy view for plain
+columns) or a small shared object (a key index, a pre-computed dimension
+mask); tasks treat predicates and key indexes as opaque.
 
 Determinism contract (see :mod:`repro.parallel.merge`): the combined
 group keys a worker emits are *globally* comparable because every code
 column is encoded against the full table's dictionary before slicing —
-morsels never build private dictionaries.  Folding uses the same
-``combined * cardinality + codes`` recurrence as the serial executor, so
-a group's key is the same integer no matter which morsel(s) it appears
-in, and the merged sorted-key order reproduces the serial group order
-exactly.
+morsels never build private dictionaries.  A group's key is the
+``combined * cardinality + codes`` fold of its per-column codes, the same
+integer no matter which morsel(s) it appears in, and both the per-morsel
+group order and the merged sorted-key order are that key's order.
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+
+# Safe only because ``repro/__init__`` reaches ``repro.engine`` before
+# ``repro.parallel`` (the executor imports this package back).
+from ..engine.kernels import aggregate, fold_codes
 
 
 def morsel_ranges(n_rows: int, morsel_rows: int) -> List[Tuple[int, int]]:
@@ -91,8 +95,7 @@ class AggSpec(NamedTuple):
 
     ``values`` is the morsel's measure slice (``None`` for count).  The
     driver lowers logical aggregates onto these: ``avg`` becomes a sum
-    partial plus a count partial, divided after the merge — exactly the
-    totals/counts division the serial kernel performs.
+    partial plus a count partial, divided after the merge.
     """
 
     op: str
@@ -101,6 +104,8 @@ class AggSpec(NamedTuple):
 
 class MorselTask(NamedTuple):
     index: int
+    # The morsel's row window; only ``hi - lo`` (its row count) is read,
+    # so the serial pass over several surviving ranges uses ``0, n``.
     lo: int
     hi: int
     joins: Tuple[JoinSpec, ...]
@@ -117,19 +122,23 @@ class MorselResult(NamedTuple):
     rows_in: int
     rows_matched: int
     seconds: float
+    # The keys still unfolded, one code array per KeySpec: a lone morsel's
+    # groups are final, and reading these spares the merge-side decode.
+    codes: Sequence[np.ndarray] = ()
 
 
-def run_morsel(task: MorselTask) -> MorselResult:
-    """Execute one morsel: semi-join, mask, fold, partial-aggregate.
+def semijoin(
+    task: MorselTask,
+) -> "Tuple[Dict[str, np.ndarray], Optional[np.ndarray]]":
+    """Resolve FK positions and fold every predicate into one row mask.
 
-    Runs entirely on worker-local arrays; emits no traces and touches no
-    shared mutable state, so it is safe under both pool backends.
+    Dimension predicates were evaluated once per dimension row by the
+    driver; here they are only propagated through the FK positions.
     """
-    start = time.perf_counter()
-    positions = {}
-    for alias, index, fk_values in task.joins:
-        positions[alias] = index.positions_of(fk_values)
-
+    positions = {
+        alias: index.positions_of(fk_values)
+        for alias, index, fk_values in task.joins
+    }
     mask: Optional[np.ndarray] = None
     for predicate, values in task.fact_predicates:
         part = predicate.mask(values)
@@ -137,72 +146,50 @@ def run_morsel(task: MorselTask) -> MorselResult:
     for alias, dim_mask in task.dim_predicates:
         part = dim_mask[positions[alias]]
         mask = part if mask is None else (mask & part)
+    return positions, mask
 
+
+def partial_aggregate(
+    task: MorselTask,
+    positions: "Dict[str, np.ndarray]",
+    mask: Optional[np.ndarray],
+) -> MorselResult:
+    """Group the masked rows and aggregate every partial spec.
+
+    Dimension-sourced key columns gather the (small) dimension's codes
+    through the FK positions, so per-fact-row work stays integer-only.
+    """
     rows_in = task.hi - task.lo
     n = rows_in if mask is None else int(mask.sum())
-
-    # Fold the group key with the serial executor's exact recurrence over
-    # the same global dictionary codes — keys are globally comparable.
-    combined = np.zeros(n, dtype=np.int64)
+    code_columns = []
     for kind, alias, codes, cardinality in task.keys:
         if kind == "fact":
             column_codes = codes if mask is None else codes[mask]
         else:
             pos = positions[alias]
-            if mask is not None:
-                pos = pos[mask]
-            column_codes = codes[pos]
-        combined = combined * cardinality + column_codes
-
-    keys, local_ids = np.unique(combined, return_inverse=True)
-    count = len(keys)
+            column_codes = codes[pos if mask is None else pos[mask]]
+        code_columns.append((column_codes, cardinality))
+    group_ids, keys, first = fold_codes(code_columns, n)
 
     partials: List[np.ndarray] = []
     for op, values in task.aggs:
-        if op == "count":
-            partials.append(
-                np.bincount(local_ids, minlength=count).astype(np.float64)
-            )
-            continue
-        assert values is not None
-        measure = values if mask is None else values[mask]
-        measure = np.asarray(measure, dtype=np.float64)
-        if op == "sum":
-            partials.append(
-                np.bincount(local_ids, weights=measure, minlength=count)
-            )
-        elif op == "min":
-            out = np.full(count, np.inf)
-            np.minimum.at(out, local_ids, measure)
-            partials.append(out)
-        elif op == "max":
-            out = np.full(count, -np.inf)
-            np.maximum.at(out, local_ids, measure)
-            partials.append(out)
-        else:  # pragma: no cover - driver never emits other ops
-            raise ValueError(f"unsupported partial aggregate {op!r}")
-
+        if values is None:
+            values = np.empty(0)
+        elif mask is not None:
+            values = values[mask]
+        partials.append(aggregate(group_ids, len(keys), values, op))
     return MorselResult(
-        index=task.index,
-        keys=keys,
-        partials=partials,
-        rows_in=rows_in,
-        rows_matched=n,
-        seconds=time.perf_counter() - start,
+        task.index, keys, partials, rows_in, n, 0.0,
+        [column_codes[first] for column_codes, _ in code_columns],
     )
 
 
-def slice_task_arrays(task: MorselTask) -> int:  # pragma: no cover - debug aid
-    """Approximate bytes a task ships to a worker (process backend sizing)."""
-    total = 0
-    for _, _, fk in task.joins:
-        total += fk.nbytes
-    for _, values in task.fact_predicates:
-        total += values.nbytes
-    for spec in task.keys:
-        if spec.kind == "fact":
-            total += spec.codes.nbytes
-    for _, values in task.aggs:
-        if values is not None:
-            total += values.nbytes
-    return total
+def run_morsel(task: MorselTask) -> MorselResult:
+    """Execute one morsel: semi-join, mask, fold, partial-aggregate.
+
+    Runs entirely on task-local arrays; emits no traces and touches no
+    shared mutable state, so it is safe on pool threads.
+    """
+    start = time.perf_counter()
+    result = partial_aggregate(task, *semijoin(task))
+    return result._replace(seconds=time.perf_counter() - start)

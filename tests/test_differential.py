@@ -33,8 +33,11 @@ from repro.core.query import CubeQuery, Predicate
 from repro.datagen.flat import star_from_flat
 from repro.datagen.random_cube import random_hierarchy
 from repro.engine.catalog import Catalog
+from repro.engine.persist import compress_catalog
+from repro.engine.query import Aggregate, AggregateQuery
 from repro.engine.table import Table
 from repro.experiments.statements import INTENTIONS, prepare_engine, statement_text
+from repro.obs import tracing
 from repro.olap.engine import MultidimensionalEngine
 
 PARALLEL_DEGREES = (2, 3, 8)
@@ -315,3 +318,153 @@ def test_parallel_arms_actually_parallelized(ssb_arms):
         else:
             assert arm.engine.metrics.get("engine.spill.queries") >= 1, degree
     assert warm.engine.result_cache.stats()["hits"] >= 1
+
+
+# ----------------------------------------------------------------------
+# Part 3: one aggregation pipeline — a single get is the fused batch of
+# one, whatever the tier and the storage
+# ----------------------------------------------------------------------
+PIPELINE_ROWS = 1500
+PIPELINE_MORSEL = 128
+PIPELINE_BUDGET = 4_096  # far below the 1500-row grouping-state estimate
+PIPELINE_TIERS = {
+    "serial": {},
+    "parallel-2": {"parallelism": 2},
+    "parallel-3": {"parallelism": 3},
+    "budget": {"budget": PIPELINE_BUDGET},
+    "parallel+budget": {"parallelism": 2, "budget": PIPELINE_BUDGET},
+}
+PIPELINE_AGGREGATES = {
+    # sum/count/min/max/avg over integral columns: every tier may merge
+    "exact": (("m_sum", "sum"), ("m_sum", "count"), ("m_min", "min"),
+              ("m_min", "max"), ("m_avg", "avg")),
+    # fractional sums fail the exactness gate: every tier must decline
+    "fractional": (("m_frac", "sum"), ("m_frac", "avg")),
+}
+
+
+def _pipeline_engine(storage, parallelism=None, budget=None, seed=3):
+    """A random star on the asked storage, pinned to the asked tier."""
+    _, engine, hierarchies = _random_star(seed, PIPELINE_ROWS)
+    engine.result_cache.enabled = False
+    if storage == "zone-mapped":
+        # Clustered on the H0 key, so predicates on H0 levels really prune.
+        fact = engine.cube("RAND").star.fact_table
+        clustered = compress_catalog(
+            engine.catalog, zone_rows=PIPELINE_MORSEL, cluster={fact: "h0_fk"}
+        )
+        for table in clustered:
+            engine.catalog.register(table, replace=True)
+    # Explicit on both knobs: the CI hooks set them through the environment.
+    engine.set_parallelism(
+        parallelism, morsel_rows=PIPELINE_MORSEL, min_rows=0
+    )
+    engine.set_memory_budget(budget)
+    return engine, hierarchies
+
+
+def _pipeline_queries(engine, hierarchies, aggregates):
+    """Gets over coarse and fine keys, one of them with a pruning slice."""
+    schema = engine.cube("RAND").schema
+    h0, h1 = hierarchies
+    slice_level = h0.level_names()[-1]
+    members = sorted(h0.members_of(slice_level))[:1]
+    shapes = [
+        ([h0.level_names()[0], h1.level_names()[0]], []),
+        ([h0.level_names()[0]], [Predicate.isin(slice_level, members)]),
+        ([h1.level_names()[-1]], []),
+    ]
+    queries = []
+    for levels, predicates in shapes:
+        built = engine.build_aggregate_query(CubeQuery(
+            "RAND", GroupBySet(schema, levels), predicates, ALL_MEASURES
+        ))
+        column_of = {agg.alias: agg.column for agg in built.aggregates}
+        queries.append(AggregateQuery(
+            built.fact, built.joins, built.where, built.group_by,
+            [
+                Aggregate(column_of[measure], op, f"{op}_{measure}")
+                for measure, op in aggregates
+            ],
+        ))
+    return queries
+
+
+def _assert_same_result(left, right):
+    assert left.column_names == right.column_names
+    for name in left.column_names:
+        a, b = left.column(name), right.column(name)
+        if a.dtype == np.float64:
+            assert a.tobytes() == b.tobytes(), name  # bit-identical
+        else:
+            assert a.tolist() == b.tolist(), name
+
+
+@pytest.mark.parametrize("kind", sorted(PIPELINE_AGGREGATES))
+@pytest.mark.parametrize("storage", ("plain", "zone-mapped"))
+@pytest.mark.parametrize("tier", sorted(PIPELINE_TIERS))
+def test_single_get_is_the_fused_batch_of_one(tier, storage, kind):
+    reference, hierarchies = _pipeline_engine(storage)
+    engine, _ = _pipeline_engine(storage, **PIPELINE_TIERS[tier])
+    executor, counters = engine.executor, engine.metrics
+    aggregates = PIPELINE_AGGREGATES[kind]
+    for expected_query, query in zip(
+        _pipeline_queries(reference, hierarchies, aggregates),
+        _pipeline_queries(engine, hierarchies, aggregates),
+    ):
+        expected = reference.executor.execute_aggregate(expected_query)
+
+        scans = counters.get("engine.scans")
+        rows = counters.get("engine.rows_scanned")
+        with tracing() as tracer:
+            single = executor.execute_aggregate(query)
+        assert counters.get("engine.scans") == scans + 1
+        (span,) = [s for root in tracer.roots for s in root.find("engine.scan")]
+        assert span.attrs["rows_in"] == counters.get("engine.rows_scanned") - rows
+        assert span.attrs["rows_out"] == len(single)
+        assert span.attrs["cells_out"] == len(single) * len(single.column_names)
+
+        (fused,), _ = executor.execute_fused([query], query.where, [()])
+        assert counters.get("engine.scans") == scans + 2
+
+        _assert_same_result(single, expected)
+        _assert_same_result(fused, expected)
+
+    # The arms must have taken the tier they claim (or, for fractional
+    # sums, declined it) — otherwise the differential is vacuous.
+    taken = "spill" if "budget" in tier else tier.split("-")[0]
+    if taken != "serial":
+        ran = "queries" if kind == "exact" else "fallbacks"
+        assert counters.get(f"engine.{taken}.{ran}") >= 1
+    engine.set_parallelism(None)
+
+
+@pytest.mark.parametrize("tier", ("parallel-2", "budget"))
+def test_fused_fallback_member_scans_only_surviving_rows(tier):
+    """A gate-failing member of a parallel or spilled fused pass runs as
+    its own one-morsel pass: bit-identical to standalone, over the pruned
+    ranges — not over the whole (possibly memory-mapped) fact column."""
+    reference, hierarchies = _pipeline_engine("zone-mapped")
+    engine, _ = _pipeline_engine("zone-mapped", **PIPELINE_TIERS[tier])
+    exact, fractional = [("m_sum", "sum")], [("m_frac", "sum")]
+    _, sliced_exact, _ = _pipeline_queries(engine, hierarchies, exact)
+    _, sliced_frac, _ = _pipeline_queries(engine, hierarchies, fractional)
+    _, reference_frac, _ = _pipeline_queries(reference, hierarchies, fractional)
+
+    counters = reference.metrics
+    before = counters.get("engine.rows_scanned")
+    standalone = reference.executor.execute_aggregate(reference_frac)
+    surviving = counters.get("engine.rows_scanned") - before
+    assert 0 < surviving < PIPELINE_ROWS  # the slice really prunes
+
+    counters = engine.metrics
+    before = counters.get("engine.rows_scanned")
+    results, derived = engine.executor.execute_fused(
+        [sliced_exact, sliced_frac], sliced_exact.where, [(), ()]
+    )
+    assert derived == [True, False]
+    assert counters.get("engine.fused_fallbacks") == 1
+    _assert_same_result(results[1], standalone)
+    # one shared pass plus one fallback pass, each over the surviving rows
+    assert counters.get("engine.rows_scanned") - before == 2 * surviving
+    engine.set_parallelism(None)

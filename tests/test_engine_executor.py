@@ -209,6 +209,22 @@ class TestAggregate:
                 (Aggregate("qty", "sum", "qty"),),
             )
 
+    def test_key_space_beyond_int64_is_an_error_not_a_wrapped_key(self):
+        """Four 2**16-member grouping columns fold to a 2**64 key space;
+        the fold would wrap int64 and silently merge distinct groups."""
+        wide = np.arange(1 << 16, dtype=np.int64)
+        catalog = Catalog()
+        catalog.register(Table(
+            "wide", {**{f"k{i}": wide for i in range(4)}, "v": wide * 1.0}
+        ))
+        query = AggregateQuery(
+            "wide", (), (),
+            [GroupByColumn(FACT, f"k{i}", f"k{i}") for i in range(4)],
+            (Aggregate("v", "sum", "v"),),
+        )
+        with pytest.raises(EngineError, match="64-bit group key"):
+            EngineExecutor(catalog).execute(query)
+
 
 class TestDrillAcross:
     def left(self):

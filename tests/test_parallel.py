@@ -2,8 +2,8 @@
 
 Covers the pieces in isolation — range splitting, config eligibility,
 the deterministic merge, key decoding — plus the engine-level contracts:
-gate fallback to serial, metrics/span emission, the cost model's
-serial-vs-parallel pricing, and the process backend.  End-to-end
+gate fallback to serial, metrics/span emission, and the cost model's
+serial-vs-parallel pricing.  End-to-end
 bit-identity across parallelism degrees lives in
 ``tests/test_differential.py``.
 """
@@ -78,11 +78,6 @@ def test_config_degree_one_never_parallelizes():
     config = ParallelConfig(degree=1, morsel_rows=10)
     assert not config.enabled
     assert not config.eligible(10_000_000)
-
-
-def test_config_rejects_unknown_backend():
-    with pytest.raises(ValueError, match="backend"):
-        ParallelConfig(degree=2, backend="gpu")
 
 
 def test_config_default_morsel_rows_and_env(monkeypatch):
@@ -206,9 +201,9 @@ def test_decode_keys_inverts_the_fold():
 # ----------------------------------------------------------------------
 # Engine-level: gate fallback, metrics, spans, warm cache
 # ----------------------------------------------------------------------
-def _parallel_session(degree=2, n_rows=4000, backend="thread"):
+def _parallel_session(degree=2, n_rows=4000):
     session = AssessSession(sales_engine(n_rows=n_rows, seed=5))
-    session.set_parallelism(degree, morsel_rows=512, backend=backend, min_rows=512)
+    session.set_parallelism(degree, morsel_rows=512, min_rows=512)
     return session
 
 
@@ -281,23 +276,6 @@ def test_warm_cache_serves_parallel_results_identically():
     assert session.engine.result_cache.stats()["hits"] >= 1
     for name in cold.measures:
         assert cold.measures[name].tobytes() == warm.measures[name].tobytes()
-
-
-def test_process_backend_matches_thread_backend():
-    threaded = _parallel_session(backend="thread", n_rows=1500)
-    forked = _parallel_session(backend="process", n_rows=1500)
-    threaded.engine.result_cache.enabled = False
-    forked.engine.result_cache.enabled = False
-    try:
-        query_args = (["year", "product"], ("quantity",))
-        ours = forked.engine.get(_query(forked, *query_args))
-        theirs = threaded.engine.get(_query(threaded, *query_args))
-        assert forked.engine.metrics.get("engine.parallel.queries") >= 1
-        for name in ours.measures:
-            assert ours.measures[name].tobytes() == theirs.measures[name].tobytes()
-    finally:
-        forked.engine.parallel.close()
-        threaded.engine.parallel.close()
 
 
 def test_set_parallelism_off_restores_serial():

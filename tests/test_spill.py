@@ -139,17 +139,13 @@ def test_spill_aggregator_empty_and_single_bucket():
 
 
 def test_env_memory_budget(monkeypatch):
-    for name in ("REPRO_MEMORY_BYTES", "REPRO_SPILL_BYTES"):
-        monkeypatch.delenv(name, raising=False)
+    monkeypatch.delenv("REPRO_MEMORY_BYTES", raising=False)
     assert env_memory_budget() is None
     monkeypatch.setenv("REPRO_MEMORY_BYTES", "1000")
     assert env_memory_budget() == 1000
-    monkeypatch.setenv("REPRO_SPILL_BYTES", "600")
-    assert env_memory_budget() == 600  # smaller of the two wins
     monkeypatch.setenv("REPRO_MEMORY_BYTES", "not-a-number")
-    assert env_memory_budget() == 600
-    monkeypatch.setenv("REPRO_SPILL_BYTES", "-5")
-    monkeypatch.delenv("REPRO_MEMORY_BYTES")
+    assert env_memory_budget() is None
+    monkeypatch.setenv("REPRO_MEMORY_BYTES", "-5")
     assert env_memory_budget() is None
 
 
@@ -250,9 +246,9 @@ def test_spill_arms_actually_spilled(spill_arms):
     assert warm.engine.result_cache.stats()["hits"] >= 1
 
 
-def test_env_spill_bytes_routes_queries(monkeypatch):
-    """REPRO_SPILL_BYTES alone must arm the tier at construction time."""
-    monkeypatch.setenv("REPRO_SPILL_BYTES", str(TINY_BUDGET))
+def test_env_memory_bytes_routes_queries(monkeypatch):
+    """REPRO_MEMORY_BYTES alone must arm the tier at construction time."""
+    monkeypatch.setenv("REPRO_MEMORY_BYTES", str(TINY_BUDGET))
     session = AssessSession(prepare_engine(SSB_ROWS))
     session.engine.result_cache.enabled = False
     assert session.memory_budget == TINY_BUDGET
