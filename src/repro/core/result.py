@@ -16,7 +16,7 @@ independently of their concrete names.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -104,22 +104,43 @@ class AssessResult:
         return len(self.cube)
 
     def __iter__(self) -> Iterator[AssessedCell]:
+        return self._cells_at(range(len(self)))
+
+    def _cells_at(self, rows: Iterable[int]) -> Iterator[AssessedCell]:
+        """The cells stored at the given rows, in the given sequence."""
         values = self.cube.measure(self.measure)
         benchmarks = self.cube.measure(self.benchmark_measure)
         comparisons = self.cube.measure(self.comparison_measure)
         labels = self.cube.measure(self.label_measure)
-        for row, coordinate in enumerate(self.cube.coordinates()):
+        for row in rows:
             yield AssessedCell(
-                coordinate,
+                self.cube.coordinate_at(row),
                 _scalar(values[row]),
                 _scalar(benchmarks[row]),
                 _scalar(comparisons[row]),
                 labels[row],
             )
 
+    def order(self) -> np.ndarray:
+        """The row permutation that puts the cells in canonical order.
+
+        Canonical order is lexicographic by the ``repr`` of the members,
+        level by level (so ``10`` sorts before ``9`` and every ``int``
+        before every ``str``), ties keeping storage order.  It is what
+        :meth:`cells`, :meth:`to_csv`, :meth:`to_table` and the server's
+        wire format all emit, computed without touching a cell: one
+        ``repr`` per distinct member, then ``np.lexsort`` over the ranks.
+        """
+        levels = self.cube.group_by.levels
+        if not levels:
+            return np.arange(len(self), dtype=np.intp)
+        return np.lexsort(
+            [_repr_ranks(self.cube.coords[level]) for level in reversed(levels)]
+        )
+
     def cells(self) -> List[AssessedCell]:
-        """All assessed cells, sorted by coordinate for determinism."""
-        return sorted(self, key=lambda cell: tuple(map(repr, cell.coordinate)))
+        """All assessed cells in canonical order (see :meth:`order`)."""
+        return list(self._cells_at(self.order().tolist()))
 
     def label_of(self, coordinate: Coordinate) -> Optional[str]:
         """The label assigned to one coordinate."""
@@ -200,7 +221,7 @@ class AssessResult:
             self.label_measure,
         ]
         rows: List[List[str]] = []
-        for cell in self.cells()[: limit if limit is not None else len(self)]:
+        for cell in self._cells_at(self.order()[:limit].tolist()):
             row = [str(member) for member in cell.coordinate]
             row.append(_fmt(cell.value))
             row.append(_fmt(cell.benchmark))
@@ -226,6 +247,23 @@ class AssessResult:
         )
 
 
+def _repr_ranks(column: np.ndarray) -> np.ndarray:
+    """Per row, a rank that orders the column's members by their ``repr``.
+
+    Equal ``repr``s share a rank.  Members that compare equal share one
+    dictionary slot, as they share one cell in
+    :meth:`Cube.coordinate_index`.
+    """
+    members = column.tolist()
+    distinct = list(dict.fromkeys(members))
+    texts = list(map(repr, distinct))
+    rank = {text: i for i, text in enumerate(sorted(texts))}
+    rank_of = dict(zip(distinct, map(rank.__getitem__, texts)))
+    return np.fromiter(
+        map(rank_of.__getitem__, members), dtype=np.intp, count=len(members)
+    )
+
+
 def _csv_value(value) -> str:
     if value is None:
         return ""
@@ -248,7 +286,7 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         if value != value:  # NaN
             return "null"
-        if value == int(value) and abs(value) < 1e15:
+        if abs(value) < 1e15 and value == int(value):  # inf has no int()
             return str(int(value))
         return f"{value:.4f}"
     return str(value)

@@ -21,7 +21,7 @@ request life cycle for ``POST /v1/query``:
 
 Error envelope (every non-200)::
 
-    {"schema_version": 1,
+    {"schema_version": 2,
      "error": {"status": 422, "code": "lint_failed",
                "message": "...", "diagnostics": [...]}}
 
@@ -300,6 +300,17 @@ class ReproServer:
         return statement
 
     @staticmethod
+    def _page(payload: Dict[str, object], key: str) -> Optional[int]:
+        value = payload.get(key)
+        if value is not None and (
+            not isinstance(value, int) or isinstance(value, bool) or value < 0
+        ):
+            raise RequestError(
+                400, "bad_request", f"'{key}' must be a non-negative integer"
+            )
+        return value
+
+    @staticmethod
     def _lint(session, statement: str, index: Optional[int] = None) -> None:
         bag = session.analyze(statement)
         if bag.has_errors:
@@ -312,6 +323,8 @@ class ReproServer:
         tenant = self._tenant(payload)
         plan = self._plan(payload)
         statement = self._statement(payload)
+        offset = self._page(payload, "offset") or 0
+        limit = self._page(payload, "limit")
         deadline = self._resolve_deadline(payload)
         start = time.perf_counter()
 
@@ -319,7 +332,7 @@ class ReproServer:
             self._lint(session, statement)
             deadline.check("planning")
             result = session.assess(statement, plan=plan)
-            return serialize_result(result)
+            return serialize_result(result, offset, limit)
 
         document = self._execute(tenant, deadline, work)
         document.update(

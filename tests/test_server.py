@@ -1,7 +1,7 @@
 """Contract suite for the multi-tenant assess server.
 
 Every endpoint's 200 body and every error envelope is checked against
-the schema-v1 contract — structurally via the validators in
+the schema-v2 contract — structurally via the validators in
 ``tools/check_server_schema.py`` (the same code the CI smoke runs) and
 behaviorally via golden field assertions.  One live server per module
 (session reuse keeps the battery fast); tests only read, so sharing is
@@ -16,6 +16,8 @@ import sys
 
 import pytest
 
+from repro.api import AssessSession
+from repro.datagen import sales_engine
 from repro.server import (
     ServerConfig,
     ServerConfigError,
@@ -38,6 +40,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools")
 )
 from check_server_schema import (  # noqa: E402
+    INF_STATEMENT,
     validate_batch_document,
     validate_error_document,
     validate_explain_document,
@@ -71,11 +74,49 @@ def test_query_contract(server):
     assert document["schema_version"] == SCHEMA_VERSION
     assert document["tenant"] == "acme"
     assert document["levels"] == ["month"]
-    assert document["rows"] == len(document["cells"]) > 0
-    cell = document["cells"][0]
-    assert set(cell) == {"coordinate", "value", "benchmark", "comparison", "label"}
-    assert set(cell["coordinate"]) == {"month"}
+    assert "cells" not in document
+    assert document["rows"] == document["returned"] > 0
+    assert document["offset"] == 0
+    assert set(document["coordinates"]) == {"month"}
+    for column in (document["coordinates"]["month"], document["value"],
+                   document["benchmark"], document["comparison"],
+                   document["label"]):
+        assert len(column) == document["rows"]
     assert sum(document["label_counts"].values()) == document["rows"]
+
+
+def test_query_paging_slices_the_canonical_order(server):
+    url = f"{server.url}/v1/query"
+    request = {"tenant": "acme", "statement": SALES_STATEMENT}
+    _, whole, _ = post_json(url, request)
+    status, page, _ = post_json(url, {**request, "offset": 3, "limit": 4})
+    assert status == 200
+    assert validate_query_document(page) == []
+    assert (page["rows"], page["offset"], page["returned"]) == (whole["rows"], 3, 4)
+    assert page["label_counts"] == whole["label_counts"]
+    for key in ("value", "benchmark", "comparison", "label"):
+        assert page[key] == whole[key][3:7]
+    assert page["coordinates"]["month"] == whole["coordinates"]["month"][3:7]
+    # Past the end: an empty page, still a valid document.
+    _, beyond, _ = post_json(url, {**request, "offset": whole["rows"] + 5})
+    assert validate_query_document(beyond) == []
+    assert beyond["returned"] == 0 and beyond["value"] == []
+
+
+def test_infinite_comparison_is_served_as_null(server):
+    # ratio() against a zero benchmark is inf in every cell; json.dumps
+    # (allow_nan=False) used to turn that into a 500 'internal'.
+    direct = AssessSession(sales_engine(n_rows=2_000, seed=42)).assess(INF_STATEMENT)
+    assert all(cell.comparison == float("inf") for cell in direct)
+    status, document, _ = post_json(
+        f"{server.url}/v1/query",
+        {"tenant": "acme", "statement": INF_STATEMENT},
+    )
+    assert status == 200
+    assert validate_query_document(document) == []
+    assert document["comparison"] == [None] * document["rows"]
+    assert document["value"] == [cell.value for cell in direct.cells()]
+    assert document["label"] == [cell.label for cell in direct.cells()]
 
 
 def test_query_explicit_plan(server):
@@ -227,6 +268,19 @@ def test_bad_deadline_envelope(server):
         f"{server.url}/v1/query",
         payload={"tenant": "acme", "statement": SALES_STATEMENT,
                  "deadline_s": -1},
+    )
+    assert status == 400
+    assert _error(body, status)["code"] == "bad_request"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("limit", -1), ("offset", -1), ("limit", 2.5), ("offset", "3"),
+    ("limit", True),
+])
+def test_bad_page_envelope(server, field, value):
+    status, body, _ = http_post(
+        f"{server.url}/v1/query",
+        payload={"tenant": "acme", "statement": SALES_STATEMENT, field: value},
     )
     assert status == 400
     assert _error(body, status)["code"] == "bad_request"

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Validate server response documents against the schema-v1 contract.
+"""Validate server response documents against the schema-v2 contract.
 
 Two modes:
 
@@ -9,7 +9,8 @@ Two modes:
   ``stats``, or ``error``.
 * **Live mode** (``--live``): stand up an in-process
   :class:`repro.server.ReproServer` over a small demo tenant, hit every
-  endpoint — success *and* error paths (bad JSON, unknown tenant, lint
+  endpoint — success (a paged query and one whose comparison is ``inf``
+  included) *and* error paths (bad JSON, bad page, unknown tenant, lint
   failure, wrong method) — and validate each response body.  The CI
   server-smoke job runs this; exit 1 on the first violation so schema
   drift can't land silently.
@@ -41,6 +42,12 @@ ERROR_CODES = {
 }
 SEVERITIES = {"error", "warning", "hint"}
 PLAN_NAMES = {"NP", "JOP", "POP"}
+INF_STATEMENT = (
+    "with SALES by year assess storeSales against 0 "
+    "using ratio(storeSales, benchmark.constant) "
+    "labels {[0, 1): low, [1, inf]: high}"
+)
+"""``ratio`` against a zero benchmark: every comparison is ``inf``."""
 
 
 def _type_name(value):
@@ -65,13 +72,23 @@ def _check_version(violations, document, where):
     )
 
 
+RESULT_KEYS = ("plan", "levels", "measure", "rows", "offset", "returned",
+               "coordinates", "value", "benchmark", "comparison", "label",
+               "label_counts", "timings")
+
+
+def _is_count(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def validate_result_body(document, where="result"):
     """The serialized assess result shared by query and batch items."""
     violations = []
     if not isinstance(document, dict):
         return [f"{where}: must be an object, got {_type_name(document)}"]
-    for key in ("plan", "levels", "measure", "rows", "cells",
-                "label_counts", "timings"):
+    _check(violations, "cells" not in document,
+           f"{where}: carries the v1 row shape ('cells'); v2 is columnar")
+    for key in RESULT_KEYS:
         _check(violations, key in document, f"{where}: missing key {key!r}")
     if violations:
         return violations
@@ -83,44 +100,54 @@ def validate_result_body(document, where="result"):
            isinstance(levels, list)
            and all(isinstance(level, str) for level in levels),
            f"{where}: levels must be an array of strings")
-    cells = document["cells"]
-    _check(violations, isinstance(cells, list),
-           f"{where}: cells must be an array")
-    _check(violations, document["rows"] == len(cells),
-           f"{where}: rows ({document['rows']!r}) != len(cells) ({len(cells)})")
-    if isinstance(cells, list) and isinstance(levels, list):
-        for index, cell in enumerate(cells):
-            cw = f"{where}.cells[{index}]"
-            if not isinstance(cell, dict):
-                violations.append(f"{cw}: must be an object")
-                continue
-            for key in ("coordinate", "value", "benchmark",
-                        "comparison", "label"):
-                _check(violations, key in cell, f"{cw}: missing key {key!r}")
-            coordinate = cell.get("coordinate")
-            if isinstance(coordinate, dict):
-                _check(violations, sorted(coordinate) == sorted(levels),
-                       f"{cw}: coordinate keys {sorted(coordinate)} != "
-                       f"levels {sorted(levels)}")
-            else:
-                violations.append(f"{cw}: coordinate must be an object")
-            for key in ("value", "benchmark", "comparison"):
-                member = cell.get(key)
-                _check(violations, member is None or _is_number(member),
-                       f"{cw}: {key} must be a number or null")
-            label = cell.get("label")
-            _check(violations, label is None or isinstance(label, str),
-                   f"{cw}: label must be a string or null")
+    rows, offset, returned = (
+        document[key] for key in ("rows", "offset", "returned")
+    )
+    if all(map(_is_count, (rows, offset, returned))):
+        _check(violations, returned <= max(rows - offset, 0),
+               f"{where}: returned ({returned}) exceeds rows - offset "
+               f"({rows} - {offset})")
+    else:
+        violations.append(
+            f"{where}: rows, offset and returned must be non-negative ints"
+        )
+    coordinates = document["coordinates"]
+    if isinstance(coordinates, dict) and isinstance(levels, list):
+        _check(violations, sorted(coordinates) == sorted(levels),
+               f"{where}: coordinates keys {sorted(coordinates)} != "
+               f"levels {sorted(levels)}")
+        columns = {f"coordinates.{level}": column
+                   for level, column in coordinates.items()}
+    else:
+        violations.append(f"{where}: coordinates must be an object")
+        columns = {}
+    number_columns = ("value", "benchmark", "comparison")
+    columns.update(
+        {key: document[key] for key in number_columns + ("label",)}
+    )
+    for key, column in columns.items():
+        if not isinstance(column, list):
+            violations.append(f"{where}: {key} must be an array")
+        elif len(column) != returned:
+            violations.append(
+                f"{where}: len({key}) ({len(column)}) != returned ({returned!r})"
+            )
+        elif key in number_columns:
+            _check(violations,
+                   all(item is None or _is_number(item) for item in column),
+                   f"{where}: {key} must hold numbers or nulls")
+        elif key == "label":
+            _check(violations,
+                   all(item is None or isinstance(item, str) for item in column),
+                   f"{where}: label must hold strings or nulls")
     counts = document["label_counts"]
     if isinstance(counts, dict):
-        _check(violations,
-               all(isinstance(count, int) and count >= 0
-                   for count in counts.values()),
+        _check(violations, all(_is_count(count) for count in counts.values()),
                f"{where}: label_counts values must be non-negative ints")
-        if isinstance(cells, list) and not violations:
-            _check(violations, sum(counts.values()) == len(cells),
+        if not violations:
+            _check(violations, sum(counts.values()) == rows,
                    f"{where}: label_counts sum ({sum(counts.values())}) != "
-                   f"len(cells) ({len(cells)})")
+                   f"rows ({rows})")
     else:
         violations.append(f"{where}: label_counts must be an object")
     timings = document["timings"]
@@ -403,6 +430,28 @@ def run_live_checks(rows=2000):
         run_case("query", ([] if status == 200 else [f"status {status}"])
                  + validate_query_document(json.loads(body)))
         status, body, _ = _http(
+            f"{base}/v1/query", "POST",
+            payload={"tenant": "demo", "statement": statement,
+                     "offset": 2, "limit": 3},
+        )
+        document = json.loads(body)
+        run_case("query: paged",
+                 ([] if status == 200 else [f"status {status}"])
+                 + validate_query_document(document)
+                 + ([] if (document.get("offset"), document.get("returned"))
+                    == (2, 3) else ["offset/returned must echo the page"]))
+        status, body, _ = _http(
+            f"{base}/v1/query", "POST",
+            payload={"tenant": "demo", "statement": INF_STATEMENT},
+        )
+        document = json.loads(body)
+        run_case("query: inf comparison",
+                 ([] if status == 200 else [f"status {status}"])
+                 + validate_query_document(document)
+                 + ([] if document.get("comparison")
+                    and set(document["comparison"]) == {None}
+                    else ["non-finite comparison values must be null"]))
+        status, body, _ = _http(
             f"{base}/v1/batch", "POST",
             payload={"tenant": "demo", "statements": [statement, statement]},
         )
@@ -423,6 +472,13 @@ def run_live_checks(rows=2000):
         # Error paths — each must come back as a valid envelope.
         status, body, _ = _http(f"{base}/v1/query", "POST", raw=b"{nope")
         run_case("error: bad json",
+                 ([] if status == 400 else [f"status {status}"])
+                 + validate_error_document(json.loads(body), status=status))
+        status, body, _ = _http(
+            f"{base}/v1/query", "POST",
+            payload={"tenant": "demo", "statement": statement, "limit": -1},
+        )
+        run_case("error: bad page",
                  ([] if status == 400 else [f"status {status}"])
                  + validate_error_document(json.loads(body), status=status))
         status, body, _ = _http(
@@ -460,7 +516,7 @@ def main(argv=None):
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="Validate server responses against the schema-v1 contract."
+        description="Validate server responses against the schema-v2 contract."
     )
     parser.add_argument("path", nargs="?", default=None,
                         help="response document to validate (default: stdin)")
@@ -480,7 +536,7 @@ def main(argv=None):
             for failure in failures:
                 print(f"  - {failure}")
             return 1
-        print("ok: every endpoint matches the schema-v1 contract")
+        print("ok: every endpoint matches the schema-v2 contract")
         return 0
 
     if args.endpoint is None:
