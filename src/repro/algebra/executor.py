@@ -266,53 +266,39 @@ class PlanExecutor:
         hydrate_hierarchies(registered.schema, registered.star, self.engine.catalog)
 
     def _rollup_join(self, node: RollupJoinNode, left: Cube, right: Cube) -> Cube:
-        """Vectorised ancestor join: precomputed ancestor codes + the
-        engine's joint-factorise/searchsorted join kernel.
+        """Vectorised ancestor join: the engine's drill-across kernels.
 
-        Each left member is mapped to its ancestor once per *distinct*
-        member (the only per-member Python work left), then both sides'
-        coordinates are jointly encoded and matched exactly like a pushed
-        drill-across.  :meth:`_rollup_join_python` keeps the original
-        row-at-a-time implementation as the test oracle.
+        Both sides' coordinates are dictionary-encoded and the left
+        level's dictionary is mapped to its ancestors — once per
+        *distinct* member, the only per-member Python work left — then the
+        coded keys are matched exactly like a pushed drill-across.
+        :meth:`_rollup_join_python` keeps the original row-at-a-time
+        implementation as the test oracle.
         """
-        from ..engine.executor import (
-            _gather_float,
-            _hash_encode_with_mapping,
-            _joint_codes,
-        )
+        from ..engine.executor import _gather_float, _joint_codes
+        from ..engine.kernels import dictionary_encode, match_unique
 
         hierarchy = left.schema.hierarchy_of_level(node.level)
-        members = left.coords[node.level]
-        member_codes, mapping = _hash_encode_with_mapping(members)
-        ancestors = np.empty(max(len(mapping), 1), dtype=object)
-        for member, code in mapping.items():
-            ancestors[code] = hierarchy.rollup_member(
-                member, node.level, node.ancestor_level
-            )
-        ancestor_column = ancestors[member_codes]
+        member_codes, members = dictionary_encode(left.coords[node.level])
+        ancestors = np.fromiter(
+            (hierarchy.rollup_member(m, node.level, node.ancestor_level) for m in members),
+            dtype=object, count=len(members),
+        )
+        ancestor_dict, ancestor_of = np.unique(ancestors, return_inverse=True)
 
         # Left key columns in left group-by order, the rolled-up level
         # substituted; the right side's ancestor level occupies the same
         # canonical position (same hierarchy), so the columns align.
         left_keys = [
-            ancestor_column if name == node.level else left.coords[name]
+            (ancestor_of[member_codes], ancestor_dict)
+            if name == node.level else dictionary_encode(left.coords[name])
             for name in left.group_by.levels
         ]
-        right_keys = [right.coords[name] for name in right.group_by.levels]
-        left_codes, right_codes = _joint_codes(left_keys, right_keys)
-
-        order = np.argsort(right_codes, kind="stable")
-        sorted_codes = right_codes[order]
-        positions = np.searchsorted(sorted_codes, left_codes)
-        clipped = np.minimum(positions, max(len(sorted_codes) - 1, 0))
-        if len(sorted_codes):
-            found = sorted_codes[clipped] == left_codes
-            matches = np.where(found, order[clipped], -1)
-        else:
-            matches = np.full(len(left_codes), -1, dtype=np.int64)
-        keep = matches >= 0
-        if node.outer:
-            keep = np.ones(len(left_codes), dtype=bool)
+        right_keys = [
+            dictionary_encode(right.coords[name]) for name in right.group_by.levels
+        ]
+        matches = match_unique(*_joint_codes(left_keys, right_keys))
+        keep = np.ones(len(matches), dtype=bool) if node.outer else matches >= 0
         index = np.nonzero(keep)[0]
         match_index = matches[keep]
 

@@ -151,7 +151,7 @@ class BatchEngineExecutor(CachingEngineExecutor):
     def _from_memo(self, fingerprint: Fingerprint, query: CacheableQuery):
         entry = self._memo.get(fingerprint)
         if entry is not None and entry[0] == query:
-            return ResultSet(dict(entry[1].columns))
+            return entry[1].copy()
         return None
 
     def _run_group(self, group: FusionGroup) -> None:

@@ -19,12 +19,15 @@ comparative cube algebras in the related work) formalise: a cached result
   are *equal*, where every output group is a single cached row and
   re-aggregation is the identity.
 
-Derivation then never touches the fact table: cached coordinates roll up
-member-by-member through the engine's rollup resolver, residual
-predicates filter with :meth:`Predicate.mask`, and the re-grouping runs
-through the same :func:`~repro.engine.kernels.combine_codes` /
-``aggregate`` kernels as cold execution.  Because both paths order
-groups lexicographically by member value, a derived result has the same
+Derivation then never touches the fact table and never hashes a row:
+it works on the dictionary codes the cached result carries
+(:meth:`ResultSet.encoded`).  Each distinct cached member rolls up
+through the engine's rollup resolver, residual predicates are evaluated
+with :meth:`Predicate.mask` on the distinct members and gathered per
+row, and the re-grouping runs through the same
+:func:`~repro.engine.kernels.combine_codes` / ``aggregate`` kernels as
+cold execution.  Because both paths order groups lexicographically by
+member value (every dictionary is sorted), a derived result has the same
 row order as a cold one.
 
 **Bit-exactness policy.**  A derived answer must be bit-identical to the
@@ -45,8 +48,14 @@ from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..core.query import CubeQuery, Predicate, PredicateOp
-from ..engine.executor import ResultSet, _hash_encode_with_mapping
-from ..engine.kernels import aggregate, combine_codes, encode_column, sums_exactly
+from ..engine.executor import ResultSet
+from ..engine.kernels import (
+    aggregate,
+    combine_codes,
+    dictionary_encode,
+    narrow_codes,
+    sums_exactly,
+)
 from ..olap.materialized import REAGGREGATION_OPS
 
 RollupResolver = Callable[[str, str, str], Optional[Mapping]]
@@ -185,45 +194,50 @@ def derive_result(
                 if not _sums_exactly(cached.column(name)):
                     return None  # re-associating float sums drifts by ulps
 
-    def column_at(level: str) -> Optional[np.ndarray]:
+    def coded_at(level: str) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``(codes, dictionary)`` of the cached rows at ``level``."""
         hierarchy = schema.hierarchy_of_level(level)
         entry_level = entry_gb.level_for_hierarchy(hierarchy.name)
-        column = cached.column(entry_level)
-        if entry_level == level:
-            return column
-        return _rollup_column(column, rollup(source, entry_level, level))
+        mapping = None if entry_level == level else rollup(source, entry_level, level)
+        try:
+            codes, dictionary = cached.encoded(entry_level)
+            if entry_level == level:
+                return codes, dictionary
+            return _rollup_codes(codes, dictionary, mapping)
+        except TypeError:  # un-orderable mixed member types
+            return None
 
-    # Residual predicate mask over the cached rows.
+    # Residual predicate mask over the cached rows, evaluated once per
+    # distinct member.
     mask: Optional[np.ndarray] = None
     for predicate in target.query.predicates:
         if any(p == predicate for p in entry.query.predicates):
             continue  # already fully applied when the entry was computed
-        column = column_at(predicate.level)
-        if column is None:
+        coded = coded_at(predicate.level)
+        if coded is None:
             return None
-        part = predicate.mask(column)
+        part = predicate.mask(coded[1])[coded[0]]
         mask = part if mask is None else (mask & part)
 
     # Roll cached coordinates up to the target levels, then re-group.
-    level_columns: List[np.ndarray] = []
-    code_columns: List[Tuple[np.ndarray, int]] = []
+    level_codes: List[Tuple[np.ndarray, np.ndarray]] = []
     for level in target_gb.levels:
-        column = column_at(level)
-        if column is None:
+        coded = coded_at(level)
+        if coded is None:
             return None
-        if mask is not None:
-            column = column[mask]
-        try:
-            code_columns.append(encode_column(column))
-        except TypeError:  # un-orderable mixed member types
-            return None
-        level_columns.append(column)
+        codes, dictionary = coded
+        level_codes.append((codes if mask is None else codes[mask], dictionary))
     n_rows = int(mask.sum()) if mask is not None else len(cached)
-    group_ids, group_count, first_rows = combine_codes(code_columns, n_rows)
+    group_ids, group_count, first_rows = combine_codes(
+        [(codes, len(dictionary)) for codes, dictionary in level_codes], n_rows
+    )
 
     columns: Dict[str, np.ndarray] = {}
-    for level, column in zip(target_gb.levels, level_columns):
-        columns[level] = column[first_rows]
+    kept: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+    for level, (codes, dictionary) in zip(target_gb.levels, level_codes):
+        codes = codes[first_rows]
+        columns[level] = dictionary[codes]
+        kept[level] = (narrow_codes(codes, len(dictionary)), dictionary)
     for name in target.measure_names:
         op = schema.measure(name).op
         # For equal group-by sets every output group is one cached row, so
@@ -235,7 +249,9 @@ def derive_result(
         if mask is not None:
             values = values[mask]
         columns[name] = aggregate(group_ids, group_count, values, reagg)
-    return ResultSet(columns)
+    result = ResultSet(columns)
+    result.codes = kept
+    return result
 
 
 # The float-sum exactness gate is shared with the fused-scan path of the
@@ -244,25 +260,28 @@ def derive_result(
 _sums_exactly = sums_exactly
 
 
-def _rollup_column(
-    column: np.ndarray, mapping: Optional[Mapping]
-) -> Optional[np.ndarray]:
-    """Map a member column through a fine→coarse roll-up, vectorised.
+def _rollup_codes(
+    codes: np.ndarray, dictionary: np.ndarray, mapping: Optional[Mapping]
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Map a coded member column through a fine→coarse roll-up.
 
-    Only distinct members go through the mapping; the (result-sized)
-    column is then rebuilt by gather.  ``None`` when the roll-up is
-    unavailable or a member is missing from it.
+    Only the distinct members the cached rows hold go through the
+    mapping; the coarse codes are then gathered per row.  ``None`` when
+    the roll-up is unavailable or a member is missing from it.
     """
     if mapping is None:
         return None
-    codes, code_of = _hash_encode_with_mapping(column)
-    lut = np.empty(max(len(code_of), 1), dtype=object)
-    for member, code in code_of.items():
-        rolled = mapping.get(member, _MISSING)
-        if rolled is _MISSING:
+    present = np.flatnonzero(np.bincount(codes, minlength=len(dictionary)))
+    rolled = np.empty(len(present), dtype=object)
+    for slot, member in enumerate(dictionary[present]):
+        coarse = mapping.get(member, _MISSING)
+        if coarse is _MISSING:
             return None
-        lut[code] = rolled
-    return lut[codes]
+        rolled[slot] = coarse
+    coarse_codes, coarse_dictionary = dictionary_encode(rolled)
+    lut = np.zeros(len(dictionary), dtype=np.int64)
+    lut[present] = coarse_codes
+    return lut[codes], coarse_dictionary
 
 
 _MISSING = object()

@@ -69,7 +69,7 @@ class CacheEntry:
         self.cells = len(result) * max(len(result.column_names), 1)
         self.nbytes = sum(
             column.nbytes for column in result.columns.values()
-        )
+        ) + sum(codes.nbytes for codes, _ in result.codes.values())
         self.derived = derived
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -373,7 +373,7 @@ def _short(fingerprint: Fingerprint) -> str:
 
 def _serve(result: ResultSet) -> ResultSet:
     """A shallow copy: callers get their own column dict, shared arrays."""
-    return ResultSet(dict(result.columns))
+    return result.copy()
 
 
 def _component_aggregates(query: CacheableQuery):

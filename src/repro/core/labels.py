@@ -239,7 +239,7 @@ class LabelingSpec:
 class RangeLabeling(LabelingSpec):
     """Inline, explicit-range labeling: ``{[0,0.9): bad, [0.9,1.1]: ok, …}``."""
 
-    __slots__ = ("rules", "_lows", "_highs", "_low_closed", "_high_closed", "_labels")
+    __slots__ = ("rules", "_edges", "_labels")
 
     @classmethod
     def from_cutpoints(cls, bounds: Sequence[float], labels: Sequence[str]) -> "RangeLabeling":
@@ -267,14 +267,30 @@ class RangeLabeling(LabelingSpec):
         self.rules: Tuple[LabelRule, ...] = tuple(
             sorted(rules, key=lambda rule: (rule.interval.low, not rule.interval.low_closed))
         )
-        # Edge arrays for the vectorised apply: rules are sorted by low and
-        # non-overlapping, so a searchsorted over the lows narrows each value
-        # to at most two candidate rules (see ``apply``).
-        self._lows = np.array([r.interval.low for r in self.rules], dtype=np.float64)
-        self._highs = np.array([r.interval.high for r in self.rules], dtype=np.float64)
-        self._low_closed = np.array([r.interval.low_closed for r in self.rules], dtype=bool)
-        self._high_closed = np.array([r.interval.high_closed for r in self.rules], dtype=bool)
-        self._labels = np.array([r.label for r in self.rules], dtype=object)
+        # The finite interval endpoints cut the real line into slots: slot
+        # 2s is the open segment just below edge s, slot 2s + 1 the point
+        # edge s itself, and every interval is a union of whole slots, so
+        # one label per slot — taken from the per-cell oracle at a value
+        # inside it — labels every value.  Non-finite values (which no
+        # interval contains) get the trailing ``None`` slot.
+        edges = sorted({
+            bound
+            for rule in self.rules
+            for bound in (rule.interval.low, rule.interval.high)
+            if math.isfinite(bound)
+        })
+        inside = [
+            math.nextafter(edges[0], NEG_INF) if edges else 0.0,
+            *(
+                value
+                for edge in edges
+                for value in (edge, math.nextafter(edge, POS_INF))
+            ),
+        ]
+        self._edges = np.array(edges, dtype=np.float64)
+        self._labels = np.array(
+            [self.apply_scalar(value) for value in inside] + [None], dtype=object
+        )
 
     @property
     def labels(self) -> Tuple[str, ...]:
@@ -293,39 +309,20 @@ class RangeLabeling(LabelingSpec):
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Label a column of comparison values (object array of labels).
 
-        One ``searchsorted`` over the sorted interval lows finds each
-        value's candidate rule; because the rule set is non-overlapping,
-        a value excluded by its candidate (open low endpoint, or past the
-        high bound) can only belong to the immediately preceding rule, so
-        a single step back completes the assignment.  Values in gaps and
-        NaNs stay ``None``.  :meth:`apply_python` is the per-cell oracle.
+        A value's slot is the number of edges below it plus the number at
+        or below it — two comparisons per edge, no search and no per-rule
+        gather — and its label is gathered from the slot vocabulary.
+        Values in gaps, NaNs and infinities get ``None``.
+        :meth:`apply_python` is the per-cell oracle.
         """
         numeric = np.asarray(values, dtype=np.float64)
-        out = np.full(len(numeric), None, dtype=object)
-        if numeric.size == 0:
-            return out
-        candidates = np.searchsorted(self._lows, numeric, side="right") - 1
-        hit = self._contains_at(candidates, numeric)
-        missed = ~hit
-        if missed.any():
-            stepped = candidates - 1
-            rescue = self._contains_at(stepped, numeric) & missed
-            candidates = np.where(rescue, stepped, candidates)
-            hit |= rescue
-        out[hit] = self._labels[candidates[hit]]
-        return out
-
-    def _contains_at(self, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Vectorised ``rules[i].interval.contains(v)`` (NaN never matches)."""
-        in_range = indices >= 0
-        safe = np.where(in_range, indices, 0)
-        above = np.where(
-            self._low_closed[safe], values >= self._lows[safe], values > self._lows[safe]
-        )
-        below = np.where(
-            self._high_closed[safe], values <= self._highs[safe], values < self._highs[safe]
-        )
-        return in_range & above & below
+        narrow = len(self._labels) <= 256
+        slot = np.zeros(len(numeric), dtype=np.uint8 if narrow else np.intp)
+        for edge in self._edges:
+            slot += numeric > edge
+            slot += numeric >= edge
+        slot[~np.isfinite(numeric)] = len(self._labels) - 1
+        return self._labels[slot]
 
     def apply_python(self, values: np.ndarray) -> np.ndarray:
         """Per-cell reference implementation of :meth:`apply` (test oracle)."""

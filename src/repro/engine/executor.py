@@ -3,7 +3,8 @@
 This is the substitute for the paper's DBMS: it evaluates the three query
 shapes of :mod:`repro.engine.query` with set-oriented NumPy kernels —
 semi-join filtering through dimension tables, factorised multi-column
-group-by, hash drill-across, and scatter-based pivot.  Its performance
+group-by, and drill-across and pivot over the dictionary codes each
+result carries (sort-based join, scatter-based pivot).  Its performance
 profile mirrors a real DBMS closely enough for the NP/JOP/POP comparison to
 be meaningful: pushing a join or pivot here is significantly cheaper than
 performing it cell-at-a-time on cube objects.
@@ -43,7 +44,10 @@ from .columns import (
 )
 from .kernels import aggregate as _aggregate
 from .kernels import combine_codes as _combine_codes
-from .kernels import encode_column as _encode_column
+from .kernels import dictionary_encode as _dictionary_encode
+from .kernels import match_unique as _match_unique
+from .kernels import narrow_codes as _narrow_codes
+from .kernels import sort_groups as _sort_groups
 from .spill import (
     SpillAggregator,
     choose_partitions as _choose_partitions,
@@ -65,7 +69,13 @@ _MAX_COMBINED_KEY = 2**62
 
 
 class ResultSet:
-    """A query result: ordered named columns of equal length."""
+    """A query result: ordered named columns of equal length.
+
+    ``codes`` keeps, per grouping column, the ``(codes, dictionary)`` pair
+    the fact pass grouped by: ``dictionary[codes]`` is the column, the
+    dictionary is sorted.  Joins and pivots read it through
+    :meth:`encoded`, which encodes on demand for a result built without.
+    """
 
     def __init__(self, columns: "Dict[str, np.ndarray]"):
         self.columns = columns
@@ -73,6 +83,29 @@ class ResultSet:
         if len(lengths) > 1:
             raise EngineError(f"ragged result columns: {sorted(lengths)}")
         self._n = lengths.pop() if lengths else 0
+        self.codes: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+
+    def encoded(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
+        """``(codes, dictionary)`` of a column: kept, or encoded now."""
+        entry = self.codes.get(name)
+        if entry is None:
+            entry = self.codes[name] = _dictionary_encode(self.column(name))
+        return entry
+
+    def take(self, rows: np.ndarray) -> "ResultSet":
+        """The rows an index array or mask selects, codes carried along."""
+        taken = ResultSet({name: col[rows] for name, col in self.columns.items()})
+        taken.codes = {
+            name: (codes[rows], dictionary)
+            for name, (codes, dictionary) in self.codes.items()
+        }
+        return taken
+
+    def copy(self) -> "ResultSet":
+        """A shallow copy: its own column and code dicts, shared arrays."""
+        copied = ResultSet(dict(self.columns))
+        copied.codes = dict(self.codes)
+        return copied
 
     def __len__(self) -> int:
         return self._n
@@ -119,7 +152,7 @@ class _Groups(NamedTuple):
 
     count: int
     codes: Dict[Tuple[str, str], Tuple[np.ndarray, int]]  # (codes, cardinality)
-    values: Dict[Tuple[str, str], np.ndarray]  # decoded coordinates
+    dictionaries: Dict[Tuple[str, str], np.ndarray]  # dictionary[codes] decodes
     specs: List[Tuple[str, Optional[str]]]
     merged: List[np.ndarray]  # one array per spec, aligned with the groups
 
@@ -683,16 +716,13 @@ class EngineExecutor:
                 merged_keys, merged = _merge_morsels(results, ops)
         if codes is None:
             codes = _decode_keys(merged_keys, lowering.cardinalities)
-        values = [
-            table.dictionary_values(column)[code]
-            for table, (_, column), code in zip(
-                lowering.tables, lowering.finest, codes
-            )
-        ]
         return rows_in, _Groups(
             len(merged_keys),
             dict(zip(lowering.finest, zip(codes, lowering.cardinalities))),
-            dict(zip(lowering.finest, values)),
+            {
+                key: table.dictionary_values(key[1])
+                for key, table in zip(lowering.finest, lowering.tables)
+            },
             lowering.specs,
             merged,
         )
@@ -714,10 +744,13 @@ class EngineExecutor:
         distributive rules — count partials are summed.
         """
         rmask: Optional[np.ndarray] = None
-        ids = count = first = None
+        rows: Optional[np.ndarray] = None  # each member group's first finest group
+        ids = count = None
         if not member.is_finest:
             for cp, key in zip(residual, member.residual_keys):
-                part = cp.predicate.mask(groups.values[key])
+                # evaluated once per dictionary member, gathered per group
+                codes = groups.codes[key][0]
+                part = cp.predicate.mask(groups.dictionaries[key])[codes]
                 rmask = part if rmask is None else (rmask & part)
             member_codes = [groups.codes[key] for key in member.keys]
             if rmask is not None:
@@ -727,6 +760,7 @@ class EngineExecutor:
                 ]
             n_groups = groups.count if rmask is None else int(rmask.sum())
             ids, count, first = _combine_codes(member_codes, n_groups)
+            rows = first if rmask is None else np.flatnonzero(rmask)[first]
 
         def regroup(slot: int) -> np.ndarray:
             values = groups.merged[slot]
@@ -738,29 +772,34 @@ class EngineExecutor:
             return _aggregate(ids, count, values, "sum" if op == "count" else op)
 
         columns: Dict[str, np.ndarray] = {}
+        coded: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         for gb, key in zip(query.group_by, member.keys):
-            values = groups.values[key]
-            if ids is not None:
-                values = (values if rmask is None else values[rmask])[first]
-            columns[gb.alias] = values
+            codes, cardinality = groups.codes[key]
+            if rows is not None:
+                codes = codes[rows]
+            dictionary = groups.dictionaries[key]
+            columns[gb.alias] = dictionary[codes]
+            coded[gb.alias] = (_narrow_codes(codes, cardinality), dictionary)
         for agg, slots in zip(query.aggregates, member.finish):
             if len(slots) == 2:  # avg: merged totals over merged counts
                 with np.errstate(divide="ignore", invalid="ignore"):
                     columns[agg.alias] = regroup(slots[0]) / regroup(slots[1])
             else:
                 columns[agg.alias] = regroup(slots[0])
-        return ResultSet(columns)
+        result = ResultSet(columns)
+        result.codes = coded
+        return result
 
     # ------------------------------------------------------------------
     # Drill-across (JOP)
     # ------------------------------------------------------------------
     def execute_drill_across(self, query: DrillAcrossQuery) -> ResultSet:
-        """Join two aggregate results on grouping aliases (hash join).
+        """Join two aggregate results on grouping aliases.
 
-        Implemented by jointly factorising the join-key columns of both
-        sides into shared integer codes, then matching codes through a dense
-        lookup table — the vectorised analogue of the DBMS hash join the
-        paper's JOP relies on.
+        The join-key columns of both sides are brought onto shared integer
+        codes straight from the dictionary codes each side's pass grouped
+        by, then matched by one sort of the right side's codes — the
+        vectorised analogue of the DBMS join the paper's JOP relies on.
         """
         self.metrics.inc("engine.drill_across")
         tracer = _active_tracer()
@@ -780,40 +819,21 @@ class EngineExecutor:
         self, query: DrillAcrossQuery, left: ResultSet, right: ResultSet
     ) -> ResultSet:
         """The join itself, after both sides have been aggregated."""
-        left_keys = [left.column(alias) for alias in query.join_on]
-        right_keys = [right.column(alias) for alias in query.join_on]
-        left_codes, right_codes = _joint_codes(left_keys, right_keys)
-
+        left_codes, right_codes = _joint_codes(
+            [left.encoded(alias) for alias in query.join_on],
+            [right.encoded(alias) for alias in query.join_on],
+        )
         if query.multi:
             return self._drill_across_multi(query, left, right, left_codes, right_codes)
 
-        order = np.argsort(right_codes, kind="stable")
-        sorted_codes = right_codes[order]
-        if len(sorted_codes) > 1 and np.any(sorted_codes[1:] == sorted_codes[:-1]):
-            raise EngineError(
-                "drill-across join key is not unique on the right side; "
-                "use multi=True for fan-in partial joins"
-            )
-        positions = np.searchsorted(sorted_codes, left_codes)
-        clipped = np.minimum(positions, max(len(sorted_codes) - 1, 0))
-        if len(sorted_codes):
-            found = sorted_codes[clipped] == left_codes
-            matches = np.where(found, order[clipped], -1)
-        else:
-            matches = np.full(len(left_codes), -1, dtype=np.int64)
-        keep = matches >= 0
-        if query.outer:
-            keep = np.ones(len(left_codes), dtype=bool)
-
-        columns: Dict[str, np.ndarray] = {
-            name: left.column(name)[keep] for name in left.column_names
-        }
+        matches = _match_unique(left_codes, right_codes)
+        keep = np.ones(len(left), dtype=bool) if query.outer else matches >= 0
+        result = left.take(keep)
         matched = matches[keep]
         for agg in query.right.aggregates:
             name = query.renames.get(agg.alias, agg.alias)
-            source = right.column(agg.alias)
-            columns[name] = _gather_float(source, matched)
-        return ResultSet(columns)
+            result.columns[name] = _gather_float(right.column(agg.alias), matched)
+        return result
 
     def _drill_across_multi(
         self,
@@ -839,17 +859,15 @@ class EngineExecutor:
         slots, width = self._residual_slots(right, residual_aliases)
 
         # Sort-based join: for each left code, its right matches are the
-        # contiguous run [lo, hi) in the sorted right codes.
-        order = np.argsort(right_codes, kind="stable")
+        # contiguous run [lo, hi) in the stably sorted right codes.
+        order, _ = _sort_groups(right_codes)
         sorted_codes = right_codes[order]
         lo = np.searchsorted(sorted_codes, left_codes, side="left")
         hi = np.searchsorted(sorted_codes, left_codes, side="right")
         counts = hi - lo
         keep = (counts > 0) if not query.outer else np.ones(len(left_codes), bool)
         index = np.nonzero(keep)[0].astype(np.int64)
-        columns: Dict[str, np.ndarray] = {
-            name: left.column(name)[index] for name in left.column_names
-        }
+        result = left.take(index)
 
         # Scatter every (kept left row, residual slot) pair in one pass.
         kept_counts = counts[index]
@@ -866,13 +884,13 @@ class EngineExecutor:
             base_name = query.renames.get(agg.alias, agg.alias)
             source = right.column(agg.alias)
             if width <= 1:
-                columns[base_name] = _gather_float(source, padded[:, 0])
+                result.columns[base_name] = _gather_float(source, padded[:, 0])
             else:
                 for slot in range(width):
-                    columns[f"{base_name}_{slot + 1}"] = _gather_float(
+                    result.columns[f"{base_name}_{slot + 1}"] = _gather_float(
                         source, padded[:, slot]
                     )
-        return ResultSet(columns)
+        return result
 
     @staticmethod
     def _residual_slots(
@@ -880,22 +898,17 @@ class EngineExecutor:
     ) -> "Tuple[np.ndarray, int]":
         """Slot id of every right row by its residual coordinate.
 
-        The residual columns are factorised into dense codes; only the (few)
-        distinct coordinates are materialised as tuples to fix the slot
-        order — sorted by ``repr``, oldest-first for time slices — so slice
-        ``i`` always lands in column ``name_i``.
+        The residual columns' dictionary codes fold into dense ids; only
+        the (few) distinct coordinates are materialised as tuples to fix
+        the slot order — sorted by ``repr``, oldest-first for time slices
+        — so slice ``i`` always lands in column ``name_i``.
         """
         n_right = len(right)
         if not residual_aliases:
             return np.zeros(n_right, dtype=np.int64), 1
-        code_columns = []
-        for alias in residual_aliases:
-            column = right.column(alias)
-            if column.dtype == object:
-                code_columns.append(_hash_encode(column))
-            else:
-                code_columns.append(_encode_column(column))
-        inverse, count, first_rows = _combine_codes(code_columns, n_right)
+        inverse, count, first_rows = _combine_codes(
+            _code_columns(right, residual_aliases), n_right
+        )
         distinct = [
             tuple(right.column(alias)[row] for alias in residual_aliases)
             for row in first_rows
@@ -933,22 +946,16 @@ class EngineExecutor:
         rest_aliases = [
             gb.alias for gb in query.base.group_by if gb.alias != query.pivot_alias
         ]
-        code_columns = []
-        for alias in rest_aliases:
-            column = base.column(alias)
-            if column.dtype == object:
-                code_columns.append(_hash_encode(column))
-            else:
-                code_columns.append(_encode_column(column))
-        rest_ids, rest_count, _ = _combine_codes(code_columns, len(base))
+        rest_ids, rest_count, _ = _combine_codes(
+            _code_columns(base, rest_aliases), len(base)
+        )
 
-        pivot_column = base.column(query.pivot_alias)
         members = [query.reference] + list(query.members.keys())
         member_slot = {member: i for i, member in enumerate(members)}
-        pivot_codes, mapping = _hash_encode_with_mapping(pivot_column)
-        slot_of_code = np.full(max(len(mapping), 1), -1, dtype=np.int64)
-        for value, code in mapping.items():
-            slot_of_code[code] = member_slot.get(value, -1)
+        pivot_codes, dictionary = base.encoded(query.pivot_alias)
+        slot_of_code = np.array(
+            [member_slot.get(value, -1) for value in dictionary], dtype=np.int64
+        )
         slots = slot_of_code[pivot_codes]
         valid = slots >= 0
 
@@ -962,62 +969,54 @@ class EngineExecutor:
             keep_groups &= (row_of >= 0).all(axis=1)
         reference_rows = reference_rows[keep_groups]
 
-        columns: Dict[str, np.ndarray] = {}
-        for alias in [gb.alias for gb in query.base.group_by]:
-            columns[alias] = base.column(alias)[reference_rows]
-        for agg in query.base.aggregates:
-            columns[agg.alias] = base.column(agg.alias)[reference_rows]
+        # The base's group-by and aggregate columns, at the reference rows.
+        result = base.take(reference_rows)
         for slot, (member, renames) in enumerate(query.members.items(), start=1):
             member_rows = row_of[keep_groups, slot]
             for agg_alias, new_name in renames.items():
                 source = base.column(agg_alias)
-                columns[new_name] = _gather_float(source, member_rows)
-        return ResultSet(columns)
+                result.columns[new_name] = _gather_float(source, member_rows)
+        return result
 
 
 # ----------------------------------------------------------------------
 # Kernels
 # ----------------------------------------------------------------------
+def _code_columns(
+    result: ResultSet, aliases: Sequence[str]
+) -> "List[Tuple[np.ndarray, int]]":
+    """The ``(codes, cardinality)`` fold input of some result columns."""
+    return [
+        (codes, len(dictionary))
+        for codes, dictionary in (result.encoded(alias) for alias in aliases)
+    ]
+
+
 def _joint_codes(
-    left_keys: Sequence[np.ndarray], right_keys: Sequence[np.ndarray]
+    left_keys: "Sequence[Tuple[np.ndarray, np.ndarray]]",
+    right_keys: "Sequence[Tuple[np.ndarray, np.ndarray]]",
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Factorise the key columns of both join sides into shared codes.
+    """Fold the ``(codes, dictionary)`` key columns of both join sides.
 
-    Numeric columns are encoded with ``np.unique`` (fast integer sorts);
-    object columns with a hash-map pass, which beats comparison-sorting
-    Python strings.  Code order is arbitrary but consistent across the two
-    sides, which is all an equality join needs.
+    Where both sides share a dictionary their codes already agree and are
+    used as they are; otherwise each side's dictionary is mapped onto the
+    sorted union of the two — a pass over distinct values only — and the
+    codes are gathered through that map.  Either way no row value is
+    compared or hashed.
     """
-    n_left = len(left_keys[0]) if left_keys else 0
+    n_left = len(left_keys[0][0]) if left_keys else 0
     left_codes = np.zeros(n_left, dtype=np.int64)
-    right_codes = np.zeros(len(right_keys[0]) if right_keys else 0, dtype=np.int64)
-    for left_column, right_column in zip(left_keys, right_keys):
-        stacked = np.concatenate([left_column, right_column])
-        if stacked.dtype == object:
-            codes, cardinality = _hash_encode(stacked)
-        else:
-            codes, cardinality = _encode_column(stacked)
-        left_codes = left_codes * cardinality + codes[:n_left]
-        right_codes = right_codes * cardinality + codes[n_left:]
+    right_codes = np.zeros(len(right_keys[0][0]) if right_keys else 0, dtype=np.int64)
+    for (left_key, left_dict), (right_key, right_dict) in zip(left_keys, right_keys):
+        if left_dict is not right_dict and not np.array_equal(left_dict, right_dict):
+            union = np.unique(np.concatenate([left_dict, right_dict]))
+            left_key = np.searchsorted(union, left_dict)[left_key]
+            right_key = np.searchsorted(union, right_dict)[right_key]
+            left_dict = union
+        cardinality = max(len(left_dict), 1)
+        left_codes = left_codes * cardinality + left_key
+        right_codes = right_codes * cardinality + right_key
     return left_codes, right_codes
-
-
-def _hash_encode(column: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Dictionary-encode an object column via one hash-map pass."""
-    codes, mapping = _hash_encode_with_mapping(column)
-    return codes, max(len(mapping), 1)
-
-
-def _hash_encode_with_mapping(column: np.ndarray) -> Tuple[np.ndarray, Dict]:
-    """Dictionary-encode a column, also returning the value→code mapping."""
-    mapping: Dict = {}
-    setdefault = mapping.setdefault
-    codes = np.fromiter(
-        (setdefault(value, len(mapping)) for value in column),
-        dtype=np.int64,
-        count=len(column),
-    )
-    return codes, mapping
 
 
 def _gather_float(source: np.ndarray, rows: np.ndarray) -> np.ndarray:

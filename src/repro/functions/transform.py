@@ -11,6 +11,8 @@ the holistic statistics and propagate to the output.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .registry import FunctionRegistry
@@ -79,10 +81,21 @@ def perc_of_total(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     "operates on a tuple of two parameters a and b and computes, for each
     cell, the ratio between a and the sum of b over all cells."
+
+    The total is exactly rounded (``math.fsum``), so it does not depend on
+    the order the cells arrive in — NP, JOP and POP deliver the same cells
+    in different orders and must agree to the bit.  NaNs are skipped; an
+    infinite value or an overflowing sum gives ``np.nansum``'s total.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    total = np.nansum(b)
+    if np.isinf(b).any():
+        total = float(np.nansum(b))  # ±inf, or nan for inf - inf
+    else:
+        try:
+            total = math.fsum(b[~np.isnan(b)].tolist())
+        except OverflowError:  # the exact sum leaves the float range
+            total = float(np.nansum(b))
     if total == 0:
         out = np.full_like(a, np.nan)
         return out

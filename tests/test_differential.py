@@ -320,6 +320,42 @@ def test_parallel_arms_actually_parallelized(ssb_arms):
     assert warm.engine.result_cache.stats()["hits"] >= 1
 
 
+SHARE_OF_TOTAL = """
+    with SSB for s_region = 'ASIA' by c_city, year, mfgr, s_region
+    assess revenue against s_region = 'EUROPE'
+    using percOfTotal(difference(revenue, benchmark.revenue))
+    labels {[-inf, 0): below, [0, inf): above}
+"""
+
+
+def _canonical_cells(result):
+    """Coordinates, bit patterns and labels of every cell, in canonical order."""
+    order = result.order()
+    cube = result.cube
+    coords = [cube.coords[level][order].tolist() for level in cube.group_by.levels]
+    numbers = [
+        np.asarray(cube.measure(name), dtype=np.float64)[order].tobytes()
+        for name in (result.measure, result.benchmark_measure,
+                     result.comparison_measure)
+    ]
+    return coords, numbers, cube.measure(result.label_measure)[order].tolist()
+
+
+def test_perc_of_total_is_bit_identical_across_plans_at_four_levels():
+    """NP, JOP and POP hand ``percOfTotal`` the same cells in different
+    orders; its total must not depend on that order.  Summed in arrival
+    order it did: NP and POP differed by one ulp on 1,776 of 1,808 cells."""
+    session = AssessSession(prepare_engine(20_000, seed=7))
+    cells = {}
+    for plan in ("NP", "JOP", "POP"):
+        session.clear_cache()
+        result = session.assess(SHARE_OF_TOTAL, plan=plan)
+        assert result.plan_name == plan and len(result) == 1808
+        cells[plan] = _canonical_cells(result)
+    assert cells["JOP"] == cells["NP"]
+    assert cells["POP"] == cells["NP"]
+
+
 # ----------------------------------------------------------------------
 # Part 3: one aggregation pipeline — a single get is the fused batch of
 # one, whatever the tier and the storage

@@ -70,6 +70,28 @@ class TestPercOfTotal:
         out = perc_of_total(np.array([1.0, 1.0]), np.array([2.0, np.nan]))
         assert out[0] == pytest.approx(0.5)
 
+    def test_total_does_not_depend_on_cell_order(self):
+        rng = np.random.default_rng(7)
+        b = rng.normal(0.0, 1e4, 2_000) * rng.choice([1e-6, 1.0, 1e6], 2_000)
+        b[::97] = np.nan
+        a = np.ones_like(b)
+        reference = perc_of_total(a, b)
+        for _ in range(5):
+            order = rng.permutation(len(b))
+            assert perc_of_total(a[order], b[order]).tobytes() == reference[order].tobytes()
+
+    @pytest.mark.parametrize("b", [
+        [1.0, np.inf, np.nan],
+        [1.0, -np.inf],
+        [np.inf, -np.inf, 2.0],
+        [1e308, 1e308, np.nan],
+    ])
+    def test_infinities_and_overflow_total_like_nansum(self, b):
+        b = np.array(b)
+        a = np.ones_like(b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert perc_of_total(a, b).tobytes() == (a / np.nansum(b)).tobytes()
+
 
 class TestRank:
     def test_descending_dense(self):

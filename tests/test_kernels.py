@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.kernels import encode_column, factorize_numpy, factorize_python
+from repro.core.errors import EngineError
+from repro.engine.kernels import (
+    dictionary_encode,
+    encode_column,
+    factorize_numpy,
+    factorize_python,
+    fold_codes,
+    match_unique,
+    narrow_codes,
+    sort_groups,
+)
 
 
 class TestEncodeColumn:
@@ -78,3 +88,112 @@ class TestKernelAgreement:
         keys_np = [tuple(col[r] for col in columns) for r in first_np]
         keys_py = [tuple(col[r] for col in columns) for r in first_py]
         assert keys_np == keys_py
+
+
+# Cardinalities per regime of fold_codes: a key space inside the counting
+# threshold (max(2**16, 2n)), one beyond it (packed-key sort), and one
+# whose keys are too wide to share 63 bits with a row number (argsort).
+REGIMES = {
+    "counting": (40, 50),
+    "packed": (3_000, 1_000),
+    "wide": (1 << 31, 1 << 31),
+}
+
+
+def _code_columns(rng, regime, n_rows, distinct):
+    """Random codes under a regime's cardinalities.
+
+    ``distinct`` draws codes from at most a handful of keys (duplicate
+    heavy) or spreads them so nearly every row is its own key.
+    """
+    columns = []
+    for cardinality in REGIMES[regime]:
+        if distinct:
+            codes = rng.integers(0, cardinality, n_rows)
+        else:
+            pool = rng.integers(0, cardinality, 3)
+            codes = pool[rng.integers(0, 3, n_rows)]
+        columns.append((codes.astype(np.int64), cardinality))
+    return columns
+
+
+def _folded(columns):
+    key = np.zeros(len(columns[0][0]), dtype=np.int64)
+    for codes, cardinality in columns:
+        key = key * cardinality + codes
+    return key
+
+
+class TestSortGroups:
+    """``fold_codes`` and ``sort_groups`` against the row-at-a-time oracle."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n_rows=st.one_of(st.sampled_from([0, 1, 2]), st.integers(3, 400)),
+        regime=st.sampled_from(sorted(REGIMES)),
+        distinct=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_fold_codes_matches_python_oracle(self, seed, n_rows, regime, distinct):
+        rng = np.random.default_rng(seed)
+        columns = _code_columns(rng, regime, n_rows, distinct)
+        ids, keys, first = fold_codes(columns, n_rows)
+        ids_py, count_py, first_py = factorize_python(
+            [codes for codes, _ in columns], n_rows
+        )
+        assert np.array_equal(ids, ids_py)
+        assert np.array_equal(first, first_py)
+        assert len(keys) == count_py
+        assert np.array_equal(keys, _folded(columns)[first_py])
+        assert np.all(np.diff(keys) > 0)
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n_rows=st.one_of(st.sampled_from([0, 1, 2]), st.integers(3, 400)),
+        regime=st.sampled_from(sorted(REGIMES)),
+        distinct=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_sort_groups_is_a_stable_sort_into_runs(self, seed, n_rows, regime, distinct):
+        rng = np.random.default_rng(seed)
+        keys = _folded(_code_columns(rng, regime, n_rows, distinct))
+        order, starts = sort_groups(keys)
+        assert np.array_equal(order, np.argsort(keys, kind="stable"))
+        ids_py, count_py, first_py = factorize_python([keys], n_rows)
+        assert len(starts) == count_py
+        assert np.array_equal(order[starts], first_py)
+        assert np.array_equal(ids_py[order][starts], np.arange(count_py))
+
+    def test_wide_keys_take_the_argsort_branch_with_the_same_answer(self):
+        # 2**62 needs 63 bits; four rows need two more: no room to pack.
+        keys = np.array([1 << 62, 5, 1 << 62, 5], dtype=np.int64)
+        order, starts = sort_groups(keys)
+        assert order.tolist() == [1, 3, 0, 2]
+        assert starts.tolist() == [0, 2]
+
+    def test_match_unique_finds_partners_and_rejects_repeats(self):
+        build = np.array([7, 3, 9], dtype=np.int64)
+        probe = np.array([3, 4, 9, 7, 0, 10], dtype=np.int64)
+        assert match_unique(probe, build).tolist() == [1, -1, 2, 0, -1, -1]
+        assert match_unique(probe, build[:0]).tolist() == [-1] * 6
+        with pytest.raises(EngineError, match="not unique"):
+            match_unique(probe, np.array([1, 1], dtype=np.int64))
+
+
+class TestDictionaryEncode:
+    @pytest.mark.parametrize("column", [
+        np.array(["b", "a", "c", "a"], dtype=object),
+        np.array([30, 10, 20, 10]),
+        np.array([], dtype=object),
+    ])
+    def test_dictionary_is_sorted_and_decodes_the_column(self, column):
+        codes, dictionary = dictionary_encode(column)
+        assert list(dictionary) == sorted(set(column.tolist()))
+        assert dictionary[codes].tolist() == column.tolist()
+
+    def test_codes_are_stored_no_wider_than_needed(self):
+        codes = np.arange(300, dtype=np.int64)
+        assert narrow_codes(codes, 256).dtype == np.uint8
+        assert narrow_codes(codes, 300).dtype == np.uint16
+        assert narrow_codes(codes, 1 << 20).dtype == np.int32
+        assert narrow_codes(codes, 1 << 40).dtype == np.int64

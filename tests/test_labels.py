@@ -190,7 +190,7 @@ class TestNamedLabeling:
 
 
 class TestVectorisedApplyOracle:
-    """The searchsorted ``apply`` must agree with the per-cell oracle."""
+    """The slot-counting ``apply`` must agree with the per-cell oracle."""
 
     def cases(self):
         yield RangeLabeling(five_stars_rules())
@@ -202,6 +202,14 @@ class TestVectorisedApplyOracle:
                 LabelRule(Interval(-2, -2, True, True), "exactly"),
                 LabelRule(Interval(0, 1, False, True), "unit"),
                 LabelRule(Interval(3, INF, True, False), "high"),
+            ]
+        )
+        # one rule over everything; two rules meeting between adjacent floats
+        yield RangeLabeling([LabelRule(Interval(-INF, INF, False, False), "all")])
+        yield RangeLabeling(
+            [
+                LabelRule(Interval(0, 1, True, False), "a"),
+                LabelRule(Interval(1, float(np.nextafter(1, INF)), True, True), "b"),
             ]
         )
 
@@ -217,7 +225,8 @@ class TestVectorisedApplyOracle:
                     ]
         rng = np.random.default_rng(7)
         return np.array(
-            edges + list(rng.uniform(-10, 10, 64)) + [math.nan, -1e308, 1e308],
+            edges + list(rng.uniform(-10, 10, 64))
+            + [math.nan, -1e308, 1e308, -INF, INF, 0.0, -0.0],
             dtype=np.float64,
         )
 

@@ -82,6 +82,40 @@ class TestRangeLabelingProperties:
             matches = [r for r in labeling.rules if r.interval.contains(value)]
             assert len(matches) == 1
 
+    @given(
+        bounds=st.lists(finite_floats, min_size=1, max_size=8, unique=True),
+        closed=st.lists(st.booleans(), min_size=18, max_size=18),
+        kept=st.lists(st.booleans(), min_size=9, max_size=9),
+        values=float_columns,
+    )
+    @settings(max_examples=150)
+    def test_apply_matches_the_per_cell_oracle_with_gaps(
+        self, bounds, closed, kept, values
+    ):
+        edges = [-math.inf] + sorted(bounds) + [math.inf]
+        rules = []
+        previous_high_closed = False
+        for i in range(len(edges) - 1):
+            if not kept[i]:
+                previous_high_closed = False  # a gap
+                continue
+            low_closed = closed[2 * i] and not previous_high_closed
+            previous_high_closed = closed[2 * i + 1]
+            rules.append(LabelRule(
+                Interval(edges[i], edges[i + 1], low_closed, previous_high_closed),
+                f"label-{i}",
+            ))
+        if not rules:
+            return
+        labeling = RangeLabeling(rules)
+        probes = np.concatenate([
+            values,
+            [np.nextafter(b, d) for b in bounds for d in (-math.inf, math.inf)],
+            bounds,
+            [math.nan, math.inf, -math.inf],
+        ])
+        assert labeling.apply(probes).tolist() == labeling.apply_python(probes).tolist()
+
     @given(values=float_columns)
     @settings(max_examples=50)
     def test_nan_never_labeled(self, values):
