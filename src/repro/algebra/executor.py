@@ -16,6 +16,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..core.cube import Cube, qualified
+from ..core.deadline import checkpoint as _checkpoint
 from ..core.errors import ExecutionError, FunctionError
 from ..core.labels import CoordinateLabeling, NamedLabeling, RangeLabeling
 from ..core.result import AssessResult
@@ -73,8 +74,10 @@ class PlanExecutor:
         The span covers the node *and* its children (children's spans
         nest inside, so inclusive/exclusive times both fall out of the
         tree), while the Figure 4 ``timings`` buckets stay exclusive —
-        :meth:`_timed` is unchanged.
+        :meth:`_timed` is unchanged.  Each operator starts at a deadline
+        checkpoint.
         """
+        _checkpoint("plan execution")
         tracer = _active_tracer()
         if not tracer.enabled:
             return self._run_node(node, timings)

@@ -26,6 +26,7 @@ import numpy as np
 from .algebra.executor import PlanExecutor
 from .algebra.plan import GetNode, JoinNode, PivotNode, Plan
 from .algebra.planner import build_all_plans, build_plan, feasible_plans
+from .core.deadline import Deadline, bound
 from .core.labels import LabelRule, RangeLabeling
 from .core.result import AssessResult
 from .core.schema import CubeSchema
@@ -216,7 +217,12 @@ class AssessSession:
         """All feasible plans for a statement."""
         return build_all_plans(self._resolve(statement), self.engine)
 
-    def assess(self, statement: StatementLike, plan: str = "best") -> AssessResult:
+    def assess(
+        self,
+        statement: StatementLike,
+        plan: str = "best",
+        deadline: Optional[Deadline] = None,
+    ) -> AssessResult:
         """Parse (if needed), plan, and execute an assess statement.
 
         With telemetry enabled the execution (plan choice included) is
@@ -224,11 +230,17 @@ class AssessSession:
         per-phase timings, counter deltas, rows in/out; errors after a
         successful parse are recorded too (``status: "error"``) and
         re-raised unchanged.
+
+        ``deadline`` (a :class:`~repro.core.deadline.Deadline`) is
+        checked before each plan operator and each morsel; once it is
+        spent the call raises
+        :class:`~repro.core.deadline.DeadlineExceeded`.
         """
-        resolved = self._resolve(statement)
-        if self.telemetry is None:
-            return self._executor.execute(self.plan(resolved, plan), resolved)
-        return self._assess_recorded(resolved, plan)
+        with bound(deadline):
+            resolved = self._resolve(statement)
+            if self.telemetry is None:
+                return self._executor.execute(self.plan(resolved, plan), resolved)
+            return self._assess_recorded(resolved, plan)
 
     def _assess_recorded(
         self, resolved: AssessStatement, plan: str
@@ -276,7 +288,10 @@ class AssessSession:
         return self._executor.execute(plan, self._resolve(statement))
 
     def execute_many(
-        self, statements: Sequence[StatementLike], plan: str = "best"
+        self,
+        statements: Sequence[StatementLike],
+        plan: str = "best",
+        deadline: Optional[Deadline] = None,
     ):
         """Plan and execute a statement batch with cross-statement sharing.
 
@@ -288,11 +303,13 @@ class AssessSession:
         order, with per-statement timings and a sharing report
         (``result.report.render()``).  ``plan="auto"`` uses the
         batch-aware cost model, which prefers plans that maximize
-        sharing.  See ``docs/performance.md``.
+        sharing.  See ``docs/performance.md``.  ``deadline`` bounds the
+        whole batch, checked as in :meth:`assess`.
         """
         from .batch import run_batch
 
-        return run_batch(self, list(statements), plan=plan)
+        with bound(deadline):
+            return run_batch(self, list(statements), plan=plan)
 
     def analyze_workload(self, text: str, plan: str = "best"):
         """Statically analyze a whole workload script against this session.

@@ -17,6 +17,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.deadline import checkpoint as _checkpoint
 from ..core.errors import EngineError
 from ..obs.metrics import METRICS, MetricsRegistry
 from ..obs.tracer import active as _active_tracer
@@ -618,12 +619,14 @@ class EngineExecutor:
         cannot emit spans — the tracer is driver-local — so the driver
         back-fills each worker's measured time as a ``parallel.morsel``
         event); the spill tier bounds a wave so retained state stays
-        within reach of the budget.
+        within reach of the budget.  A deadline checkpoint precedes every
+        morsel on the driver thread and every wave on the pool.
         """
         tracer = _active_tracer()
         pool = self.parallel
         if len(morsels) < 2 or pool is None or not pool.enabled:
             for morsel in morsels:
+                _checkpoint("the fact scan")
                 task = build(*morsel)
                 with tracer.span(
                     "engine.semijoin", rows_in=morsel[2], predicates=n_predicates
@@ -637,6 +640,7 @@ class EngineExecutor:
             return
         wave = pool.degree * 4 if tier == "spill" else len(morsels)
         for start in range(0, len(morsels), wave):
+            _checkpoint("the fact scan")
             tasks = [build(*morsel) for morsel in morsels[start:start + wave]]
             self.metrics.inc("engine.parallel.morsels", len(tasks))
             for result in pool.map_ordered(run_morsel, tasks):

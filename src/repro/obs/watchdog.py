@@ -69,11 +69,12 @@ class FingerprintStats:
         "runs", "errors", "latencies", "rows_in", "rows_out", "cells_out",
         "cache_hits", "cache_misses", "cache_derivations", "engine_scans",
         "spill_runs", "spills", "parallel_runs", "fallback_runs",
-        "fallbacks", "first_ts", "last_ts", "phase_totals",
+        "fallbacks", "first_ts", "last_ts", "phase_totals", "keep_latencies",
     )
 
-    def __init__(self, fingerprint: str):
+    def __init__(self, fingerprint: str, keep_latencies: bool = True):
         self.fingerprint = fingerprint
+        self.keep_latencies = keep_latencies
         self.cube = ""
         self.measure = ""
         self.group_by: List[str] = []
@@ -115,7 +116,8 @@ class FingerprintStats:
         if record.get("status") == "error":
             self.errors += 1
             return  # failed runs carry no meaningful timings
-        self.latencies.append(float(record.get("total_s", 0.0)))
+        if self.keep_latencies:
+            self.latencies.append(float(record.get("total_s", 0.0)))
         self.rows_in += int(record.get("rows_in", 0))
         self.rows_out += int(record.get("rows_out", 0))
         self.cells_out += int(record.get("cells_out", 0))
@@ -205,8 +207,14 @@ class FingerprintStats:
 
 def aggregate_history(
     records: Iterable[Dict[str, object]],
+    keep_latencies: bool = True,
 ) -> Dict[str, FingerprintStats]:
-    """Fold query-log records into per-fingerprint statistics."""
+    """Fold query-log records into per-fingerprint statistics.
+
+    ``keep_latencies=False`` keeps no per-run latency list (percentiles
+    read 0 and ``ASSESS410`` cannot fire), so folding a stream of
+    records holds memory in the fingerprints, not the records.
+    """
     stats: Dict[str, FingerprintStats] = {}
     for record in records:
         fingerprint = str(record.get("fingerprint", ""))
@@ -214,7 +222,9 @@ def aggregate_history(
             continue
         bucket = stats.get(fingerprint)
         if bucket is None:
-            bucket = stats[fingerprint] = FingerprintStats(fingerprint)
+            bucket = stats[fingerprint] = FingerprintStats(
+                fingerprint, keep_latencies
+            )
         bucket.add(record)
     return stats
 

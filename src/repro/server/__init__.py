@@ -18,11 +18,12 @@ Endpoints (all JSON, schema version 1 — see ``docs/server.md``):
 
 Admission control: requests wait in a bounded per-tenant queue for a
 pooled session; saturation answers ``429`` with ``Retry-After``, and a
-per-request deadline (``deadline_s``) is enforced while queued, at
-execution checkpoints, and as a hard response timeout (``504``).
+per-request deadline (``deadline_s``) is enforced while queued, before
+each plan operator and morsel, and as a hard response timeout (``504``).
 Shutdown drains in-flight queries before closing tenant telemetry.
 """
 
+from ..core.deadline import Deadline, DeadlineExceeded
 from .app import ReproServer, serve_main
 from .config import (
     AdmissionConfig,
@@ -31,7 +32,7 @@ from .config import (
     TenantConfig,
     load_config,
 )
-from .tenant import AdmissionRejected, Deadline, DeadlineExceeded, Tenant
+from .tenant import AdmissionRejected, Tenant
 from .wire import SCHEMA_VERSION, serialize_batch, serialize_result
 
 __all__ = [

@@ -13,11 +13,14 @@ request life cycle for ``POST /v1/query``:
 4. **lint** — the statement runs through the static analyzer; error
    diagnostics (ASSESSxxx) come back as a 422 envelope;
 5. **execution** — runs on a worker thread so the per-request deadline
-   is enforced as a hard response timeout (504); the worker returns
-   the session to the pool when it finishes either way, so a timed-out
+   is enforced as a hard response timeout (504); the worker gets the
+   deadline too, stops at its next plan-operator or morsel checkpoint,
+   and returns the session to the pool either way, so a timed-out
    request can never leak or corrupt a pooled session;
 6. **response** — the serialized result (``repro.server.wire``), bit-
-   identical to direct :class:`~repro.api.AssessSession` execution.
+   identical to direct :class:`~repro.api.AssessSession` execution, in
+   one ``wfile.write``: a header flush then a body write stalls
+   keep-alive clients on Nagle × delayed ACK.
 
 Error envelope (every non-200)::
 
@@ -37,11 +40,13 @@ from __future__ import annotations
 import json
 import threading
 import time
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.deadline import Deadline, DeadlineExceeded
 from .config import VALID_PLANS, ServerConfig
-from .tenant import AdmissionRejected, Deadline, DeadlineExceeded, Tenant
+from .tenant import AdmissionRejected, Tenant
 from .wire import (
     SCHEMA_VERSION,
     serialize_batch,
@@ -50,6 +55,12 @@ from .wire import (
 )
 
 MAX_BODY_BYTES = 4 * 1024 * 1024
+
+
+def _encode(document: Dict[str, object]) -> bytes:
+    return json.dumps(
+        document, sort_keys=True, separators=(",", ":"), allow_nan=False
+    ).encode("utf-8")
 
 
 class _HTTPServer(ThreadingHTTPServer):
@@ -223,7 +234,7 @@ class ReproServer:
 
         The worker owns the session: it returns it to the pool in its
         ``finally``, so a 504ed request's session rejoins the pool clean
-        once the (still running) execution completes.  The worker also
+        once ``work`` stops at its next deadline checkpoint.  The worker also
         counts toward the drain gate — shutdown waits for it, which
         keeps telemetry appends ahead of ``tenant.close()``.
         """
@@ -331,7 +342,7 @@ class ReproServer:
         def work(session):
             self._lint(session, statement)
             deadline.check("planning")
-            result = session.assess(statement, plan=plan)
+            result = session.assess(statement, plan=plan, deadline=deadline)
             return serialize_result(result, offset, limit)
 
         document = self._execute(tenant, deadline, work)
@@ -362,7 +373,7 @@ class ReproServer:
             for index, statement in enumerate(statements):
                 self._lint(session, statement, index=index)
             deadline.check("planning")
-            batch = session.execute_many(list(statements), plan=plan)
+            batch = session.execute_many(list(statements), plan=plan, deadline=deadline)
             return serialize_batch(batch)
 
         document = self._execute(tenant, deadline, work)
@@ -455,35 +466,39 @@ def _make_handler(app: ReproServer):
             pass
 
         # -- plumbing ---------------------------------------------------
-        def _send_document(
-            self, status: int, document: Dict[str, object],
-            headers: Optional[Dict[str, str]] = None,
+        def _send(
+            self, status: int, body: bytes, mime: Optional[str] = None,
+            headers: Sequence[Tuple[str, str]] = (),
         ) -> None:
-            body = json.dumps(
-                document, sort_keys=True, separators=(",", ":"),
-                allow_nan=False,
-            ).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
+            """Status line, headers and body in one ``wfile.write``."""
+            head = [
+                f"{self.protocol_version} {status} {HTTPStatus(status).phrase}",
+                f"Server: {self.version_string()}",
+                f"Date: {self.date_time_string()}",
+                f"Content-Type: {mime or 'application/json'}",
+                f"Content-Length: {len(body)}",
+                *(f"{name}: {value}" for name, value in headers),
+            ]
+            self.wfile.write(
+                "\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + body
+            )
 
-        def _send_text(self, status: int, text: str, mime: str) -> None:
-            body = text.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", mime)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def _send_error_envelope(self, error: RequestError) -> None:
-            headers = {}
+        def _send_error_envelope(
+            self, error: RequestError, headers: Sequence[Tuple[str, str]] = ()
+        ) -> None:
             if error.retry_after_s is not None:
-                headers["Retry-After"] = f"{error.retry_after_s:g}"
-            self._send_document(error.status, error.envelope(), headers)
+                headers = [*headers, ("Retry-After", f"{error.retry_after_s:g}")]
+            self._send(error.status, _encode(error.envelope()), headers=headers)
+
+        def send_error(self, code, message=None, explain=None):
+            """The stdlib's protocol errors (malformed request line, 414,
+            431, 501, 505) as the JSON envelope; the connection closes."""
+            self.close_connection = True
+            status = HTTPStatus(code)
+            self._send_error_envelope(
+                RequestError(code, status.name.lower(), message or status.phrase),
+                [("Connection", "close")],
+            )
 
         def _read_payload(self) -> Dict[str, object]:
             try:
@@ -559,6 +574,8 @@ def _make_handler(app: ReproServer):
             try:
                 try:
                     status, document, mime = self._route(method)
+                    # Encoded here so an unencodable document is a 500.
+                    body = _encode(document) if mime is None else str(document).encode("utf-8")
                 except RequestError:
                     raise
                 except AdmissionRejected as error:
@@ -575,11 +592,7 @@ def _make_handler(app: ReproServer):
                         500, "internal",
                         f"{type(error).__name__}: {error}",
                     ) from error
-                if mime is not None:
-                    self._send_text(status, str(document), mime)
-                else:
-                    assert isinstance(document, dict)
-                    self._send_document(status, document)
+                self._send(status, body, mime)
             except RequestError as error:
                 status = error.status
                 self._send_error_envelope(error)

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import queue
 import threading
-import time
 from typing import Dict, List
 
 from ..api import AssessSession
+from ..core.deadline import Deadline, DeadlineExceeded
 from .config import AdmissionConfig, TenantConfig
 
 
@@ -35,38 +35,6 @@ class AdmissionRejected(Exception):
         )
         self.tenant_id = tenant_id
         self.retry_after_s = retry_after_s
-
-
-class DeadlineExceeded(Exception):
-    """The per-request deadline lapsed (while queued or executing)."""
-
-    def __init__(self, message: str = "request deadline exceeded"):
-        super().__init__(message)
-
-
-class Deadline:
-    """A per-request budget in seconds, checked at execution checkpoints."""
-
-    __slots__ = ("seconds", "_expires")
-
-    def __init__(self, seconds: float):
-        self.seconds = float(seconds)
-        self._expires = time.monotonic() + self.seconds
-
-    def remaining(self) -> float:
-        """Seconds left (never negative)."""
-        return max(self._expires - time.monotonic(), 0.0)
-
-    @property
-    def expired(self) -> bool:
-        return time.monotonic() >= self._expires
-
-    def check(self, where: str = "execution") -> None:
-        """Raise :class:`DeadlineExceeded` once the budget is spent."""
-        if self.expired:
-            raise DeadlineExceeded(
-                f"deadline of {self.seconds:g}s exceeded during {where}"
-            )
 
 
 def build_engine(config: TenantConfig):
@@ -230,25 +198,40 @@ class Tenant:
         return document
 
     def _telemetry_stats(self) -> Dict[str, object]:
-        """Query-log aggregates + watchdog advisories for this tenant."""
+        """Query-log aggregates + watchdog advisories for this tenant.
+
+        One pass over the log: records are counted and their session
+        labels collected as ``aggregate_history`` consumes them, and no
+        latencies are kept (baseline-free advisories never read them),
+        so memory follows the fingerprints, never the records.
+        """
         from ..obs.qlog import QueryLogError, iter_records
         from ..obs.watchdog import aggregate_history, watch
 
         telemetry = self.telemetry
         assert telemetry is not None
+        records = 0
+        sessions = set()
+
+        def tally(stream):
+            nonlocal records
+            for record in stream:
+                records += 1
+                sessions.add(str(record.get("session", "")))
+                yield record
+
         try:
-            records = list(iter_records(telemetry.directory))
+            history = aggregate_history(
+                tally(iter_records(telemetry.directory)), keep_latencies=False
+            )
         except QueryLogError:
-            records = []
-        history = aggregate_history(records)
+            history = {}
         advisories = watch(history, baseline=None)
         return {
             "directory": str(telemetry.directory),
-            "records": len(records),
+            "records": records,
             "fingerprints": len(history),
-            "sessions": sorted({
-                str(record.get("session", "")) for record in records
-            }),
+            "sessions": sorted(sessions),
             "advisories": [
                 {
                     "code": advisory.code,

@@ -5,6 +5,7 @@ import pytest
 
 from repro.api import AssessSession
 from repro.core import AssessStatement, FunctionError, PlanError
+from repro.core.deadline import Deadline, DeadlineExceeded
 
 
 SIBLING = """
@@ -115,3 +116,17 @@ class TestResultPresentation:
         cells = sales_session.assess(SIBLING).cells()
         coordinates = [c.coordinate for c in cells]
         assert coordinates == sorted(coordinates)
+
+
+class TestDeadline:
+    def test_spent_deadline_stops_before_the_first_operator(self, sales_session):
+        with pytest.raises(DeadlineExceeded, match="plan execution"):
+            sales_session.assess(SIBLING, deadline=Deadline(0))
+        with pytest.raises(DeadlineExceeded, match="plan execution"):
+            sales_session.execute_many([SIBLING, SIBLING], deadline=Deadline(0))
+
+    def test_deadline_binds_one_call_only(self, sales_session):
+        with pytest.raises(DeadlineExceeded):
+            sales_session.assess(SIBLING, deadline=Deadline(0))
+        assert len(sales_session.assess(SIBLING, deadline=Deadline(60))) == 4
+        assert len(sales_session.assess(SIBLING)) == 4

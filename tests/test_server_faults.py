@@ -1,12 +1,15 @@
 """Fault injection: deadlines, saturation, and mid-request shutdown.
 
-The three failure modes the ISSUE pins, each driven through the
-server's ``before_execute`` hook (called on the execution worker, so a
-sleeping hook simulates a slow tenant without touching engine code):
+Most failure modes are driven through the server's ``before_execute``
+hook (called on the execution worker, so a sleeping hook simulates a
+slow tenant without touching engine code):
 
 * a slow execution trips the per-request deadline — the client gets a
   504 envelope *and* the session rejoins the pool clean (the very next
   request succeeds on it);
+* a slow *scan* (every morsel slowed) is cancelled: the worker stops at
+  the next morsel checkpoint after the deadline, so its session is back
+  in the pool within one morsel and the query log records the error;
 * pool + queue saturation answers 429 with a ``Retry-After`` header
   matching the admission config;
 * a shutdown issued mid-request drains: the in-flight query completes
@@ -28,7 +31,8 @@ ROWS = 1_500
 
 
 def _server(tmp_path=None, *, pool_size=1, max_queue=0, deadline_s=30.0,
-            retry_after_s=0.25, shutdown_grace_s=10.0):
+            retry_after_s=0.25, shutdown_grace_s=10.0, memory_budget=None,
+            parallelism=None):
     telemetry_dir = str(tmp_path / "qlog") if tmp_path is not None else None
     config = ServerConfig(
         host="127.0.0.1", port=0,
@@ -38,7 +42,8 @@ def _server(tmp_path=None, *, pool_size=1, max_queue=0, deadline_s=30.0,
         ),
         tenants=[TenantConfig(
             "demo", cube="sales", rows=ROWS, pool_size=pool_size,
-            telemetry_dir=telemetry_dir,
+            telemetry_dir=telemetry_dir, memory_budget=memory_budget,
+            parallelism=parallelism,
         )],
     )
     return ReproServer(config).start()
@@ -88,6 +93,53 @@ def test_slow_execution_trips_deadline_and_pool_stays_clean():
         assert admission["completed"] >= 1
     finally:
         server.shutdown(grace_s=10.0)
+
+
+def test_timed_out_scan_stops_at_the_next_morsel(tmp_path, monkeypatch):
+    # A 1-byte budget routes the get through the spill tier, which scans
+    # ROWS / morsel_rows morsels one at a time on the worker thread
+    # (parallelism=1 keeps them off a pool); each is slowed to
+    # morsel_sleep_s, so the whole scan far outlives the deadline.  The
+    # worker must stop at its next morsel checkpoint.
+    from repro.engine import executor
+
+    morsel_rows, morsel_sleep_s, deadline_s = 100, 0.2, 0.5
+    monkeypatch.setenv("REPRO_MORSEL_ROWS", str(morsel_rows))
+    aggregate = executor._partial_aggregate
+    ran = []
+
+    def slow_morsel(*args):
+        ran.append(time.monotonic())
+        time.sleep(morsel_sleep_s)
+        return aggregate(*args)
+
+    monkeypatch.setattr(executor, "_partial_aggregate", slow_morsel)
+    server = _server(tmp_path, pool_size=1, memory_budget=1, parallelism=1)
+    tenant = server.tenants["demo"]
+    try:
+        start = time.monotonic()
+        status, document, _ = post_json(
+            f"{server.url}/v1/query",
+            {"tenant": "demo", "deadline_s": deadline_s,
+             "statement": "with SALES by month assess quantity labels quartiles"},
+            timeout=30.0,
+        )
+        assert status == 504
+        assert document["error"]["code"] == "deadline_exceeded"
+        while tenant.available() < tenant.pool_size and time.monotonic() < start + 10:
+            time.sleep(0.005)
+        released = time.monotonic()
+        assert tenant.available() == tenant.pool_size
+        # Back in the pool within one morsel of the deadline (plus
+        # scheduling slack), long before the scan would have finished.
+        assert released - (start + deadline_s) < morsel_sleep_s + 0.15
+        assert 0 < len(ran) < -(-ROWS // morsel_rows)
+        assert tenant.admission_stats()["errors"] == 1
+    finally:
+        server.shutdown(grace_s=10.0)
+    records = list(iter_records(tmp_path / "qlog", strict=True))
+    assert [record["status"] for record in records] == ["error"]
+    assert records[0]["error"].startswith("DeadlineExceeded")
 
 
 def test_queue_saturation_returns_429_with_retry_after():

@@ -39,6 +39,9 @@ ERROR_CODES = {
     "bad_json", "bad_request", "unknown_tenant", "lint_failed",
     "overloaded", "deadline_exceeded", "shutting_down",
     "method_not_allowed", "not_found", "payload_too_large", "internal",
+    # the stdlib's protocol errors, sent through the same envelope
+    "request_uri_too_long", "request_header_fields_too_large",
+    "not_implemented", "http_version_not_supported",
 }
 SEVERITIES = {"error", "warning", "hint"}
 PLAN_NAMES = {"NP", "JOP", "POP"}
