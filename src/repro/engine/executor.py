@@ -545,10 +545,14 @@ class EngineExecutor:
         # members once over the (small) dimension table, fact-resident
         # columns gather their global dictionary codes per morsel.
         # Avoiding factorization of member strings per fact row is what
-        # keeps large group-bys cheap.
+        # keeps large group-bys cheap.  Dimension codes are narrowed here,
+        # over the dimension's rows, so the per-fact-row gather through
+        # the FK positions and the group decode move 1-2 bytes per row.
         dim_codes = {
-            key: table.dictionary(key[1])[0]
-            for key, table in zip(lowering.finest, lowering.tables)
+            key: _narrow_codes(table.dictionary(key[1])[0], cardinality)
+            for key, table, cardinality in zip(
+                lowering.finest, lowering.tables, lowering.cardinalities
+            )
             if key[0] != FACT
         }
         measure_columns = {
@@ -863,9 +867,9 @@ class EngineExecutor:
         slots, width = self._residual_slots(right, residual_aliases)
 
         # Sort-based join: for each left code, its right matches are the
-        # contiguous run [lo, hi) in the stably sorted right codes.
-        order, _ = _sort_groups(right_codes)
-        sorted_codes = right_codes[order]
+        # contiguous run [lo, hi) in the stably sorted right codes (sorted
+        # in place: _joint_codes folded them into a fresh array).
+        order, _, sorted_codes = _sort_groups(right_codes)
         lo = np.searchsorted(sorted_codes, left_codes, side="left")
         hi = np.searchsorted(sorted_codes, left_codes, side="right")
         counts = hi - lo
@@ -1029,6 +1033,6 @@ def _gather_float(source: np.ndarray, rows: np.ndarray) -> np.ndarray:
     safe = np.where(missing, 0, rows)
     if len(source) == 0:
         return np.full(len(rows), np.nan)
-    gathered = np.asarray(source, dtype=np.float64)[safe].copy()
+    gathered = np.asarray(source, dtype=np.float64)[safe]
     gathered[missing] = np.nan
     return gathered

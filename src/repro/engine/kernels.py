@@ -22,7 +22,7 @@ Both return ``(group_ids, group_count, first_row_of_group)`` where
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,13 +78,16 @@ def sums_exactly(values: np.ndarray) -> bool:
     return bound < 2.0**53
 
 
-def sort_groups(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Stable sort of non-negative integer keys into runs of equal keys.
+def sort_groups(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stable sort of non-negative ``int64`` keys into runs of equal keys.
 
-    Returns ``(order, starts)``: ``keys[order]`` is ascending with equal
-    keys in row order, and ``starts`` holds the sorted position where each
-    run of equal keys begins — so ``order[starts]`` is every distinct
-    key's first row, in key order.
+    Sorts **in place**: ``keys`` is the caller's scratch buffer, and on
+    return it holds the keys in ascending order (pass a copy to keep
+    them).  Returns ``(order, run_start, keys)``: the original
+    ``keys[order]`` is ascending with equal keys in row order, and the
+    boolean ``run_start`` marks each sorted position where a run of equal
+    keys begins — so ``order[run_start]`` is every distinct key's first
+    row and ``keys[run_start]`` the distinct keys, in key order.
 
     The row number is packed under the key, ``(key << bits) | row`` with
     ``bits`` the width of the largest row number, and the packed words are
@@ -95,42 +98,48 @@ def sort_groups(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """
     n = len(keys)
     if n == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool), keys
     bits = (n - 1).bit_length()
     if int(keys.max()).bit_length() + bits <= 63:
-        packed = np.left_shift(keys, bits, dtype=np.int64)
-        packed |= np.arange(n, dtype=np.int64)
-        packed.sort()
-        order = packed & ((1 << bits) - 1)
-        sorted_keys = np.right_shift(packed, bits, out=packed)
+        order = np.arange(n, dtype=np.int64)
+        np.left_shift(keys, bits, out=keys)
+        keys |= order
+        keys.sort()
+        np.bitwise_and(keys, (1 << bits) - 1, out=order)
+        np.right_shift(keys, bits, out=keys)
     else:
         order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
-    return order, np.flatnonzero(boundary)
+        keys[:] = keys[order]
+    run_start = np.empty(n, dtype=bool)
+    run_start[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
+    return order, run_start, keys
 
 
 def match_unique(probe: np.ndarray, build: np.ndarray) -> np.ndarray:
     """The ``build`` row holding each ``probe`` key, ``-1`` where none does.
 
-    The equality join of two coded key columns: the build side is sorted
-    once (:func:`sort_groups`) and every probe key is binary-searched in
-    it.  Build keys must be unique — a repeated one raises, because a
-    probe row would have more than one partner.
+    The equality join of two coded key columns: every probe key is
+    binary-searched in the build side.  A strictly ascending build — the
+    folded keys of a group-by result come out that way — is searched as
+    it is; any other is sorted once (:func:`sort_groups`, on a copy).
+    Build keys must be unique — a repeated one raises, because a probe
+    row would have more than one partner.
     """
-    order, starts = sort_groups(build)
-    if len(starts) < len(build):
-        raise EngineError(
-            "join key is not unique on the right side; "
-            "use multi=True for fan-in partial joins"
-        )
     if not len(build):
         return np.full(len(probe), -1, dtype=np.int64)
-    sorted_keys = build[order]
+    order: Optional[np.ndarray] = None
+    sorted_keys = build
+    if not np.all(build[1:] > build[:-1]):
+        order, run_start, sorted_keys = sort_groups(build.astype(np.int64))
+        if not run_start.all():
+            raise EngineError(
+                "join key is not unique on the right side; "
+                "use multi=True for fan-in partial joins"
+            )
     position = np.minimum(np.searchsorted(sorted_keys, probe), len(build) - 1)
-    return np.where(sorted_keys[position] == probe, order[position], -1)
+    found = sorted_keys[position] == probe
+    return np.where(found, position if order is None else order[position], -1)
 
 
 def narrow_codes(codes: np.ndarray, cardinality: int) -> np.ndarray:
@@ -163,39 +172,51 @@ def fold_codes(
     order — and each group's first row is its earliest.  With no grouping
     columns everything is one group (complete aggregation).
 
-    When the combined key space is small relative to the row count the
-    factorisation is a counting pass (``np.bincount``), O(n + key_space);
-    otherwise it is one stable sort of the folded key (:func:`sort_groups`).
-    Both give the same sorted-key group order and first-occurrence
-    representatives.
+    When the combined key space is at most four times the row count (or
+    2**16) the factorisation is a counting pass — present keys marked in
+    a ``bool`` array — O(n + key_space); otherwise it is one stable sort
+    of the folded key (:func:`sort_groups`).  Both give the same
+    sorted-key group order and first-occurrence representatives.  Four is
+    where the counting pass, whose lookup table costs 8 bytes a key,
+    stops beating the sort (measured sweep in docs/performance.md).
+
+    Each fresh per-row array costs a pass and, at 10**5 rows, the page
+    faults of memory the allocator has just handed back to the system,
+    so the per-row work runs in one ``int64`` buffer owned here: the
+    columns fold into it in place, :func:`sort_groups` packs, sorts and
+    unpacks it in place, and the spent keys take the ranks.
     """
     if not code_columns:
         group_ids = np.zeros(n_rows, dtype=np.int64)
         first = np.zeros(1 if n_rows else 0, dtype=np.int64)
         return group_ids, first, first
-    combined = np.zeros(len(code_columns[0][0]), dtype=np.int64)
-    key_space = 1
-    for codes, cardinality in code_columns:
-        combined = combined * cardinality + codes
+    combined = np.array(code_columns[0][0], dtype=np.int64)
+    key_space = max(1, int(code_columns[0][1]))
+    for codes, cardinality in code_columns[1:]:
+        combined *= cardinality
+        combined += codes
         key_space *= max(1, int(cardinality))
-    if combined.size and key_space <= max(1 << 16, 2 * combined.size):
-        present = np.flatnonzero(np.bincount(combined, minlength=key_space))
+    n = combined.size
+    if n and key_space <= max(1 << 16, 4 * n):
+        seen = np.zeros(key_space, dtype=bool)
+        seen[combined] = True
+        present = np.flatnonzero(seen)
         lookup = np.empty(key_space, dtype=np.int64)
         lookup[present] = np.arange(len(present), dtype=np.int64)
         group_ids = lookup[combined]
         # reversed assignment leaves each slot holding its first occurrence
         first = np.empty(len(present), dtype=np.int64)
-        first[group_ids[::-1]] = np.arange(
-            combined.size - 1, -1, -1, dtype=np.int64
-        )
+        first[group_ids[::-1]] = np.arange(n - 1, -1, -1, dtype=np.int64)
         return group_ids, present, first
-    order, starts = sort_groups(combined)
+    order, run_start, sorted_keys = sort_groups(combined)
+    starts = np.flatnonzero(run_start)
+    keys = sorted_keys[starts]
     first = order[starts]
-    run = np.zeros(len(order), dtype=np.int64)
-    run[starts[1:]] = 1
-    group_ids = np.empty(len(order), dtype=np.int64)
-    group_ids[order] = np.cumsum(run, out=run)
-    return group_ids, combined[first], first
+    # a sorted position's group id is the number of runs begun before it
+    run_start[:1] = False
+    group_ids = np.empty(n, dtype=np.int64)
+    group_ids[order] = np.cumsum(run_start, out=sorted_keys)
+    return group_ids, keys, first
 
 
 def combine_codes(

@@ -19,7 +19,8 @@ partitioned external hash aggregation:
   segments and merges them with :func:`repro.parallel.merge.merge_morsels`.
   Range partitioning keeps bucket key ranges disjoint and ordered, so
   concatenating the per-bucket merges in bucket order reproduces exactly
-  the globally sorted key order the serial fold (``np.unique``) produces —
+  the globally sorted key order the serial fold
+  (:func:`repro.engine.kernels.fold_codes`) produces —
   results stay **bit-identical** to the in-RAM path under the same
   float-exactness gate that guards the parallel merge.
 

@@ -65,10 +65,26 @@ def zscore(a: np.ndarray) -> np.ndarray:
     """Standard score ``(a - mean) / std`` (population std).
 
     A zero standard deviation maps to all zeros.
+
+    The mean and the variance are exactly rounded sums (``math.fsum``)
+    divided by the count, so, as for ``percOfTotal``, neither depends on
+    the order the cells arrive in: every plan must agree to the bit.
+    NaNs are skipped; an infinite value, or a sum beyond the float range,
+    leaves the standard deviation undefined, as it was under
+    ``np.nanstd``.
     """
     a = np.asarray(a, dtype=np.float64)
-    mean = np.nanmean(a) if a.size else np.nan
-    std = np.nanstd(a) if a.size else np.nan
+    values = a[~np.isnan(a)]
+    mean = std = np.nan
+    if len(values) and np.isfinite(values).all():
+        try:
+            mean = math.fsum(values.tolist()) / len(values)
+        except OverflowError:  # the exact sum leaves the float range
+            pass
+        else:
+            deviations = values - mean
+            squares = (deviations * deviations).tolist()
+            std = math.sqrt(math.fsum(squares) / len(values))
     if not np.isfinite(std) or std == 0:
         out = np.zeros_like(a)
         out[np.isnan(a)] = np.nan

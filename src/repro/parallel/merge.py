@@ -3,8 +3,9 @@
 The merge is where the bit-identity guarantee is discharged.  Morsel
 results arrive **in morsel index order** (the pool's ``map`` preserves
 task order regardless of completion order); their key arrays are
-concatenated in that order and factorised once with ``np.unique``, whose
-sorted output reproduces exactly the group order a single pass over the
+concatenated in that order and factorised once with the engine's own
+group-by fold (:func:`~repro.engine.kernels.fold_codes`), whose sorted-key
+group order reproduces exactly the group order a single pass over the
 whole table produces.  Partials are then re-aggregated with the engine's
 own :func:`~repro.engine.kernels.aggregate` kernel:
 
@@ -29,7 +30,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..engine.kernels import aggregate
+from ..engine.kernels import aggregate, fold_codes
 from .morsel import MorselResult
 
 
@@ -48,8 +49,8 @@ def merge_morsels(
     if len(results) == 1:
         return results[0].keys, list(results[0].partials)
     all_keys = np.concatenate([result.keys for result in results])
-    merged_keys, inverse = np.unique(all_keys, return_inverse=True)
-    inverse = inverse.astype(np.int64, copy=False)
+    key_space = int(all_keys.max()) + 1 if len(all_keys) else 1
+    inverse, merged_keys, _ = fold_codes([(all_keys, key_space)], len(all_keys))
     return merged_keys, [
         aggregate(
             inverse,

@@ -158,16 +158,19 @@ def partial_aggregate(
 
     Dimension-sourced key columns gather the (small) dimension's codes
     through the FK positions, so per-fact-row work stays integer-only.
+    The mask becomes row numbers once: every per-row column is then a
+    gather, where boolean indexing would branch on every row again.
     """
     rows_in = task.hi - task.lo
-    n = rows_in if mask is None else int(mask.sum())
+    rows = None if mask is None else np.flatnonzero(mask)
+    n = rows_in if rows is None else len(rows)
     code_columns = []
     for kind, alias, codes, cardinality in task.keys:
         if kind == "fact":
-            column_codes = codes if mask is None else codes[mask]
+            column_codes = codes if rows is None else codes[rows]
         else:
             pos = positions[alias]
-            column_codes = codes[pos if mask is None else pos[mask]]
+            column_codes = codes[pos if rows is None else pos[rows]]
         code_columns.append((column_codes, cardinality))
     group_ids, keys, first = fold_codes(code_columns, n)
 
@@ -175,8 +178,8 @@ def partial_aggregate(
     for op, values in task.aggs:
         if values is None:
             values = np.empty(0)
-        elif mask is not None:
-            values = values[mask]
+        elif rows is not None:
+            values = values[rows]
         partials.append(aggregate(group_ids, len(keys), values, op))
     return MorselResult(
         task.index, keys, partials, rows_in, n, 0.0,

@@ -356,6 +356,22 @@ def test_perc_of_total_is_bit_identical_across_plans_at_four_levels():
     assert cells["POP"] == cells["NP"]
 
 
+def test_zscore_is_bit_identical_across_plans_at_four_levels():
+    """NP, JOP and POP are free to hand ``zscore`` the cells in different
+    orders; its mean and deviation, like ``percOfTotal``'s total, must not
+    depend on that order."""
+    session = AssessSession(prepare_engine(20_000, seed=7))
+    statement = SHARE_OF_TOTAL.replace("percOfTotal", "zscore")
+    cells = {}
+    for plan in ("NP", "JOP", "POP"):
+        session.clear_cache()
+        result = session.assess(statement, plan=plan)
+        assert result.plan_name == plan and len(result) == 1808
+        cells[plan] = _canonical_cells(result)
+    assert cells["JOP"] == cells["NP"]
+    assert cells["POP"] == cells["NP"]
+
+
 # ----------------------------------------------------------------------
 # Part 3: one aggregation pipeline — a single get is the fused batch of
 # one, whatever the tier and the storage

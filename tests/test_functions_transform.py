@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.functions import (
     identity,
@@ -50,6 +52,28 @@ class TestZscore:
 
     def test_constant_column(self):
         assert zscore(np.array([5.0, 5.0])).tolist() == [0.0, 0.0]
+
+    @given(seed=st.integers(0, 100_000), size=st.integers(2, 3_000))
+    @settings(max_examples=50, deadline=None)
+    def test_does_not_depend_on_cell_order(self, seed, size):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(0.0, 1e4, size) * rng.choice([1e-6, 1.0, 1e6], size)
+        a[rng.random(size) < 0.05] = np.nan
+        order = rng.permutation(size)
+        assert zscore(a[order]).tobytes() == zscore(a)[order].tobytes()
+
+    @pytest.mark.parametrize("a", [
+        [1.0, np.inf, np.nan],
+        [np.inf, -np.inf, 2.0],
+        [1e308, 1e308, np.nan],
+        [np.nan, np.nan],
+    ])
+    def test_undefined_deviation_maps_to_zero(self, a):
+        a = np.array(a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = zscore(a)
+        assert np.array_equal(np.isnan(out), np.isnan(a))
+        assert (out[~np.isnan(a)] == 0.0).all()
 
 
 class TestPercOfTotal:

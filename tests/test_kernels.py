@@ -1,5 +1,8 @@
 """Unit tests for the group-by factorization kernels."""
 
+import functools
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core.errors import EngineError
 from repro.engine.kernels import (
+    aggregate,
     dictionary_encode,
     encode_column,
     factorize_numpy,
@@ -91,20 +95,22 @@ class TestKernelAgreement:
 
 
 # Cardinalities per regime of fold_codes: a key space inside the counting
-# threshold (max(2**16, 2n)), one beyond it (packed-key sort), and one
+# threshold (max(2**16, 4n)), one beyond it (packed-key sort), and one
 # whose keys are too wide to share 63 bits with a row number (argsort).
+# Narrowed, their code columns are uint8/uint16, uint16/int32 and int32.
 REGIMES = {
-    "counting": (40, 50),
-    "packed": (3_000, 1_000),
+    "counting": (40, 300),
+    "packed": (3_000, 100_000),
     "wide": (1 << 31, 1 << 31),
 }
 
 
-def _code_columns(rng, regime, n_rows, distinct):
+def _code_columns(rng, regime, n_rows, distinct, narrow=False):
     """Random codes under a regime's cardinalities.
 
     ``distinct`` draws codes from at most a handful of keys (duplicate
-    heavy) or spreads them so nearly every row is its own key.
+    heavy) or spreads them so nearly every row is its own key; ``narrow``
+    stores them as ``narrow_codes`` does, else as ``int64``.
     """
     columns = []
     for cardinality in REGIMES[regime]:
@@ -113,7 +119,8 @@ def _code_columns(rng, regime, n_rows, distinct):
         else:
             pool = rng.integers(0, cardinality, 3)
             codes = pool[rng.integers(0, 3, n_rows)]
-        columns.append((codes.astype(np.int64), cardinality))
+        codes = narrow_codes(codes, cardinality) if narrow else codes.astype(np.int64)
+        columns.append((codes, cardinality))
     return columns
 
 
@@ -124,6 +131,18 @@ def _folded(columns):
     return key
 
 
+def _assert_fold_matches_oracle(columns, n_rows):
+    ids, keys, first = fold_codes(columns, n_rows)
+    ids_py, count_py, first_py = factorize_python(
+        [codes for codes, _ in columns], n_rows
+    )
+    assert np.array_equal(ids, ids_py)
+    assert np.array_equal(first, first_py)
+    assert len(keys) == count_py
+    assert np.array_equal(keys, _folded(columns)[first_py])
+    assert np.all(np.diff(keys) > 0)
+
+
 class TestSortGroups:
     """``fold_codes`` and ``sort_groups`` against the row-at-a-time oracle."""
 
@@ -132,20 +151,31 @@ class TestSortGroups:
         n_rows=st.one_of(st.sampled_from([0, 1, 2]), st.integers(3, 400)),
         regime=st.sampled_from(sorted(REGIMES)),
         distinct=st.booleans(),
+        narrow=st.booleans(),
     )
     @settings(max_examples=120, deadline=None)
-    def test_fold_codes_matches_python_oracle(self, seed, n_rows, regime, distinct):
+    def test_fold_codes_matches_python_oracle(
+        self, seed, n_rows, regime, distinct, narrow
+    ):
         rng = np.random.default_rng(seed)
-        columns = _code_columns(rng, regime, n_rows, distinct)
-        ids, keys, first = fold_codes(columns, n_rows)
-        ids_py, count_py, first_py = factorize_python(
-            [codes for codes, _ in columns], n_rows
-        )
-        assert np.array_equal(ids, ids_py)
-        assert np.array_equal(first, first_py)
-        assert len(keys) == count_py
-        assert np.array_equal(keys, _folded(columns)[first_py])
-        assert np.all(np.diff(keys) > 0)
+        columns = _code_columns(rng, regime, n_rows, distinct, narrow)
+        before = [codes.copy() for codes, _ in columns]
+        _assert_fold_matches_oracle(columns, n_rows)
+        # the fold works in a buffer of its own, never in its inputs
+        assert all(np.array_equal(a, b) for a, (b, _) in zip(before, columns))
+
+    @pytest.mark.parametrize("ratio", [3.5, 4.0, 4.5, 11.8])
+    def test_fold_codes_on_both_sides_of_the_counting_crossover(self, ratio):
+        # Above 2**16 keys the counting pass runs up to 4 keys per row;
+        # 11.8 is the Constant intention's date x customer key.
+        n_rows, second = 20_000, 1_000
+        first = int(ratio * n_rows) // second
+        rng = np.random.default_rng(int(ratio * 10))
+        columns = [
+            (narrow_codes(rng.integers(0, first, n_rows), first), first),
+            (narrow_codes(rng.integers(0, second, n_rows), second), second),
+        ]
+        _assert_fold_matches_oracle(columns, n_rows)
 
     @given(
         seed=st.integers(0, 10_000),
@@ -157,27 +187,83 @@ class TestSortGroups:
     def test_sort_groups_is_a_stable_sort_into_runs(self, seed, n_rows, regime, distinct):
         rng = np.random.default_rng(seed)
         keys = _folded(_code_columns(rng, regime, n_rows, distinct))
-        order, starts = sort_groups(keys)
+        order, run_start, sorted_keys = sort_groups(keys.copy())
         assert np.array_equal(order, np.argsort(keys, kind="stable"))
+        assert np.array_equal(sorted_keys, np.sort(keys))
+        starts = np.flatnonzero(run_start)
         ids_py, count_py, first_py = factorize_python([keys], n_rows)
         assert len(starts) == count_py
         assert np.array_equal(order[starts], first_py)
         assert np.array_equal(ids_py[order][starts], np.arange(count_py))
 
+    def test_sort_groups_sorts_its_argument_in_place(self):
+        keys = np.array([5, 1, 5, 0], dtype=np.int64)
+        order, run_start, sorted_keys = sort_groups(keys)
+        assert sorted_keys is keys
+        assert keys.tolist() == [0, 1, 5, 5]
+        assert order.tolist() == [3, 1, 0, 2]
+        assert run_start.tolist() == [True, True, True, False]
+
     def test_wide_keys_take_the_argsort_branch_with_the_same_answer(self):
         # 2**62 needs 63 bits; four rows need two more: no room to pack.
         keys = np.array([1 << 62, 5, 1 << 62, 5], dtype=np.int64)
-        order, starts = sort_groups(keys)
+        order, run_start, sorted_keys = sort_groups(keys)
         assert order.tolist() == [1, 3, 0, 2]
-        assert starts.tolist() == [0, 2]
+        assert np.flatnonzero(run_start).tolist() == [0, 2]
+        assert sorted_keys.tolist() == [5, 5, 1 << 62, 1 << 62]
 
     def test_match_unique_finds_partners_and_rejects_repeats(self):
         build = np.array([7, 3, 9], dtype=np.int64)
         probe = np.array([3, 4, 9, 7, 0, 10], dtype=np.int64)
         assert match_unique(probe, build).tolist() == [1, -1, 2, 0, -1, -1]
+        assert build.tolist() == [7, 3, 9]  # sorted on a copy
         assert match_unique(probe, build[:0]).tolist() == [-1] * 6
         with pytest.raises(EngineError, match="not unique"):
             match_unique(probe, np.array([1, 1], dtype=np.int64))
+        with pytest.raises(EngineError, match="not unique"):
+            match_unique(probe, np.array([4, 2, 4], dtype=np.int64))
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n_build=st.integers(1, 300),
+        ascending=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_match_unique_matches_a_dict_join_on_both_branches(
+        self, seed, n_build, ascending
+    ):
+        # A strictly ascending build is searched as it is; any other is
+        # sorted first.  Both must answer like a dict from key to row.
+        rng = np.random.default_rng(seed)
+        build = np.sort(rng.choice(4 * n_build, n_build, replace=False))
+        if not ascending:
+            build = rng.permutation(build)
+        probe = rng.integers(-1, 4 * n_build + 1, 200)
+        row_of = {int(key): row for row, key in enumerate(build)}
+        expected = [row_of.get(int(key), -1) for key in probe]
+        assert match_unique(probe, build).tolist() == expected
+
+
+class TestAggregate:
+    def test_sum_is_the_row_order_left_fold_of_each_group(self):
+        # Mixed magnitudes: here the association order changes the bits,
+        # so only the exact row-order fold can match.  np.add.reduceat
+        # over the sorted rows does not — one sort shared by every measure
+        # through reduceat cannot replace the scatter-add.
+        rng = np.random.default_rng(0)
+        n_rows, n_groups = 5_000, 50
+        values = rng.normal(0.0, 1.0, n_rows) * rng.choice([1e-8, 1.0, 1e8], n_rows)
+        group_ids = rng.integers(0, n_groups, n_rows)
+        left_fold = np.array([
+            functools.reduce(operator.add, values[group_ids == g].tolist(), 0.0)
+            for g in range(n_groups)
+        ])
+        sums = aggregate(group_ids, n_groups, values, "sum")
+        assert sums.tobytes() == left_fold.tobytes()
+        order = np.argsort(group_ids, kind="stable")
+        starts = np.flatnonzero(np.diff(group_ids[order], prepend=-1))
+        reduceat = np.add.reduceat(values[order], starts)
+        assert (reduceat != left_fold).any()
 
 
 class TestDictionaryEncode:
