@@ -12,8 +12,8 @@ analyzer then *abstractly* runs the layers that decide performance:
   statements' pushed gets, claiming a statement warm (``ASSESS504``)
   only when every runtime bail-out of the derivation path is statically
   excluded — the roll-up lattice (:func:`repro.cache.derive.can_derive`)
-  plus member roll-up availability, member encodability, the partial-sum
-  exactness gate, and a global no-eviction budget guard;
+  plus member roll-up availability, member encodability, the exactness
+  gate on the base fact column, and a global no-eviction budget guard;
 * a **fusion replay** runs the actual :func:`repro.batch.fuse.plan_fusion`
   over the same candidate list ``run_batch`` would build on a fresh
   session (``ASSESS505``), proving a group *exact* only when the fused
@@ -44,7 +44,6 @@ from ...core.diagnostics import DiagnosticBag, Span
 from ...core.statement import AssessStatement
 from ...engine.query import FACT, AggregateQuery
 from ...engine.spill import grouping_state_bytes, over_budget
-from ...olap.materialized import REAGGREGATION_OPS
 from ...parser.parser import parse_raw
 from ..codes import severity_of
 from ..context import AnalysisContext
@@ -63,9 +62,6 @@ from .workload import BindingEnv, WorkloadItem, directive_diagnostics, scan_work
 _MAX_COMBINED_KEY = 2 ** 62
 """Same constant as ``repro.engine.executor._MAX_COMBINED_KEY``: the
 fused/parallel key-space overflow threshold."""
-
-_EXACT_COUNT_BOUND = 2.0 ** 53
-"""Partial counts re-add exactly while ``max_count * partials < 2**53``."""
 
 
 class _GetInfo:
@@ -115,18 +111,13 @@ class _StatementRecord:
 class _SimEntry:
     """One simulated cache entry (a stored get result)."""
 
-    __slots__ = ("aggregate", "meta", "rows_ub", "statement")
+    __slots__ = ("aggregate", "meta", "statement")
 
     def __init__(
-        self,
-        aggregate: AggregateQuery,
-        meta: QueryMeta,
-        rows_ub: Optional[int],
-        statement: int,
+        self, aggregate: AggregateQuery, meta: QueryMeta, statement: int
     ) -> None:
         self.aggregate = aggregate
         self.meta = meta
-        self.rows_ub = rows_ub
         self.statement = statement
 
 
@@ -197,11 +188,14 @@ class WorkloadAnalyzer:
         for node in gets:
             try:
                 aggregate = engine.build_aggregate_query(node.query)  # type: ignore[attr-defined]
+                # The runtime's own exactness verdict (Table.sums_exactly
+                # on the base fact column), which can_derive reads.
+                reaggregable = engine.reaggregable(node.query)  # type: ignore[attr-defined]
             except Exception:
                 record.gets = []
                 record.composite_cells_ub = None
                 return
-            meta = QueryMeta(node.query, frozenset())
+            meta = QueryMeta(node.query, frozenset(), reaggregable)
             rows_ub = self._rows_ub(engine, stats, node.query)
             cells_ub: Optional[int] = None
             if rows_ub is not None:
@@ -344,9 +338,11 @@ class WorkloadAnalyzer:
         self, engine: object, stats: StatsProvider,
         target: QueryMeta, entry: _SimEntry,
     ) -> bool:
-        """Statically exclude every ``derive_result`` runtime bail-out."""
-        if entry.rows_ub is None:
-            return False
+        """Statically exclude every ``derive_result`` runtime bail-out.
+
+        The exactness gate is not among them: ``can_derive`` already read
+        it off ``target.reaggregable``, the engine's verdict.
+        """
         source = target.source
         schema = target.query.schema
         entry_gb = entry.meta.query.group_by
@@ -355,27 +351,6 @@ class WorkloadAnalyzer:
             star = engine.cube(source).star  # type: ignore[attr-defined]
         except Exception:
             return False
-        fact_rows = stats.fact_rows(star.fact_table)
-        if fact_rows is None:
-            return False
-
-        # Exactness gate on cached partial sums/counts.
-        if set(entry_gb.levels) != set(target_gb.levels):
-            for name in target.measure_names:
-                op = schema.measure(name).op
-                if REAGGREGATION_OPS.get(op) != "sum":
-                    continue
-                if op == "count":
-                    if float(fact_rows) * entry.rows_ub >= _EXACT_COUNT_BOUND:
-                        return False
-                    continue
-                try:
-                    column = star.column_for_measure(name)
-                except Exception:
-                    return False
-                abstract = stats.column_abstract(star.fact_table, column)
-                if abstract is None or not abstract.resum_exact(entry.rows_ub):
-                    return False
 
         # Member roll-ups for residual predicates and the target group-by
         # must provably build and cover every stored member.
@@ -489,11 +464,13 @@ class WorkloadAnalyzer:
     def _member_safe(
         self, engine: object, stats: StatsProvider, member_query: AggregateQuery
     ) -> Optional[bool]:
-        """The fused path provably serves this member without fallback."""
+        """The fused path provably serves this member without fallback.
+
+        An ``avg`` is finished from a sum slot and a count slot, so it is
+        gated exactly like a ``sum``.
+        """
         for agg in member_query.aggregates:
-            if agg.op == "avg":
-                return False
-            if agg.op == "sum":
+            if agg.op in ("sum", "avg"):
                 abstract = stats.column_abstract(member_query.fact, agg.column)
                 if abstract is None:
                     return None
@@ -733,8 +710,7 @@ class WorkloadAnalyzer:
             for info in record.gets:
                 if info.fingerprint not in by_fp:
                     entry = _SimEntry(
-                        info.aggregate, info.meta, info.rows_ub,
-                        record.item.index,
+                        info.aggregate, info.meta, record.item.index
                     )
                     by_fp[info.fingerprint] = entry
                     entries.append(entry)

@@ -8,9 +8,8 @@ executor sees.  Three domains cover the gates:
 * :class:`ColumnAbstract` — the float-exactness domain.  A measure
   column is abstracted to ``(finite, integral, max_abs, rows)``; that
   quadruple decides :func:`repro.engine.kernels.sums_exactly` for the
-  full column *and* bounds it for every masked subset and for cached
-  partial sums, so one abstraction soundly answers the serial, parallel,
-  fused, and derivation exactness gates.
+  full column *and* bounds it for every masked subset, so one abstraction
+  soundly answers the parallel, fused and spill exactness gates.
 
 * :class:`Interval` — cardinality/cost bounds.  Result cardinalities
   are bracketed by ``[0, min(fact_rows, ∏ level cardinalities)]``;
@@ -87,24 +86,6 @@ class ColumnAbstract:
             self.finite
             and self.integral
             and self.max_abs * self.rows < _EXACT_SUM_BOUND
-        )
-
-    def resum_exact(self, partial_count: int) -> bool:
-        """Statically proves ``sums_exactly(partial_sums)`` for any array
-        of at most ``partial_count`` partial sums of disjoint row subsets.
-
-        Each partial sum is integral (sum of integrals) and bounded in
-        magnitude by ``max_abs * rows``, so the runtime gate's bound
-        ``max(|partials|) * len(partials)`` is dominated by
-        ``max_abs * rows * partial_count``.
-        """
-        if self.rows == 0:
-            return True
-        return (
-            self.finite
-            and self.integral
-            and self.max_abs * self.rows * max(partial_count, 1)
-            < _EXACT_SUM_BOUND
         )
 
     def verdict(self) -> Exactness:

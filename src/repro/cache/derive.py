@@ -13,52 +13,49 @@ comparative cube algebras in the related work) formalise: a cached result
   the target needs),
 * the remaining target predicates are evaluable on the cached
   coordinates (their level is reachable by roll-up from an entry level),
-* every requested measure re-aggregates soundly — the same distributive
-  rule as :mod:`repro.olap.materialized` (``sum/min/max`` re-aggregate as
-  themselves, ``count`` by summing); ``avg`` only when the group-by sets
-  are *equal*, where every output group is a single cached row and
-  re-aggregation is the identity.
+* every requested measure re-aggregates exactly (the bit-exactness policy
+  below).
 
-Derivation then never touches the fact table and never hashes a row:
-it works on the dictionary codes the cached result carries
-(:meth:`ResultSet.encoded`).  Each distinct cached member rolls up
-through the engine's rollup resolver, residual predicates are evaluated
-with :meth:`Predicate.mask` on the distinct members and gathered per
-row, and the re-grouping runs through the same
-:func:`~repro.engine.kernels.combine_codes` / ``aggregate`` kernels as
-cold execution.  Because both paths order groups lexicographically by
-member value (every dictionary is sorted), a derived result has the same
-row order as a cold one.
+A cached result is then one more source of finest groups of partials:
+:func:`derive_result` rolls the dictionary codes the cached result
+carries (:meth:`ResultSet.encoded`) up to the target levels — each
+distinct cached member through the engine's rollup resolver — hands the
+cached measure columns over as the partials, and the engine's one
+re-aggregation step (:func:`~repro.engine.executor.finish_member`, the
+step fused batch members finish in) filters the residual predicates and
+re-groups.  Derivation never touches the fact table and never hashes a
+row.  Every dictionary is sorted, so a derived result has the row order
+of a cold one.
 
 **Bit-exactness policy.**  A derived answer must be bit-identical to the
-cold one, so re-aggregations that could *re-associate* floating-point
-additions are only taken when provably exact: ``min``/``max`` pick
-existing values, ``count`` sums integral counts, equal group-by sets
-make every output group a single cached row (identity), and ``sum``
-over strictly finer groups is accepted only when the cached partial
-sums are integral and small enough that integer addition is exact in
-float64.  Anything else bails out to cold execution — slower, never
-wrong by a bit.
+cold one.  Equal group-by sets make every output group a single cached
+row, so re-aggregation is the identity and any measure, ``avg``
+included, derives.  Strictly coarser groups re-aggregate by Gray et
+al.'s distributive rule (``REAGGREGATION_OPS``: ``sum/min/max`` as
+themselves, ``count`` by summing): ``min``/``max`` pick existing values
+and counts are integers, but re-added ``sum`` partials re-associate the
+cold scan's row-order additions.  That is exact only when the *base
+fact column* passes ``Table.sums_exactly`` (integral, with the column's
+total bound below 2**53) — the gate the lowering applies to morsel
+merges and fused members.  The cached partial sums themselves prove
+nothing: fractional rows can sum to integral partials.  The OLAP layer
+records the verdict per measure in :attr:`QueryMeta.reaggregable`, and
+:func:`can_derive` refuses anything else, so the cost model's probe and
+the lookup agree.  Refused queries execute cold — slower, never wrong by
+a bit.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Hashable, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..core.query import CubeQuery, Predicate, PredicateOp
-from ..engine.executor import ResultSet
-from ..engine.kernels import (
-    aggregate,
-    combine_codes,
-    dictionary_encode,
-    narrow_codes,
-    sums_exactly,
-)
-from ..olap.materialized import REAGGREGATION_OPS
+from ..engine.executor import Groups, Member, ResultSet, finish_member
+from ..engine.kernels import REAGGREGATION_OPS, dictionary_encode
 
-RollupResolver = Callable[[str, str, str], Optional[Mapping]]
+RollupResolver = Callable[[str, str, str], Optional[Mapping[Any, Any]]]
 """``(source, fine_level, coarse_level) -> {fine_member: coarse_member}``.
 
 Returns ``None`` when the engine cannot build the member roll-up (e.g. a
@@ -72,15 +69,23 @@ class QueryMeta:
 
     The physical :class:`~repro.engine.query.AggregateQuery` has no
     hierarchy knowledge, so the OLAP layer annotates each query it builds
-    with the originating :class:`~repro.core.query.CubeQuery` plus the set
-    of base tables its star touches (for invalidation).
+    with the originating :class:`~repro.core.query.CubeQuery`, the set of
+    base tables its star touches (for invalidation), and the requested
+    measures whose finer partials re-aggregate exactly
+    (``MultidimensionalEngine.reaggregable``).
     """
 
-    __slots__ = ("query", "base_tables")
+    __slots__ = ("query", "base_tables", "reaggregable")
 
-    def __init__(self, query: CubeQuery, base_tables: FrozenSet[str]):
+    def __init__(
+        self,
+        query: CubeQuery,
+        base_tables: FrozenSet[str],
+        reaggregable: FrozenSet[str],
+    ):
         self.query = query
         self.base_tables = base_tables
+        self.reaggregable = reaggregable
 
     @property
     def source(self) -> str:
@@ -131,14 +136,13 @@ def can_derive(target: QueryMeta, entry: QueryMeta) -> bool:
         return False
     schema = target.query.schema
 
-    # Measures: requested ⊆ cached, each re-aggregatable.
+    # Measures: requested ⊆ cached; coarser groups only where exact.
     cached = set(entry.measure_names)
     equal_sets = set(entry_gb.levels) == set(target_gb.levels)
     for name in target.measure_names:
         if name not in cached:
             return False
-        op = schema.measure(name).op
-        if op not in REAGGREGATION_OPS and not equal_sets:
+        if not equal_sets and name not in target.reaggregable:
             return False
 
     # Every entry predicate must be implied by a target predicate on the
@@ -180,88 +184,58 @@ def derive_result(
     schema = target.query.schema
     entry_gb = entry.query.group_by
     target_gb = target.query.group_by
-    source = target.source
-    equal_sets = set(entry_gb.levels) == set(target_gb.levels)
+    residual = [
+        predicate
+        for predicate in target.query.predicates
+        if not any(p == predicate for p in entry.query.predicates)
+    ]
 
-    # Exactness gate, checked before any roll-up work: a strictly-finer
-    # sum is only taken when the cached partial sums re-add exactly.  Any
-    # row subset of an exactly-summable column is itself exactly summable,
-    # so testing the full column here is conservative and spares encoding
-    # a large entry just to bail afterwards.
-    if not equal_sets:
-        for name in target.measure_names:
-            if REAGGREGATION_OPS.get(schema.measure(name).op) == "sum":
-                if not _sums_exactly(cached.column(name)):
-                    return None  # re-associating float sums drifts by ulps
-
-    def coded_at(level: str) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """``(codes, dictionary)`` of the cached rows at ``level``."""
-        hierarchy = schema.hierarchy_of_level(level)
-        entry_level = entry_gb.level_for_hierarchy(hierarchy.name)
-        mapping = None if entry_level == level else rollup(source, entry_level, level)
+    # The cached rows as finest groups, keyed by the levels the target
+    # groups or filters by.
+    codes: Dict[Hashable, Tuple[np.ndarray, int]] = {}
+    dictionaries: Dict[Hashable, np.ndarray] = {}
+    for level in dict.fromkeys((*target_gb.levels, *(p.level for p in residual))):
+        entry_level = entry_gb.level_for_hierarchy(
+            schema.hierarchy_of_level(level).name
+        )
         try:
-            codes, dictionary = cached.encoded(entry_level)
-            if entry_level == level:
-                return codes, dictionary
-            return _rollup_codes(codes, dictionary, mapping)
+            coded: Optional[Tuple[np.ndarray, np.ndarray]] = cached.encoded(
+                entry_level
+            )
+            if entry_level != level:
+                coded = _rollup_codes(
+                    *coded, rollup(target.source, entry_level, level)
+                )
         except TypeError:  # un-orderable mixed member types
             return None
-
-    # Residual predicate mask over the cached rows, evaluated once per
-    # distinct member.
-    mask: Optional[np.ndarray] = None
-    for predicate in target.query.predicates:
-        if any(p == predicate for p in entry.query.predicates):
-            continue  # already fully applied when the entry was computed
-        coded = coded_at(predicate.level)
         if coded is None:
             return None
-        part = predicate.mask(coded[1])[coded[0]]
-        mask = part if mask is None else (mask & part)
+        codes[level] = (coded[0], len(coded[1]))
+        dictionaries[level] = coded[1]
 
-    # Roll cached coordinates up to the target levels, then re-group.
-    level_codes: List[Tuple[np.ndarray, np.ndarray]] = []
-    for level in target_gb.levels:
-        coded = coded_at(level)
-        if coded is None:
-            return None
-        codes, dictionary = coded
-        level_codes.append((codes if mask is None else codes[mask], dictionary))
-    n_rows = int(mask.sum()) if mask is not None else len(cached)
-    group_ids, group_count, first_rows = combine_codes(
-        [(codes, len(dictionary)) for codes, dictionary in level_codes], n_rows
+    names = target.measure_names
+    # An avg only derives at equal levels, where every group is one cached
+    # row and summing it is the identity.
+    ops = [
+        op if op in REAGGREGATION_OPS else "sum"
+        for op in (schema.measure(name).op for name in names)
+    ]
+    return finish_member(
+        Groups(
+            len(cached), codes, dictionaries, ops,
+            [cached.column(name) for name in names],
+        ),
+        Member(
+            tuple((level, level) for level in target_gb.levels),
+            tuple((predicate, predicate.level) for predicate in residual),
+            tuple((name, (slot,)) for slot, name in enumerate(names)),
+            not residual and target_gb.levels == entry_gb.levels,
+        ),
     )
-
-    columns: Dict[str, np.ndarray] = {}
-    kept: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-    for level, (codes, dictionary) in zip(target_gb.levels, level_codes):
-        codes = codes[first_rows]
-        columns[level] = dictionary[codes]
-        kept[level] = (narrow_codes(codes, len(dictionary)), dictionary)
-    for name in target.measure_names:
-        op = schema.measure(name).op
-        # For equal group-by sets every output group is one cached row, so
-        # even avg re-aggregates as the identity (avg of a singleton).
-        reagg = REAGGREGATION_OPS.get(op, op if equal_sets else None)
-        if reagg is None:  # pragma: no cover - excluded by can_derive
-            return None
-        values = cached.column(name)
-        if mask is not None:
-            values = values[mask]
-        columns[name] = aggregate(group_ids, group_count, values, reagg)
-    result = ResultSet(columns)
-    result.codes = kept
-    return result
-
-
-# The float-sum exactness gate is shared with the fused-scan path of the
-# engine executor, which applies it at fact-row granularity; here it gates
-# cached *partial* sums before re-association.
-_sums_exactly = sums_exactly
 
 
 def _rollup_codes(
-    codes: np.ndarray, dictionary: np.ndarray, mapping: Optional[Mapping]
+    codes: np.ndarray, dictionary: np.ndarray, mapping: Optional[Mapping[Any, Any]]
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Map a coded member column through a fine→coarse roll-up.
 

@@ -13,12 +13,13 @@ performing it cell-at-a-time on cube objects.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.deadline import checkpoint as _checkpoint
 from ..core.errors import EngineError
+from ..core.query import Predicate
 from ..obs.metrics import METRICS, MetricsRegistry
 from ..obs.tracer import active as _active_tracer
 from ..parallel.config import DEFAULT_MORSEL_ROWS, ParallelConfig
@@ -43,6 +44,7 @@ from .columns import (
     plan_zone_pruning as _plan_zone_pruning,
     split_ranges as _split_ranges,
 )
+from .kernels import REAGGREGATION_OPS
 from .kernels import aggregate as _aggregate
 from .kernels import combine_codes as _combine_codes
 from .kernels import dictionary_encode as _dictionary_encode
@@ -127,14 +129,85 @@ class ResultSet:
         return f"ResultSet(rows={self._n}, columns={list(self.columns)})"
 
 
-class _Member(NamedTuple):
-    """One query of a batch, as lowered onto the shared finest grouping."""
+class Groups(NamedTuple):
+    """The finest groups of partial aggregates, keyed by finest column.
 
-    keys: Tuple[Tuple[str, str], ...]  # (table, column) per grouping column
-    residual_keys: Tuple[Tuple[str, str], ...]  # same, per residual predicate
-    finish: Tuple[Tuple[int, ...], ...]  # per aggregate: (slot,) | avg (sum, count)
+    A fact pass's merged morsels, or a cached result's rows rolled up to
+    the levels a derivation needs.
+    """
+
+    count: int
+    codes: Dict[Hashable, Tuple[np.ndarray, int]]  # (codes, cardinality)
+    dictionaries: Dict[Hashable, np.ndarray]  # dictionary[codes] decodes
+    ops: Sequence[str]  # each slot's partial op: sum, count, min or max
+    partials: Sequence[np.ndarray]  # one array per slot, aligned with the groups
+
+
+class Member(NamedTuple):
+    """One answer to finish from :class:`Groups` (see :func:`finish_member`)."""
+
+    keys: Tuple[Tuple[str, Hashable], ...]  # (alias, finest key) per grouping column
+    residual: Tuple[Tuple[Predicate, Hashable], ...]  # (predicate, finest key)
+    finish: Tuple[Tuple[str, Tuple[int, ...]], ...]  # (alias, (slot,) | avg (sum, count))
     is_finest: bool  # grouped exactly like the finest key, no residual
-    shared: bool  # answered from the shared pass (else: its own pass)
+
+
+def finish_member(groups: Groups, member: Member) -> ResultSet:
+    """One answer from finest groups of partials: the re-aggregation step.
+
+    Fused members of a fact pass and cache derivations both finish here.
+    A member grouped exactly like the finest key reads the groups as they
+    are.  Any other member filters them by its residual predicates
+    (residual keys are part of the finest key, so they are constant within
+    each finest group), folds its own coarser key over the surviving
+    groups, and re-aggregates each slot by :data:`REAGGREGATION_OPS`.
+    Re-added sums are bit-identical only when the base fact column passes
+    ``Table.sums_exactly``; the caller checks that before it gets here.
+    """
+    rmask: Optional[np.ndarray] = None
+    rows: Optional[np.ndarray] = None  # each member group's first finest group
+    ids = count = None
+    if not member.is_finest:
+        for predicate, key in member.residual:
+            # evaluated once per dictionary member, gathered per group
+            codes = groups.codes[key][0]
+            part = predicate.mask(groups.dictionaries[key])[codes]
+            rmask = part if rmask is None else (rmask & part)
+        member_codes = [groups.codes[key] for _, key in member.keys]
+        if rmask is not None:
+            member_codes = [
+                (codes[rmask], cardinality) for codes, cardinality in member_codes
+            ]
+        n_groups = groups.count if rmask is None else int(rmask.sum())
+        ids, count, first = _combine_codes(member_codes, n_groups)
+        rows = first if rmask is None else np.flatnonzero(rmask)[first]
+
+    def regroup(slot: int) -> np.ndarray:
+        values = groups.partials[slot]
+        if ids is None:
+            return values
+        if rmask is not None:
+            values = values[rmask]
+        return _aggregate(ids, count, values, REAGGREGATION_OPS[groups.ops[slot]])
+
+    columns: Dict[str, np.ndarray] = {}
+    coded: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+    for alias, key in member.keys:
+        codes, cardinality = groups.codes[key]
+        if rows is not None:
+            codes = codes[rows]
+        dictionary = groups.dictionaries[key]
+        columns[alias] = dictionary[codes]
+        coded[alias] = (_narrow_codes(codes, cardinality), dictionary)
+    for alias, slots in member.finish:
+        if len(slots) == 2:  # avg: merged totals over merged counts
+            with np.errstate(divide="ignore", invalid="ignore"):
+                columns[alias] = regroup(slots[0]) / regroup(slots[1])
+        else:
+            columns[alias] = regroup(slots[0])
+    result = ResultSet(columns)
+    result.codes = coded
+    return result
 
 
 class _Lowering(NamedTuple):
@@ -145,17 +218,7 @@ class _Lowering(NamedTuple):
     cardinalities: List[int]  # dictionary cardinality of each finest column
     key_space: int  # their product: the folded key's range
     specs: List[Tuple[str, Optional[str]]]  # deduplicated (op, column) partials
-    members: List[_Member]
-
-
-class _Groups(NamedTuple):
-    """The merged finest groups of a pass, keyed by finest column."""
-
-    count: int
-    codes: Dict[Tuple[str, str], Tuple[np.ndarray, int]]  # (codes, cardinality)
-    dictionaries: Dict[Tuple[str, str], np.ndarray]  # dictionary[codes] decodes
-    specs: List[Tuple[str, Optional[str]]]
-    merged: List[np.ndarray]  # one array per spec, aligned with the groups
+    members: List[Optional[Member]]  # None: the query runs its own pass
 
 
 class EngineExecutor:
@@ -310,7 +373,7 @@ class EngineExecutor:
         """
         fact = self.catalog.table(query.fact)
         tiers = self._admitted_tiers(fact, len(query.aggregates))
-        if tiers and self._lower(fact, [query], [()], tiers[0]).members[0].shared:
+        if tiers and self._lower(fact, [query], [()], tiers[0]).members[0] is not None:
             return tiers[0]
         return "serial"
 
@@ -347,14 +410,14 @@ class EngineExecutor:
             )
             tier = tiers[0] if tiers else "serial"
         lowering = self._lower(fact, queries, residuals, tier)
-        if tier != "serial" and not any(m.shared for m in lowering.members):
+        if tier != "serial" and all(m is None for m in lowering.members):
             # Nothing may be merged across morsels: every admitted tier
             # declines and the batch runs in RAM as one morsel.
             for declined in tiers:
                 self.metrics.inc(f"engine.{declined}.fallbacks")
             tier = "serial"
             lowering = self._lower(fact, queries, residuals, tier)
-        shared = [i for i, m in enumerate(lowering.members) if m.shared]
+        shared = [i for i, m in enumerate(lowering.members) if m is not None]
 
         tracer = _active_tracer()
         attrs = {"members": len(queries)} if fused else {"fact": fact_name}
@@ -371,9 +434,7 @@ class EngineExecutor:
                     tier, span,
                 )
                 for i in shared:
-                    results[i] = self._finish_member(
-                        queries[i], residuals[i], lowering.members[i], groups
-                    )
+                    results[i] = finish_member(groups, lowering.members[i])
             for i, query in enumerate(queries):
                 if results[i] is None:
                     # This member as its own one-morsel pass: exactly its
@@ -394,7 +455,7 @@ class EngineExecutor:
                     for result in results
                 ),
             )
-        return results, [m.shared for m in lowering.members]
+        return results, [m is not None for m in lowering.members]
 
     # -- stage 1: lowering ---------------------------------------------
     def _lower(
@@ -456,7 +517,7 @@ class EngineExecutor:
                 specs.append((op, column))
             return specs.index((op, column))
 
-        members = []
+        members: List[Optional[Member]] = []
         for query, residual in zip(queries, residuals):
             keys = tuple(key_of(gb) for gb in query.group_by)
             is_finest = not residual and list(dict.fromkeys(keys)) == finest
@@ -468,19 +529,23 @@ class EngineExecutor:
                     if agg.op in ("sum", "avg")
                 )
             )
+            if not shared:
+                members.append(None)
+                continue
             finish = []
-            for agg in query.aggregates if shared else ():
+            for agg in query.aggregates:
                 if agg.op == "count":
-                    finish.append((slot("count", None),))
+                    slots: Tuple[int, ...] = (slot("count", None),)
                 elif agg.op == "avg":
-                    finish.append(
-                        (slot("sum", agg.column), slot("count", None))
-                    )
+                    slots = (slot("sum", agg.column), slot("count", None))
                 else:
-                    finish.append((slot(agg.op, agg.column),))
-            members.append(_Member(
-                keys, tuple(key_of(cp) for cp in residual), tuple(finish),
-                is_finest, shared,
+                    slots = (slot(agg.op, agg.column),)
+                finish.append((agg.alias, slots))
+            members.append(Member(
+                tuple(zip((gb.alias for gb in query.group_by), keys)),
+                tuple((cp.predicate, key_of(cp)) for cp in residual),
+                tuple(finish),
+                is_finest,
             ))
         return _Lowering(
             finest, tables, cardinalities, key_space, specs, members
@@ -669,7 +734,7 @@ class EngineExecutor:
         lowering: "_Lowering",
         tier: str,
         span,
-    ) -> "Tuple[int, _Groups]":
+    ) -> "Tuple[int, Groups]":
         """Scan once and merge the morsel partials into the finest groups.
 
         The sink is the identity for one morsel, ``merge_morsels`` in RAM,
@@ -724,79 +789,16 @@ class EngineExecutor:
                 merged_keys, merged = _merge_morsels(results, ops)
         if codes is None:
             codes = _decode_keys(merged_keys, lowering.cardinalities)
-        return rows_in, _Groups(
+        return rows_in, Groups(
             len(merged_keys),
             dict(zip(lowering.finest, zip(codes, lowering.cardinalities))),
             {
                 key: table.dictionary_values(key[1])
                 for key, table in zip(lowering.finest, lowering.tables)
             },
-            lowering.specs,
+            ops,
             merged,
         )
-
-    def _finish_member(
-        self,
-        query: AggregateQuery,
-        residual: Sequence[ColumnPredicate],
-        member: "_Member",
-        groups: "_Groups",
-    ) -> ResultSet:
-        """One member's result from the finest groups of the shared pass.
-
-        A member grouped exactly like the finest key reads the groups as
-        they are.  Any other member filters them by its residual
-        predicates (residual columns are part of the finest key, so they
-        are constant within each finest group), folds its own coarser key
-        over the surviving groups, and re-aggregates the partials with the
-        distributive rules — count partials are summed.
-        """
-        rmask: Optional[np.ndarray] = None
-        rows: Optional[np.ndarray] = None  # each member group's first finest group
-        ids = count = None
-        if not member.is_finest:
-            for cp, key in zip(residual, member.residual_keys):
-                # evaluated once per dictionary member, gathered per group
-                codes = groups.codes[key][0]
-                part = cp.predicate.mask(groups.dictionaries[key])[codes]
-                rmask = part if rmask is None else (rmask & part)
-            member_codes = [groups.codes[key] for key in member.keys]
-            if rmask is not None:
-                member_codes = [
-                    (codes[rmask], cardinality)
-                    for codes, cardinality in member_codes
-                ]
-            n_groups = groups.count if rmask is None else int(rmask.sum())
-            ids, count, first = _combine_codes(member_codes, n_groups)
-            rows = first if rmask is None else np.flatnonzero(rmask)[first]
-
-        def regroup(slot: int) -> np.ndarray:
-            values = groups.merged[slot]
-            if ids is None:
-                return values
-            if rmask is not None:
-                values = values[rmask]
-            op = groups.specs[slot][0]
-            return _aggregate(ids, count, values, "sum" if op == "count" else op)
-
-        columns: Dict[str, np.ndarray] = {}
-        coded: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-        for gb, key in zip(query.group_by, member.keys):
-            codes, cardinality = groups.codes[key]
-            if rows is not None:
-                codes = codes[rows]
-            dictionary = groups.dictionaries[key]
-            columns[gb.alias] = dictionary[codes]
-            coded[gb.alias] = (_narrow_codes(codes, cardinality), dictionary)
-        for agg, slots in zip(query.aggregates, member.finish):
-            if len(slots) == 2:  # avg: merged totals over merged counts
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    columns[agg.alias] = regroup(slots[0]) / regroup(slots[1])
-            else:
-                columns[agg.alias] = regroup(slots[0])
-        result = ResultSet(columns)
-        result.codes = coded
-        return result
 
     # ------------------------------------------------------------------
     # Drill-across (JOP)

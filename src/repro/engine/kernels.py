@@ -3,7 +3,8 @@
 The engine's group-by pipeline reduces a multi-column key to dense integer
 group ids and folds each measure per group with :func:`aggregate` — the
 one sum/count/min/max loop every scan, morsel merge, spill merge and cache
-roll-up goes through.  :func:`fold_codes` is the group-by fold over
+roll-up goes through, with :data:`REAGGREGATION_OPS` saying how partials
+re-aggregate.  :func:`fold_codes` is the group-by fold over
 dictionary codes (a counting pass for small key spaces, one packed-key
 stable sort, :func:`sort_groups`, for large ones); :func:`match_unique` is
 the equality join over coded keys built on the same sort.  Two
@@ -228,6 +229,11 @@ def combine_codes(
     """
     group_ids, keys, first = fold_codes(code_columns, n_rows)
     return group_ids, len(keys), first
+
+
+REAGGREGATION_OPS = {"sum": "sum", "min": "min", "max": "max", "count": "sum"}
+"""How each distributive operator's partials re-aggregate (Gray et al.):
+sum, min and max as themselves, count by summing the counts."""
 
 
 def aggregate(

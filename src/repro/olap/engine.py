@@ -13,7 +13,7 @@ executor can attribute time to "get the target cube", "get the benchmark",
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from ..core.query import CubeQuery
 from ..core.schema import CubeSchema
 from ..engine.catalog import Catalog
 from ..engine.executor import EngineExecutor, ResultSet
+from ..engine.kernels import REAGGREGATION_OPS
 from ..engine.query import (
     Aggregate,
     AggregateQuery,
@@ -186,21 +187,25 @@ class MultidimensionalEngine:
     ) -> AggregateQuery:
         """Rewrite a cube query (a logical *get*) into a star SQL query.
 
-        When a materialized view covers the query (same-or-finer levels,
-        all predicate levels stored, distributive measures only), the query
-        is rewritten onto the view table instead — the routing the paper's
-        Oracle setup obtained from its materialized views.
+        When a materialized view covers the query (its levels and predicate
+        levels stored, and either exactly the view's levels or measures
+        that re-aggregate exactly), the query is rewritten onto the view
+        table instead — the routing the paper's Oracle setup obtained from
+        its materialized views.
         """
         registered = self.cube(query.source)
         star = registered.star
         schema = registered.schema
+        reaggregable = self.reaggregable(query)
 
         if allow_views and self.use_materialized_views:
             from .materialized import rewrite_on_view
 
-            view = self._views.best_for(query, schema)
+            view = self._views.best_for(query, schema, reaggregable)
             if view is not None:
-                return self._annotated(rewrite_on_view(query, view, schema), query)
+                return self._annotated(
+                    rewrite_on_view(query, view, schema), query, reaggregable
+                )
 
         group_by = []
         for level_name in query.group_by.levels:
@@ -228,10 +233,38 @@ class MultidimensionalEngine:
                 aggregates=aggregates,
             ),
             query,
+            reaggregable,
+        )
+
+    def reaggregable(self, query: CubeQuery) -> FrozenSet[str]:
+        """The measures of a get whose finer partials re-aggregate exactly.
+
+        The operator must be distributive (``REAGGREGATION_OPS``), and a
+        ``sum`` must pass ``Table.sums_exactly`` on its base fact column:
+        only then do re-added partial sums equal the cold scan's row-order
+        sum bit for bit.  The lowering applies the same gate to morsel
+        merges and fused members; cache derivation and view routing take
+        a strictly coarser answer only for these measures.
+        """
+        registered = self.cube(query.source)
+        schema, star = registered.schema, registered.star
+        fact = self.catalog.table(star.fact_table)
+        ops = {
+            name: schema.measure(name).op
+            for name in query.measures or schema.measure_names()
+        }
+        return frozenset(
+            name
+            for name, op in ops.items()
+            if op in REAGGREGATION_OPS
+            and (op != "sum" or fact.sums_exactly(star.column_for_measure(name)))
         )
 
     def _annotated(
-        self, aggregate: AggregateQuery, query: CubeQuery
+        self,
+        aggregate: AggregateQuery,
+        query: CubeQuery,
+        reaggregable: FrozenSet[str],
     ) -> AggregateQuery:
         """Record the cube-level semantics of a pushed query in the cache.
 
@@ -246,7 +279,9 @@ class MultidimensionalEngine:
         base_tables = frozenset(
             {star.fact_table} | {binding.table for binding in star.dimensions}
         )
-        self.result_cache.annotate(aggregate, QueryMeta(query, base_tables))
+        self.result_cache.annotate(
+            aggregate, QueryMeta(query, base_tables, reaggregable)
+        )
         return aggregate
 
     # ------------------------------------------------------------------

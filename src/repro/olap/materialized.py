@@ -11,15 +11,23 @@ the same capability for our engine substrate:
   levels, and measures are all answerable from a view onto the smallest
   applicable view instead of the fact table.
 
-Soundness rules:
+Soundness rules (a view answer must be bit-identical to the fact-table
+answer):
 
 * a view can answer a query iff every group-by level **and** every
   predicate level of the query is one of the view's levels (re-grouping a
   view by a subset of its columns is exactly an aggregate query over the
   view table, with no hierarchy knowledge needed);
-* only distributive measures (sum/min/max/count) are materialized — their
-  partial aggregates re-aggregate exactly (count re-aggregates by summing);
-  avg measures silently fall back to the fact table.
+* only distributive measures (sum/min/max/count) are materialized; avg
+  measures fall back to the fact table;
+* a query on exactly the view's levels reads one view row per group —
+  the identity, always allowed.  A coarser query re-aggregates the view's
+  partials by ``REAGGREGATION_OPS``, which is exact for ``min``, ``max``
+  and ``count`` but re-associates the additions of a ``sum``: it routes
+  only measures whose *base fact column* passes ``Table.sums_exactly``
+  (``MultidimensionalEngine.reaggregable``), the gate cache derivation
+  and the fused scan apply.  Any other query falls back to the fact
+  table.
 
 Because routing happens inside the cube-query-to-SQL rewriting, the pushed
 joins of JOP and pivots of POP benefit transparently, and the rendered SQL
@@ -28,7 +36,7 @@ truthfully shows the view table.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..core.errors import EngineError
 from ..core.query import CubeQuery
@@ -41,10 +49,8 @@ from ..engine.query import (
     FACT,
     GroupByColumn,
 )
+from ..engine.kernels import REAGGREGATION_OPS
 from ..engine.table import Table
-
-REAGGREGATION_OPS = {"sum": "sum", "min": "min", "max": "max", "count": "sum"}
-"""How each distributive operator re-aggregates over partial aggregates."""
 
 
 class MaterializedView:
@@ -72,22 +78,22 @@ class MaterializedView:
         self.measures = measures
         self.row_count = row_count
 
-    def covers(self, query: CubeQuery, schema: CubeSchema) -> bool:
-        """Whether this view can answer a cube query exactly."""
-        available = set(self.levels)
-        for level in query.group_by.levels:
-            if level not in available:
-                return False
-        for predicate in query.predicates:
-            if predicate.level not in available:
-                return False
-        requested = query.measures or schema.measure_names()
-        for measure_name in requested:
-            if measure_name not in self.measures:
-                return False
-            if schema.measure(measure_name).op not in REAGGREGATION_OPS:
-                return False
-        return True
+    def covers(
+        self, query: CubeQuery, schema: CubeSchema, reaggregable: FrozenSet[str]
+    ) -> bool:
+        """Whether this view answers a cube query bit-identically.
+
+        ``reaggregable`` names the query's measures whose partials may be
+        re-aggregated into coarser groups.
+        """
+        levels = set(query.group_by.levels)
+        if not levels | {p.level for p in query.predicates} <= set(self.levels):
+            return False
+        identity = levels == set(self.levels)
+        return all(
+            name in self.measures and (identity or name in reaggregable)
+            for name in query.measures or schema.measure_names()
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -123,13 +129,13 @@ class ViewRegistry:
         return tuple(sorted(self._by_name))
 
     def best_for(
-        self, query: CubeQuery, schema: CubeSchema
+        self, query: CubeQuery, schema: CubeSchema, reaggregable: FrozenSet[str]
     ) -> Optional[MaterializedView]:
         """The smallest view that covers a query, or ``None``."""
         candidates = [
             view
             for view in self.for_source(query.source)
-            if view.covers(query, schema)
+            if view.covers(query, schema, reaggregable)
         ]
         if not candidates:
             return None

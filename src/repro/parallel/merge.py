@@ -30,7 +30,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..engine.kernels import aggregate, fold_codes
+from ..engine.kernels import REAGGREGATION_OPS, aggregate, fold_codes
 from .morsel import MorselResult
 
 
@@ -56,7 +56,7 @@ def merge_morsels(
             inverse,
             len(merged_keys),
             np.concatenate([result.partials[slot] for result in results]),
-            "sum" if op == "count" else op,
+            REAGGREGATION_OPS[op],
         )
         for slot, op in enumerate(ops)
     ]

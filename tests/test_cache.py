@@ -13,13 +13,13 @@ import pytest
 
 from repro.algebra.cost import Statistics
 from repro.cache import fingerprint_query
-from repro.cache.derive import _sums_exactly
 from repro.core.groupby import GroupBySet
 from repro.core.query import CubeQuery, Predicate, PredicateOp
 from repro.datagen.flat import star_from_flat
 from repro.datagen.random_cube import random_hierarchy
 from repro.engine.catalog import Catalog
 from repro.engine.executor import EngineExecutor
+from repro.engine.kernels import sums_exactly
 from repro.engine.query import (
     Aggregate,
     AggregateQuery,
@@ -212,12 +212,65 @@ def test_fractional_sums_fall_back_to_cold_execution():
     _assert_same_cube(warm, engine.get(coarse))
 
 
+def _integral_partials_engine(seed: int = 5, n_rows: int = 600):
+    """A star whose 2-decimal measure sums to an integer in every ``day``.
+
+    Each day's last row is chosen so that the row-order sum of the day —
+    the cold scan's fold — lands on an integer, while the months over
+    those days still sum their fractional rows.
+    """
+    rng = np.random.default_rng(seed)
+    day = rng.integers(0, 60, n_rows)
+    amount = np.round(rng.uniform(0.0, 10.0, n_rows), 2)
+    for d in np.unique(day):
+        rows = np.flatnonzero(day == d)
+        head = 0.0
+        for value in amount[rows[:-1]]:
+            head += value
+        for target in range(int(head) + 1, int(head) + 200):
+            last = round(target - head, 2)
+            if head + last == target:
+                amount[rows[-1]] = last
+                break
+        else:  # pragma: no cover - the seed is fixed
+            raise AssertionError(f"no integral completion for day {d}")
+    engine = MultidimensionalEngine(Catalog())
+    star_from_flat(
+        engine,
+        "DAYS",
+        Table("flat", {
+            "day": np.array([f"d{d:02d}" for d in day], dtype=object),
+            "month": np.array([f"m{d // 10}" for d in day], dtype=object),
+            "amount": amount,
+        }),
+        {"Time": ["day", "month"]},
+        {"amount": "sum"},
+    )
+    return engine
+
+
+def test_integral_partials_of_a_fractional_measure_are_not_re_added():
+    engine = _integral_partials_engine()
+    reference = _integral_partials_engine()
+    reference.result_cache.enabled = False
+    schema = engine.cube("DAYS").schema
+    fine = engine.get(CubeQuery("DAYS", GroupBySet(schema, ["day"]), (), ("amount",)))
+    # The cached partials pass the float gate; the fact column does not.
+    assert sums_exactly(fine.measures["amount"])
+    coarse = CubeQuery("DAYS", GroupBySet(schema, ["month"]), (), ("amount",))
+    warm = engine.get(coarse)
+    stats = engine.result_cache.stats()
+    assert stats["derivations"] == 0
+    assert stats["misses"] == 2
+    _assert_same_cube(warm, reference.get(coarse))
+
+
 def test_sums_exactly_gate():
-    assert _sums_exactly(np.array([], dtype=np.float64))
-    assert _sums_exactly(np.array([1.0, 2.0, 3e9]))
-    assert not _sums_exactly(np.array([1.5, 2.0]))
-    assert not _sums_exactly(np.array([np.nan, 1.0]))
-    assert not _sums_exactly(np.full(4, 2.0**52))
+    assert sums_exactly(np.array([], dtype=np.float64))
+    assert sums_exactly(np.array([1.0, 2.0, 3e9]))
+    assert not sums_exactly(np.array([1.5, 2.0]))
+    assert not sums_exactly(np.array([np.nan, 1.0]))
+    assert not sums_exactly(np.full(4, 2.0**52))
 
 
 # ----------------------------------------------------------------------
@@ -396,6 +449,23 @@ def test_cost_model_sees_warm_gets():
         "RAND", GroupBySet(schema, [hierarchies[0].level_names()[-1]]), (), ("m_sum",)
     )
     assert stats.cache_probe(coarser) == "derive"
+
+
+def test_cost_probe_refuses_the_derivation_the_lookup_refuses():
+    engine, hierarchies = _random_engine(13)
+    schema = engine.cube("RAND").schema
+    h0 = hierarchies[0]
+    engine.get(
+        CubeQuery("RAND", GroupBySet(schema, [h0.level_names()[0]]), (), ("m_frac",))
+    )
+    coarse = CubeQuery(
+        "RAND", GroupBySet(schema, [h0.level_names()[-1]]), (), ("m_frac",)
+    )
+    assert Statistics(engine).cache_probe(coarse) is None
+    engine.get(coarse)
+    stats = engine.result_cache.stats()
+    assert stats["derivations"] == 0
+    assert stats["misses"] == 2
 
 
 def test_session_cache_stats_and_clear():

@@ -121,6 +121,25 @@ def check_soundness(make_engine, text):
     }
 
 
+AVG_WORKLOAD = ";\n".join(
+    f"with SSB for year = '1997' by {by} assess discount against 5 "
+    "using ratio(discount, 5) labels {[0, 1): low, [1, inf): high}"
+    for by in ("month", "month, category", "category")
+)
+
+
+def test_avg_member_on_integral_column_fuses_exactly():
+    """``avg`` finishes from a sum and a count slot, gated like a sum."""
+    report = AssessSession(prepare_engine(lineorder_rows=2000)).analyze_workload(
+        AVG_WORKLOAD
+    )
+    assert report.fusions
+    assert all(f.exact for f in report.fusions)
+    # check_soundness then requires zero fused fallbacks and a batch
+    # bit-identical to sequential execution.
+    check_soundness(lambda: prepare_engine(lineorder_rows=2000), AVG_WORKLOAD)
+
+
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
 def test_example_workloads_sound(path):
     counts = check_soundness(
