@@ -34,7 +34,6 @@ from repro.analysis import extract_statements
 from repro.api import AssessSession
 from repro.batch import results_identical
 from repro.experiments.statements import prepare_engine
-from repro.parallel import ParallelConfig
 
 WORKLOAD = os.path.join(
     os.path.dirname(__file__), "..", "examples", "ssb_batch_workload.assess"
@@ -54,9 +53,7 @@ def build_session(rows: int, mode: str, degree: int, morsel_rows: int):
     elif mode == "disabled":
         # Config present but ineligible for every scan: times the cost
         # of the feature's guard checks when it never fires.
-        session.engine.executor.parallel = ParallelConfig(
-            degree=degree, morsel_rows=morsel_rows, min_rows=2**62
-        )
+        session.set_parallelism(degree, morsel_rows=morsel_rows, min_rows=2**62)
     return session
 
 

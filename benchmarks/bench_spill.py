@@ -110,7 +110,9 @@ def worker(args) -> int:
         engine = ssb_engine_from_catalog(load_catalog(args.store, mmap=True))
     engine.result_cache.enabled = False
     budget = args.budget if args.worker == "spill" else None
-    session = AssessSession(engine, memory_budget=budget)
+    session = AssessSession(
+        engine, memory_budget=budget, morsel_rows=args.morsel_rows or None
+    )
 
     samples = []
     result = None
@@ -144,11 +146,10 @@ def run_arm(mode: str, rows: int, store: str, repetitions: int,
         sys.executable, os.path.abspath(__file__),
         "--worker", mode, "--rows", str(rows), "--store", store,
         "--repetitions", str(repetitions), "--budget", str(budget),
+        "--morsel-rows", str(morsel_rows),
     ]
     env = dict(os.environ)
     env.pop("REPRO_MEMORY_BYTES", None)
-    if morsel_rows:
-        env["REPRO_MORSEL_ROWS"] = str(morsel_rows)
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get(
         "PYTHONPATH", ""
@@ -185,6 +186,8 @@ def main(argv=None) -> int:
     parser.add_argument("--worker", choices=("save", "inram", "mmap", "spill"),
                         default=None, help=argparse.SUPPRESS)
     parser.add_argument("--store", default="", help=argparse.SUPPRESS)
+    parser.add_argument("--morsel-rows", type=int, default=0,
+                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     if args.worker:

@@ -4,7 +4,7 @@ Measures the two acceptance numbers of the storage layer:
 
 * **zone-map pruning speedup** — a selective SSB statement (one year of
   seven) over the same clustered, memory-mapped store with pruning on vs
-  off (``REPRO_NO_PRUNE``).  Target: >= 1.3x.
+  off (the engine's ``zone_pruning`` setting).  Target: >= 1.3x.
 * **out-of-core peak RSS** — the same workload from an in-RAM generated
   engine vs a memory-mapped v2 store, one ladder rung above the largest
   the in-RAM seed path was benchmarked at.  Target: >= 2x lower.
@@ -106,6 +106,8 @@ def worker(args) -> int:
     else:  # mmap
         engine = ssb_engine_from_catalog(load_catalog(args.store, mmap=True))
     engine.result_cache.enabled = False
+    if args.no_prune:  # the environment's settings, pruning off
+        engine.configure(engine.settings, zone_pruning=False)
     session = AssessSession(engine)
 
     session.assess(STATEMENT)  # warmup (key indexes, dictionaries)
@@ -119,7 +121,7 @@ def worker(args) -> int:
     payload = {
         "mode": args.worker,
         "rows": args.rows,
-        "pruning": engine.executor.zone_pruning,
+        "pruning": engine.settings.zone_pruning,
         "samples_s": samples,
         "min_s": min(samples),
         "median_s": statistics.median(samples),
@@ -144,11 +146,9 @@ def run_arm(mode: str, rows: int, store: str, repetitions: int,
     ]
     if cluster:
         command.append("--cluster")
-    env = dict(os.environ)
     if no_prune:
-        env["REPRO_NO_PRUNE"] = "1"
-    else:
-        env.pop("REPRO_NO_PRUNE", None)
+        command.append("--no-prune")
+    env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get(
         "PYTHONPATH", ""
@@ -184,6 +184,8 @@ def main(argv=None) -> int:
                         default=None, help=argparse.SUPPRESS)
     parser.add_argument("--store", default="", help=argparse.SUPPRESS)
     parser.add_argument("--cluster", action="store_true",
+                        help=argparse.SUPPRESS)
+    parser.add_argument("--no-prune", action="store_true",
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
@@ -241,7 +243,7 @@ def main(argv=None) -> int:
         assert zones_pruned > 0, "the selective scan never pruned a zone"
         assert prune_off["counters"].get(
             "engine.storage.zones_pruned", 0
-        ) == 0, "REPRO_NO_PRUNE did not disable pruning"
+        ) == 0, "zone_pruning=False did not disable pruning"
         speedup = prune_off["min_s"] / prune_on["min_s"]
         scan_ratio = (
             prune_off["counters"]["engine.rows_scanned"]

@@ -111,10 +111,6 @@ class Statistics:
         self._cardinalities: Dict[Tuple[str, str], int] = {}
         self._zone_survival: Dict[CubeQuery, float] = {}
 
-    def parallel_config(self):
-        """The engine's parallel config (``None`` when serial)."""
-        return getattr(self.engine, "parallel", None)
-
     def parallel_degree(self, source: str) -> int:
         """The parallelism a fact pass over this source would run at.
 
@@ -122,17 +118,17 @@ class Statistics:
         eligibility floor — the executor would stay serial, so the model
         must price it serial too.
         """
-        config = self.parallel_config()
+        config = self.engine.parallel
         if config is None or not config.eligible(self.fact_rows(source)):
             return 1
         return config.degree
 
     def morsels(self, source: str) -> int:
         """How many morsel tasks a parallel pass over this source spawns."""
-        config = self.parallel_config()
-        if config is None:
+        if self.engine.parallel is None:
             return 1
-        return max(1, -(-self.fact_rows(source) // config.morsel_rows))
+        morsel_rows = self.engine.settings.morsel_rows
+        return max(1, -(-self.fact_rows(source) // morsel_rows))
 
     def fact_rows(self, source: str) -> int:
         if source not in self._fact_rows:
@@ -172,8 +168,7 @@ class Statistics:
         """
         if query not in self._zone_survival:
             fraction = 1.0
-            executor = getattr(self.engine, "executor", None)
-            if executor is None or getattr(executor, "zone_pruning", False):
+            if self.engine.settings.zone_pruning:
                 try:
                     pushed = self.engine.build_aggregate_query(query)
                     fact = self.engine.catalog.table(pushed.fact)
@@ -213,11 +208,6 @@ class Statistics:
             return slots
         return slots * (1.0 - math.exp(-scanned / slots))
 
-    def memory_budget(self) -> Optional[int]:
-        """The engine's aggregation memory budget (bytes), if any."""
-        executor = getattr(self.engine, "executor", None)
-        return getattr(executor, "memory_budget", None)
-
     def spill_admitted(self, query: CubeQuery) -> bool:
         """Whether the executor would route this get through the spill tier.
 
@@ -226,7 +216,7 @@ class Statistics:
         re-aggregable run in RAM as one morsel, so the model must price
         them serial too).
         """
-        if self.memory_budget() is None:
+        if self.engine.settings.memory_budget is None:
             return False
         try:
             aggregate = self.engine.build_aggregate_query(query)

@@ -893,9 +893,8 @@ class WorkloadAnalyzer:
         missing statistic (unknown budget, unabstractable measure
         column) keeps the analyzer silent, never optimistic.
         """
-        engine = record.engine
-        executor = getattr(engine, "executor", None)
-        budget = getattr(executor, "memory_budget", None)
+        settings = getattr(record.engine, "settings", None)
+        budget = None if settings is None else settings.memory_budget
         if budget is None or not record.gets:
             return
         target = next(

@@ -58,36 +58,25 @@ class AssessSession:
         # Named labeling *specs* (e.g. coordinate-dependent labelings) that
         # cannot be plain value→label functions; resolved at plan time.
         self._named_specs: Dict[str, object] = {}
-        # Morsel-driven parallel execution: an explicit ``parallelism=N``
-        # wins; otherwise the REPRO_PARALLELISM environment variable (the
-        # CI parallel-smoke hook) supplies the session default.  Results
-        # are bit-identical to serial either way, so this is safe to set
-        # globally.  Degree <= 1 leaves the engine untouched (another
-        # session may already have configured it).
-        if parallelism is None:
-            from .parallel.config import env_parallelism
-
-            parallelism = env_parallelism()
-        if parallelism is not None and parallelism > 1:
-            engine.set_parallelism(parallelism, morsel_rows=morsel_rows)
-        # Bounded-memory execution: an explicit ``memory_budget`` (bytes)
-        # routes oversized fact passes through the spill-to-disk tier.
-        # ``None`` leaves the engine's budget alone (the executor already
-        # picked up REPRO_MEMORY_BYTES from the environment, and another
-        # session may have configured one).
-        # Spilled results are bit-identical to in-RAM, so this too is
-        # safe to set globally.
-        if memory_budget is not None:
-            engine.set_memory_budget(memory_budget)
+        # Engine settings given here (not ``None``) go to engine.configure,
+        # under its precedence rule (docs/performance.md, "Configuration").
+        # They change how a statement runs, never what it answers.
+        given = dict(
+            parallelism=parallelism, morsel_rows=morsel_rows,
+            memory_budget=memory_budget,
+        )
+        given = {name: value for name, value in given.items() if value is not None}
+        if given:
+            engine.configure(**given)
         # Persistent telemetry: ``telemetry=`` takes a directory path or
         # a shared :class:`repro.obs.telemetry.Telemetry`; ``None`` falls
-        # back to the REPRO_TELEMETRY_DIR environment variable (unset =
+        # back to the engine's ``telemetry_dir`` setting (unset =
         # disabled).  When enabled, every executed statement appends one
         # record to the query log — see docs/observability.md
         # "Persistent telemetry".  Recording never changes results.
         from .obs.telemetry import Telemetry
 
-        self.telemetry = Telemetry.resolve(telemetry)
+        self.telemetry = Telemetry.resolve(telemetry, engine.settings)
         # Sessions sharing one bundle (a server tenant's pool) each get
         # a distinct label so query-log records stay attributable.
         self.telemetry_label = (
@@ -97,12 +86,12 @@ class AssessSession:
 
     def set_memory_budget(self, budget_bytes: Optional[int]) -> None:
         """Bound fact-pass grouping state (bytes); ``None`` removes it."""
-        self.engine.set_memory_budget(budget_bytes)
+        self.engine.configure(memory_budget=budget_bytes)
 
     @property
     def memory_budget(self) -> Optional[int]:
         """The engine's memory budget in bytes (``None`` = unbounded)."""
-        return self.engine.memory_budget
+        return self.engine.settings.memory_budget
 
     def set_parallelism(
         self,
@@ -110,16 +99,16 @@ class AssessSession:
         morsel_rows: Optional[int] = None,
         min_rows: Optional[int] = None,
     ) -> None:
-        """Reconfigure parallel execution (``None``/``1`` turns it off)."""
-        self.engine.set_parallelism(
-            degree, morsel_rows=morsel_rows, min_rows=min_rows
+        """Reconfigure parallel execution (``None``/``1`` turns it off;
+        ``None`` morsel size and floor take the defaults)."""
+        self.engine.configure(
+            parallelism=degree, morsel_rows=morsel_rows, min_rows=min_rows
         )
 
     @property
     def parallelism(self) -> int:
         """The effective parallelism degree (1 when serial)."""
-        config = self.engine.parallel
-        return config.degree if config is not None else 1
+        return self.engine.settings.parallelism
 
     # ------------------------------------------------------------------
     # Registration

@@ -92,8 +92,9 @@ class BatchEngineExecutor(CachingEngineExecutor):
         groups: Sequence[FusionGroup],
         report: SharingReport,
         metrics: Optional[MetricsRegistry] = None,
+        engine=None,
     ):
-        super().__init__(catalog, cache, metrics)
+        super().__init__(catalog, cache, metrics, engine)
         self.report = report
         self._memo: Dict[Fingerprint, Tuple[CacheableQuery, ResultSet]] = {}
         self._group_of: Dict[Fingerprint, FusionGroup] = {}

@@ -142,11 +142,9 @@ def run_batch(
     report.plan_names = [built.name for built in plans]
     before = cache.counters.snapshot()
     batch_executor = BatchEngineExecutor(
-        engine.catalog, cache, groups, report, metrics=engine.metrics
+        engine.catalog, cache, groups, report, metrics=engine.metrics,
+        engine=engine,
     )
-    # The batch executor inherits the session's parallel config so fused
-    # scans go morsel-parallel exactly when standalone scans would.
-    batch_executor.parallel = engine.executor.parallel
     original = engine.executor
     engine.executor = batch_executor
     results: List[AssessResult] = []
@@ -190,7 +188,7 @@ def run_batch(
                         counters_after=engine.metrics.snapshot()["counters"],
                         batch=batch_id,
                         parallelism=session.parallelism,
-                        memory_budget=engine.memory_budget,
+                        memory_budget=engine.settings.memory_budget,
                         session_label=session_label,
                     )
     finally:

@@ -40,8 +40,9 @@ class CachingEngineExecutor(EngineExecutor):
         catalog: Catalog,
         cache: SemanticResultCache,
         metrics: Optional[MetricsRegistry] = None,
+        engine=None,
     ):
-        super().__init__(catalog, metrics)
+        super().__init__(catalog, metrics, engine)
         self.cache = cache
 
     def execute_aggregate(self, query: AggregateQuery) -> ResultSet:

@@ -51,24 +51,26 @@ def build_session(
 
 
 def add_parallelism_flag(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--parallelism`` option (0 = serial / REPRO_PARALLELISM)."""
+    """The shared ``--parallelism`` option (None = not set in code)."""
     parser.add_argument(
         "--parallelism", type=int, default=None, metavar="N",
-        help="worker threads for morsel-driven scans (default: the "
-        "REPRO_PARALLELISM environment variable, else serial; results "
-        "are bit-identical either way)",
+        help="worker threads for morsel-driven scans (results are "
+        "bit-identical either way).  Default: serial, or "
+        "REPRO_PARALLELISM when no engine setting is given "
+        "(docs/performance.md, Configuration)",
     )
 
 
 def add_memory_flag(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--memory-bytes`` option (None = REPRO_MEMORY_BYTES)."""
+    """The shared ``--memory-bytes`` option (None = not set in code)."""
     parser.add_argument(
         "--memory-bytes", type=int, default=None,
         help="memory budget for aggregation state (bytes); "
         "scans whose grouping state would exceed it run "
         "through the spill-to-disk tier (results are "
-        "bit-identical).  Default: the REPRO_MEMORY_BYTES "
-        "environment variable, else unbounded",
+        "bit-identical).  Default: unbounded, or REPRO_MEMORY_BYTES "
+        "when no engine setting is given (docs/performance.md, "
+        "Configuration)",
     )
 
 
@@ -696,6 +698,7 @@ def history_main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     from .obs.qlog import QueryLogError, iter_records
+    from .settings import Settings
     from .obs.watchdog import (
         BASELINE_FILENAME,
         DEFAULT_MIN_RUNS,
@@ -707,7 +710,7 @@ def history_main(argv=None) -> int:
         write_baseline,
     )
 
-    directory = args.directory or os.environ.get("REPRO_TELEMETRY_DIR", "")
+    directory = args.directory or Settings.from_env().telemetry_dir
     if not directory:
         print("error: no telemetry directory (pass one or set "
               "REPRO_TELEMETRY_DIR)", file=sys.stderr)

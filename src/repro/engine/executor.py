@@ -12,7 +12,6 @@ performing it cell-at-a-time on cube objects.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,8 +21,7 @@ from ..core.errors import EngineError
 from ..core.query import Predicate
 from ..obs.metrics import METRICS, MetricsRegistry
 from ..obs.tracer import active as _active_tracer
-from ..parallel.config import DEFAULT_MORSEL_ROWS, ParallelConfig
-from ..parallel.config import env_morsel_rows as _env_morsel_rows
+from ..parallel.config import ParallelConfig
 from ..parallel.merge import decode_keys as _decode_keys
 from ..parallel.merge import merge_morsels as _merge_morsels
 from ..parallel.morsel import (
@@ -54,10 +52,10 @@ from .kernels import sort_groups as _sort_groups
 from .spill import (
     SpillAggregator,
     choose_partitions as _choose_partitions,
-    env_memory_budget as _env_memory_budget,
     grouping_state_bytes as _grouping_state_bytes,
     over_budget as _over_budget,
 )
+from ..settings import Settings
 from .query import (
     AggregateQuery,
     ColumnPredicate,
@@ -69,6 +67,8 @@ from .table import Table
 
 _MAX_COMBINED_KEY = 2**62
 """Bail out of key folding when the cardinality product nears int64."""
+
+_DEFAULTS = Settings()
 
 
 class ResultSet:
@@ -224,7 +224,12 @@ class _Lowering(NamedTuple):
 class EngineExecutor:
     """Evaluates pushed queries against a catalog."""
 
-    def __init__(self, catalog: Catalog, metrics: Optional[MetricsRegistry] = None):
+    def __init__(
+        self,
+        catalog: Catalog,
+        metrics: Optional[MetricsRegistry] = None,
+        engine=None,
+    ):
         self.catalog = catalog
         # Fact passes actually executed (cold aggregates, fused scans, and
         # per-member fused fallbacks).  Cache hits and derived results do
@@ -236,27 +241,21 @@ class EngineExecutor:
         self.metrics = (
             metrics if metrics is not None else MetricsRegistry(parent=METRICS)
         )
-        # Morsel-driven parallel execution, off unless a session enables
-        # it (AssessSession(parallelism=N) / REPRO_PARALLELISM).  When
-        # set, eligible fact passes are partitioned, dispatched to the
-        # config's worker pool, and merged deterministically — results
-        # stay bit-identical to serial or the query runs as one morsel
-        # (see repro.parallel and docs/performance.md).
-        self.parallel: Optional[ParallelConfig] = None
-        # Zone-map morsel pruning (skipping fact zones whose min/max
-        # statistics prove no row can pass the predicates).  Only active
-        # on tables that carry zone maps (v2 column stores, or explicit
-        # Table.ensure_zone_maps); REPRO_NO_PRUNE=1 disables it for
-        # ablation benchmarks and differential tests.
-        self.zone_pruning = not os.environ.get("REPRO_NO_PRUNE")
-        # Bounded-memory execution: when a byte budget is set
-        # (REPRO_MEMORY_BYTES env, or AssessSession(memory_budget=)),
-        # fact passes whose worst-case grouping state exceeds it merge
-        # their morsels through the spill-to-disk partitioned
-        # aggregation tier (engine/spill.py) instead of in RAM —
-        # bit-identical under the same exactness gate that guards the
-        # parallel merge.
-        self.memory_budget: Optional[int] = _env_memory_budget()
+        # The engine whose settings and worker pool every tier reads, at
+        # each use: reconfiguring the engine reconfigures each of its
+        # executors, the batch executor included.  A standalone executor
+        # runs by the built-in defaults (serial, unbounded, pruning on).
+        self._engine = engine
+
+    @property
+    def settings(self) -> Settings:
+        """The settings this executor runs by (its engine's)."""
+        return _DEFAULTS if self._engine is None else self._engine.settings
+
+    @property
+    def parallel(self) -> Optional[ParallelConfig]:
+        """The engine's worker pool config (``None`` when serial)."""
+        return None if self._engine is None else self._engine.parallel
 
     def _count_scan(self, rows: int) -> None:
         """One executed fact pass over ``rows`` post-pruning fact rows."""
@@ -279,7 +278,7 @@ class EngineExecutor:
         the surviving masked row sequence (and every float summation
         order) is unchanged and results stay bit-identical.
         """
-        if not self.zone_pruning or not fact.has_zone_maps:
+        if not self.settings.zone_pruning or not fact.has_zone_maps:
             return None
         with _active_tracer().span("storage.prune", fact=fact_name) as span:
             pruner = _plan_zone_pruning(
@@ -386,9 +385,10 @@ class EngineExecutor:
         the spill tier, which supersedes the parallel one.
         """
         tiers = []
-        if _over_budget(len(fact), n_slots, self.memory_budget):
+        if _over_budget(len(fact), n_slots, self.settings.memory_budget):
             tiers.append("spill")
-        if self.parallel is not None and self.parallel.eligible(len(fact)):
+        parallel = self.parallel
+        if parallel is not None and parallel.eligible(len(fact)):
             tiers.append("parallel")
         return tiers
 
@@ -626,7 +626,9 @@ class EngineExecutor:
 
         pruner = self._zone_pruner(fact, fact_name, predicates, joins)
         ranges = None if pruner is None else pruner.surviving_row_ranges()
-        window = max(len(fact) if tier == "serial" else self._morsel_rows(), 1)
+        window = max(
+            len(fact) if tier == "serial" else self.settings.morsel_rows, 1
+        )
         morsels = _split_ranges(ranges, len(fact), window)
         if tier != "serial":
             pruned = -(-len(fact) // window) - len(morsels)
@@ -669,12 +671,6 @@ class EngineExecutor:
             )
 
         return morsels, build
-
-    def _morsel_rows(self) -> int:
-        """Window size of a sliced scan (the parallel morsel size)."""
-        if self.parallel is not None:
-            return self.parallel.morsel_rows
-        return _env_morsel_rows() or DEFAULT_MORSEL_ROWS
 
     # -- stage 3: partial aggregator -----------------------------------
     def _partials(self, morsels, build, tier: str, n_predicates: int):
@@ -757,15 +753,16 @@ class EngineExecutor:
         codes = None
         if tier == "spill":
             self.metrics.inc("engine.spill.queries")
+            budget = self.settings.memory_budget
             estimate = _grouping_state_bytes(
                 len(fact), len(lowering.finest), len(ops)
             )
             with SpillAggregator(
                 lowering.key_space,
                 ops,
-                self.memory_budget,
+                budget,
                 metrics=self.metrics,
-                n_partitions=_choose_partitions(estimate, self.memory_budget),
+                n_partitions=_choose_partitions(estimate, budget),
             ) as spiller:
                 for partial in partials:
                     spiller.add(partial.keys, partial.partials)

@@ -10,8 +10,8 @@ partitioned external hash aggregation:
   keys + distributive partials) are **range-partitioned** over the folded
   key space into ``P`` buckets;
 * buffered bucket segments are charged against an accounting-enforced
-  **memory budget** (``REPRO_MEMORY_BYTES`` /
-  ``AssessSession(memory_budget=)``).  When the buffered bytes exceed the
+  **memory budget** (the engine's ``memory_budget`` setting,
+  docs/performance.md "Configuration").  When the buffered bytes exceed the
   budget, the largest buckets are compacted with the same distributive
   re-aggregation the parallel merge uses and written out as ``.npz``
   **runs** under a private temp directory;
@@ -24,8 +24,8 @@ partitioned external hash aggregation:
   results stay **bit-identical** to the in-RAM path under the same
   float-exactness gate that guards the parallel merge.
 
-Temp files live in ``tempfile.mkdtemp(prefix="repro-spill-")`` (rooted at
-``REPRO_SPILL_DIR`` when set) and are removed on close — the executor
+Temp files live in ``tempfile.mkdtemp(prefix="repro-spill-")`` (under
+``TMPDIR`` when set) and are removed on close — the executor
 drives the aggregator as a context manager, so cleanup happens on success
 and on mid-merge failure alike.
 """
@@ -54,20 +54,6 @@ MIN_SPILL_PARTITIONS = 4
 # float64 partial per aggregation slot (used by budget admission estimates).
 _KEY_BYTES = 8
 _SLOT_BYTES = 8
-
-
-def env_memory_budget() -> Optional[int]:
-    """The memory budget (bytes) set by ``REPRO_MEMORY_BYTES``.
-
-    Unset, empty, non-numeric, or non-positive values mean "unbounded"
-    (``None``).
-    """
-    raw = os.environ.get("REPRO_MEMORY_BYTES", "").strip()
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
 
 
 def grouping_state_bytes(rows: int, n_keys: int, n_slots: int) -> int:
@@ -122,7 +108,6 @@ class SpillAggregator:
         budget_bytes: int,
         metrics: Optional[MetricsRegistry] = None,
         n_partitions: Optional[int] = None,
-        spill_dir: Optional[str] = None,
     ):
         self.ops = list(ops)
         self.budget = max(int(budget_bytes), 1)
@@ -144,7 +129,6 @@ class SpillAggregator:
         self._runs: List[List[str]] = [[] for _ in range(buckets)]
         self._buffered = 0
         self._dir: Optional[str] = None
-        self._spill_root = spill_dir if spill_dir else os.environ.get("REPRO_SPILL_DIR") or None
         self._run_counter = 0
         self.spills = 0
         self.bytes_spilled = 0
@@ -175,9 +159,7 @@ class SpillAggregator:
 
     def _ensure_dir(self) -> str:
         if self._dir is None:
-            self._dir = tempfile.mkdtemp(
-                prefix="repro-spill-", dir=self._spill_root
-            )
+            self._dir = tempfile.mkdtemp(prefix="repro-spill-")
         return self._dir
 
     # -- ingest -------------------------------------------------------------

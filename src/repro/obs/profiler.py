@@ -21,7 +21,8 @@ with it off (asserted in ``tests/test_telemetry.py``).  Overhead is
 proportional to sampling rate and stack depth; the default 5 ms
 interval costs a few percent (recorded honestly in
 ``benchmarks/bench_telemetry_overhead.py``), which is why the profiler
-is strictly opt-in (``profiling(...)`` or ``REPRO_TELEMETRY_PROFILE``).
+is strictly opt-in (``profiling(...)`` or the ``profile_interval``
+setting, docs/performance.md "Configuration").
 """
 
 from __future__ import annotations
@@ -214,24 +215,3 @@ class profiling:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.profiler.stop()
-
-
-def profile_env_interval(
-    value: Optional[str] = None,
-) -> Optional[float]:
-    """Parse ``REPRO_TELEMETRY_PROFILE``: unset/0/off → None, else an
-    interval in milliseconds ('1' means the default interval)."""
-    import os
-
-    if value is None:
-        value = os.environ.get("REPRO_TELEMETRY_PROFILE", "")
-    value = value.strip().lower()
-    if value in ("", "0", "off", "false", "no"):
-        return None
-    if value in ("1", "on", "true", "yes"):
-        return DEFAULT_INTERVAL
-    try:
-        millis = float(value)
-    except ValueError:
-        return DEFAULT_INTERVAL
-    return max(millis / 1000.0, 1e-4)

@@ -2,8 +2,8 @@
 
 A :class:`Telemetry` object owns the three per-session pieces of the
 persistent telemetry tier and is what :class:`repro.api.AssessSession`
-drives when constructed with ``telemetry=`` (or when
-``REPRO_TELEMETRY_DIR`` is set):
+drives when constructed with ``telemetry=`` (or when its engine's
+``telemetry_dir`` setting is set — docs/performance.md, "Configuration"):
 
 * the durable **query log** (:class:`repro.obs.qlog.QueryLog`) — one
   JSONL record per executed statement;
@@ -13,8 +13,8 @@ drives when constructed with ``telemetry=`` (or when
   rows-out points, exported by
   :func:`repro.obs.export.to_prometheus`;
 * optionally the **sampling profiler**
-  (:class:`repro.obs.profiler.SamplingProfiler`), enabled by
-  ``REPRO_TELEMETRY_PROFILE`` (or ``profile_interval=``), whose
+  (:class:`repro.obs.profiler.SamplingProfiler`), enabled by the
+  ``profile_interval`` setting (or ``profile_interval=``), whose
   collapsed stacks land in ``profile-<session>.collapsed`` next to the
   query log on close.
 
@@ -34,9 +34,6 @@ from typing import Dict, Optional
 
 from .qlog import QueryLog, build_record, counters_delta
 from .timeseries import TelemetryHub
-
-ENV_DIR = "REPRO_TELEMETRY_DIR"
-ENV_PROFILE = "REPRO_TELEMETRY_PROFILE"
 
 
 class Telemetry:
@@ -73,25 +70,22 @@ class Telemetry:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_env(cls) -> "Optional[Telemetry]":
-        """A telemetry bundle per ``REPRO_TELEMETRY_DIR``, or ``None``."""
-        directory = os.environ.get(ENV_DIR, "").strip()
-        if not directory:
-            return None
-        from .profiler import profile_env_interval
-
-        return cls(directory, profile_interval=profile_env_interval())
-
-    @classmethod
-    def resolve(cls, telemetry) -> "Optional[Telemetry]":
+    def resolve(cls, telemetry, settings) -> "Optional[Telemetry]":
         """Coerce a session's ``telemetry=`` argument.
 
-        ``None`` falls back to the environment; a path-like starts a
-        bundle in that directory; a :class:`Telemetry` passes through
-        (so several sessions can share one log and hub).
+        ``None`` falls back to the engine's :class:`~repro.settings.Settings`
+        (a bundle in ``telemetry_dir``, profiled at ``profile_interval``,
+        or none); a path-like starts a bundle in that directory; a
+        :class:`Telemetry` passes through (so several sessions can share
+        one log and hub).
         """
         if telemetry is None:
-            return cls.from_env()
+            if settings.telemetry_dir is None:
+                return None
+            return cls(
+                settings.telemetry_dir,
+                profile_interval=settings.profile_interval,
+            )
         if isinstance(telemetry, Telemetry):
             return telemetry
         return cls(telemetry)

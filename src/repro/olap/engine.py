@@ -13,6 +13,7 @@ executor can attribute time to "get the target cube", "get the benchmark",
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,6 +35,8 @@ from ..engine.query import (
 )
 from ..engine.sqlgen import render_sql
 from ..engine.star import StarSchema
+from ..parallel.config import ParallelConfig
+from ..settings import Settings
 
 
 class RegisteredCube:
@@ -67,8 +70,13 @@ class MultidimensionalEngine:
             metrics=MetricsRegistry(parent=self.metrics, prefix="cache")
         )
         self.result_cache.rollup_resolver = self.member_rollup
+        # How statements run: the environment's settings until code
+        # configures the engine.  Every executor reads these two.
+        self.settings = Settings.from_env()
+        self.parallel: Optional[ParallelConfig] = _parallel_config(self.settings)
+        self._configured = False
         self.executor: EngineExecutor = CachingEngineExecutor(
-            catalog, self.result_cache, metrics=self.metrics
+            catalog, self.result_cache, metrics=self.metrics, engine=self
         )
         self._cubes: Dict[str, RegisteredCube] = {}
         self._views = ViewRegistry()
@@ -89,69 +97,28 @@ class MultidimensionalEngine:
         self._rollup_maps.clear()
 
     # ------------------------------------------------------------------
-    # Parallel execution
+    # Settings
     # ------------------------------------------------------------------
-    @property
-    def parallel(self):
-        """The executor's parallel config (``None`` when serial)."""
-        return self.executor.parallel
+    def configure(self, settings: Optional[Settings] = None, **changes) -> Settings:
+        """Replace this engine's :class:`~repro.settings.Settings` whole.
 
-    def set_parallelism(
-        self,
-        degree,
-        morsel_rows=None,
-        min_rows=None,
-    ) -> None:
-        """Enable (or disable) morsel-driven parallel execution.
-
-        ``degree`` ≤ 1 or ``None`` turns parallelism off — the executor
-        keeps its serial paths with zero overhead.  Otherwise eligible
-        fact passes are split into ``morsel_rows``-row morsels, run on a
-        thread pool and merged deterministically; results stay
-        bit-identical to serial (docs/performance.md, "Parallel
-        execution").  Cached results and fingerprints are unaffected —
-        parallelism changes *how* a scan runs, never what it answers.
+        The new value is ``settings`` with ``changes`` (field names)
+        applied; without ``settings``, the changes apply to what code set
+        before, or to the built-in defaults on an engine only the
+        environment configured — the precedence rule of
+        :mod:`repro.settings`.  Settings change how a scan runs, never
+        what it answers, so cached results stay valid.  Returns the new
+        settings.
         """
-        from ..parallel.config import ParallelConfig
-
-        previous = self.executor.parallel
-        if degree is None or int(degree) <= 1:
-            self.executor.parallel = None
-        else:
-            self.executor.parallel = ParallelConfig(
-                degree=int(degree),
-                morsel_rows=morsel_rows,
-                min_rows=min_rows,
-            )
-        if previous is not None and previous is not self.executor.parallel:
-            previous.close()
-
-    # ------------------------------------------------------------------
-    # Bounded-memory execution
-    # ------------------------------------------------------------------
-    @property
-    def memory_budget(self):
-        """The executor's memory budget in bytes (``None`` = unbounded)."""
-        return self.executor.memory_budget
-
-    def set_memory_budget(self, budget_bytes) -> None:
-        """Bound the grouping state of fact passes to ``budget_bytes``.
-
-        Passes whose worst-case grouping state exceeds the budget run
-        through the spill-to-disk partitioned aggregation tier
-        (``engine/spill.py``) — bit-identical to the in-RAM path under
-        the float-exactness gate, with buffered partial results spilled
-        to temp files once they outgrow the budget.  ``None`` or a
-        non-positive value removes the bound (the environment knob
-        ``REPRO_MEMORY_BYTES`` still applies to newly created
-        executors).  Like parallelism, the budget changes
-        *how* a scan runs, never what it answers — cached results and
-        fingerprints are unaffected.
-        """
-        if budget_bytes is None or int(budget_bytes) <= 0:
-            self.executor.memory_budget = None
-        else:
-            self.executor.memory_budget = int(budget_bytes)
+        if settings is None:
+            settings = self.settings if self._configured else Settings()
+        old, self.settings = self.settings, replace(settings, **changes)
+        self._configured = True
+        if _pool_shape(self.settings) != _pool_shape(old):
+            previous, self.parallel = self.parallel, _parallel_config(self.settings)
+            if previous is not None:
+                previous.close()
+        return self.settings
 
     # ------------------------------------------------------------------
     # Registration & lookup
@@ -561,6 +528,19 @@ class MultidimensionalEngine:
         coords = {level: result.column(level) for level in query.group_by.levels}
         measures = {alias: result.column(alias) for alias in measure_aliases}
         return Cube(registered.schema, query.group_by, coords, measures)
+
+
+def _pool_shape(settings: Settings) -> Tuple[int, int, Optional[int]]:
+    return settings.parallelism, settings.morsel_rows, settings.min_rows
+
+
+def _parallel_config(settings: Settings) -> Optional[ParallelConfig]:
+    """The worker pool config the settings ask for (``None`` when serial)."""
+    if settings.parallelism <= 1:
+        return None
+    return ParallelConfig(
+        settings.parallelism, settings.morsel_rows, settings.min_rows
+    )
 
 
 def _group_by_column(table: str, column: str, alias: str):

@@ -7,15 +7,15 @@ Public surface:
 * :func:`merge_morsels`, :func:`decode_keys` — the order-stable merge.
 
 The engine integration lives in :mod:`repro.engine.executor`
-(``EngineExecutor.parallel``); sessions enable it via
-``AssessSession(parallelism=N)`` or the ``REPRO_PARALLELISM`` environment
-variable.  Results are bit-identical to serial execution — measures that
+(``EngineExecutor.parallel``); the degree is the engine's
+``parallelism`` setting (docs/performance.md, "Configuration").
+Results are bit-identical to serial execution — measures that
 cannot guarantee that (fractional sums, by the
 :func:`repro.engine.kernels.sums_exactly` gate) transparently run as one
 morsel instead.  See docs/performance.md, "Execution pipeline".
 """
 
-from .config import DEFAULT_MORSEL_ROWS, ParallelConfig, env_parallelism
+from .config import DEFAULT_MORSEL_ROWS, ParallelConfig
 from .merge import decode_keys, merge_morsels
 from .morsel import (
     AggSpec,
@@ -40,7 +40,6 @@ __all__ = [
     "MorselTask",
     "ParallelConfig",
     "decode_keys",
-    "env_parallelism",
     "merge_morsels",
     "morsel_ranges",
     "run_morsel",

@@ -18,7 +18,6 @@ execution").
 
 from __future__ import annotations
 
-import os
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 DEFAULT_MORSEL_ROWS = 65_536
@@ -30,48 +29,23 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-def env_parallelism() -> Optional[int]:
-    """The ``REPRO_PARALLELISM`` environment default (``None`` if unset).
-
-    Non-numeric values are ignored rather than raised on, so a stray
-    environment variable can never break session construction.
-    """
-    raw = os.environ.get("REPRO_PARALLELISM", "").strip()
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        return None
-
-
-def env_morsel_rows() -> Optional[int]:
-    """The ``REPRO_MORSEL_ROWS`` environment override (``None`` if unset)."""
-    raw = os.environ.get("REPRO_MORSEL_ROWS", "").strip()
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        return None
-
-
 class ParallelConfig:
-    """How (and whether) the engine parallelizes fact passes."""
+    """How (and whether) the engine parallelizes fact passes.
+
+    An engine builds one from its :class:`~repro.settings.Settings`
+    (degree = ``parallelism``) and shares it, with its pool, among all of
+    its executors.
+    """
 
     __slots__ = ("degree", "morsel_rows", "min_rows", "_pool")
 
     def __init__(
         self,
-        degree: Optional[int] = None,
-        morsel_rows: Optional[int] = None,
+        degree: int,
+        morsel_rows: int = DEFAULT_MORSEL_ROWS,
         min_rows: Optional[int] = None,
     ):
-        if degree is None:
-            degree = os.cpu_count() or 1
         self.degree = max(int(degree), 1)
-        if morsel_rows is None:
-            morsel_rows = env_morsel_rows() or DEFAULT_MORSEL_ROWS
         self.morsel_rows = max(int(morsel_rows), 1)
         # Below the floor a scan stays serial.  The default demands at
         # least one full morsel so tiny cubes (tests, demos) keep the

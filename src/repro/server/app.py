@@ -628,6 +628,8 @@ def serve_main(argv=None) -> int:
     """
     import argparse
 
+    from ..cli import add_memory_flag, add_parallelism_flag
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.cli serve",
         description="Serve assess statements to concurrent tenants over "
@@ -661,10 +663,8 @@ def serve_main(argv=None) -> int:
                         "(default: 30)")
     parser.add_argument("--telemetry-dir", metavar="DIR", default=None,
                         help="per-tenant query logs under DIR/<tenant>")
-    parser.add_argument("--parallelism", type=int, default=None, metavar="N",
-                        help="morsel-parallel degree per tenant engine")
-    parser.add_argument("--memory-bytes", type=int, default=None,
-                        help="per-tenant memory budget (spill tier)")
+    add_parallelism_flag(parser)
+    add_memory_flag(parser)
     parser.add_argument("--check", action="store_true",
                         help="build the tenants, print the endpoint map, "
                         "and exit without serving")

@@ -69,8 +69,6 @@ class Tenant:
         self.engine = build_engine(config)
         if config.cache_cells is not None:
             self.engine.result_cache.cell_budget = config.cache_cells
-        if config.memory_budget is not None:
-            self.engine.set_memory_budget(config.memory_budget)
         self.telemetry = None
         if config.telemetry_dir is not None:
             from ..obs.telemetry import Telemetry
@@ -83,6 +81,7 @@ class Tenant:
             session = AssessSession(
                 self.engine,
                 parallelism=config.parallelism,
+                memory_budget=config.memory_budget,
                 telemetry=self.telemetry,
             )
             self._sessions.append(session)
@@ -191,7 +190,7 @@ class Tenant:
                 sorted(self.engine.metrics.snapshot()["counters"].items())
             ),
             "parallelism": sessions[0].parallelism,
-            "memory_budget": self.engine.memory_budget,
+            "memory_budget": self.engine.settings.memory_budget,
         }
         if self.telemetry is not None:
             document["telemetry"] = self._telemetry_stats()

@@ -196,7 +196,7 @@ def test_random_cubes_four_ways(seed):
     for degree in PARALLEL_DEGREES:
         _, engine, _ = _random_star(seed)
         engine.result_cache.enabled = False
-        engine.set_parallelism(degree, morsel_rows=128, min_rows=128)
+        engine.configure(parallelism=degree, morsel_rows=128, min_rows=128)
         parallel_engines[degree] = engine
 
     _, warm_engine, _ = _random_star(seed)
@@ -219,15 +219,9 @@ def test_random_cubes_four_ways(seed):
         _assert_same_cube(warm_engine.get(query), reference)
 
     # The parallel arms must have actually gone morsel-parallel (the
-    # query mix always contains gate-passing measures).  Under a global
-    # memory budget (the CI spill-smoke hook) the bounded-memory tier
-    # supersedes the parallel path by design — then the spill counter is
-    # the one that must show activity.
+    # query mix always contains gate-passing measures).
     for degree, engine in parallel_engines.items():
-        if engine.memory_budget is None:
-            assert engine.metrics.get("engine.parallel.queries") >= 1, degree
-        else:
-            assert engine.metrics.get("engine.spill.queries") >= 1, degree
+        assert engine.metrics.get("engine.parallel.queries") >= 1, degree
     assert warm_engine.result_cache.stats()["hits"] >= len(queries)
 
 
@@ -308,15 +302,10 @@ def test_benchmark_types_four_ways(ssb_arms, intention, variant):
 def test_parallel_arms_actually_parallelized(ssb_arms):
     """After the quantity variants ran, every parallel arm must show
     morsel-parallel executions — fallback-only arms would make the suite
-    vacuous.  Under a global memory budget (the CI spill-smoke hook) the
-    bounded-memory tier supersedes the parallel path by design — then the
-    spill counter is the one that must show activity."""
+    vacuous."""
     _, parallel, warm = ssb_arms
     for degree, arm in parallel.items():
-        if arm.engine.memory_budget is None:
-            assert arm.engine.metrics.get("engine.parallel.queries") >= 1, degree
-        else:
-            assert arm.engine.metrics.get("engine.spill.queries") >= 1, degree
+        assert arm.engine.metrics.get("engine.parallel.queries") >= 1, degree
     assert warm.engine.result_cache.stats()["hits"] >= 1
 
 
@@ -407,11 +396,11 @@ def _pipeline_engine(storage, parallelism=None, budget=None, seed=3):
         )
         for table in clustered:
             engine.catalog.register(table, replace=True)
-    # Explicit on both knobs: the CI hooks set them through the environment.
-    engine.set_parallelism(
-        parallelism, morsel_rows=PIPELINE_MORSEL, min_rows=0
+    # Configured in code, so the environment's settings do not apply.
+    engine.configure(
+        parallelism=parallelism, morsel_rows=PIPELINE_MORSEL, min_rows=0,
+        memory_budget=budget,
     )
-    engine.set_memory_budget(budget)
     return engine, hierarchies
 
 
@@ -488,7 +477,7 @@ def test_single_get_is_the_fused_batch_of_one(tier, storage, kind):
     if taken != "serial":
         ran = "queries" if kind == "exact" else "fallbacks"
         assert counters.get(f"engine.{taken}.{ran}") >= 1
-    engine.set_parallelism(None)
+    engine.configure(parallelism=1)
 
 
 @pytest.mark.parametrize("tier", ("parallel-2", "budget"))
@@ -519,4 +508,4 @@ def test_fused_fallback_member_scans_only_surviving_rows(tier):
     _assert_same_result(results[1], standalone)
     # one shared pass plus one fallback pass, each over the surviving rows
     assert counters.get("engine.rows_scanned") - before == 2 * surviving
-    engine.set_parallelism(None)
+    engine.configure(parallelism=1)

@@ -46,7 +46,7 @@ def assert_same_bits(left, right):
 def with_parallelism(engine, parallelism):
     """Serial, or morsel-parallel with morsels small enough to merge."""
     if parallelism > 1:
-        engine.set_parallelism(parallelism, morsel_rows=4096, min_rows=0)
+        engine.configure(parallelism=parallelism, morsel_rows=4096, min_rows=0)
     return engine
 
 

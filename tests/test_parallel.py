@@ -32,7 +32,6 @@ from repro.parallel import (
     MorselTask,
     ParallelConfig,
     decode_keys,
-    env_parallelism,
     merge_morsels,
     morsel_ranges,
     run_morsel,
@@ -66,6 +65,7 @@ def test_morsel_ranges_clamps_degenerate_morsel_size():
 # ParallelConfig
 # ----------------------------------------------------------------------
 def test_config_defaults_and_eligibility():
+    assert ParallelConfig(degree=2).morsel_rows == DEFAULT_MORSEL_ROWS
     config = ParallelConfig(degree=4, morsel_rows=100)
     assert config.enabled
     assert config.min_rows == 100  # defaults to the morsel size
@@ -78,24 +78,6 @@ def test_config_degree_one_never_parallelizes():
     config = ParallelConfig(degree=1, morsel_rows=10)
     assert not config.enabled
     assert not config.eligible(10_000_000)
-
-
-def test_config_default_morsel_rows_and_env(monkeypatch):
-    monkeypatch.delenv("REPRO_MORSEL_ROWS", raising=False)
-    assert ParallelConfig(degree=2).morsel_rows == DEFAULT_MORSEL_ROWS
-    monkeypatch.setenv("REPRO_MORSEL_ROWS", "4096")
-    assert ParallelConfig(degree=2).morsel_rows == 4096
-    monkeypatch.setenv("REPRO_MORSEL_ROWS", "not-a-number")
-    assert ParallelConfig(degree=2).morsel_rows == DEFAULT_MORSEL_ROWS
-
-
-def test_env_parallelism_parsing(monkeypatch):
-    monkeypatch.delenv("REPRO_PARALLELISM", raising=False)
-    assert env_parallelism() is None
-    monkeypatch.setenv("REPRO_PARALLELISM", "3")
-    assert env_parallelism() == 3
-    monkeypatch.setenv("REPRO_PARALLELISM", "three")
-    assert env_parallelism() is None
 
 
 def test_map_ordered_preserves_task_order():
@@ -294,7 +276,7 @@ def test_set_parallelism_off_restores_serial():
 # Cost model: parallel pricing
 # ----------------------------------------------------------------------
 def test_cost_model_prices_parallel_below_serial_on_big_scans():
-    serial = AssessSession(sales_engine(n_rows=20_000, seed=5))
+    serial = AssessSession(sales_engine(n_rows=20_000, seed=5), parallelism=1)
     parallel = _parallel_session(degree=4, n_rows=20_000)
     for session in (serial, parallel):
         session.engine.result_cache.enabled = False

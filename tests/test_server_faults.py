@@ -104,7 +104,6 @@ def test_timed_out_scan_stops_at_the_next_morsel(tmp_path, monkeypatch):
     from repro.engine import executor
 
     morsel_rows, morsel_sleep_s, deadline_s = 100, 0.2, 0.5
-    monkeypatch.setenv("REPRO_MORSEL_ROWS", str(morsel_rows))
     aggregate = executor._partial_aggregate
     ran = []
 
@@ -116,6 +115,7 @@ def test_timed_out_scan_stops_at_the_next_morsel(tmp_path, monkeypatch):
     monkeypatch.setattr(executor, "_partial_aggregate", slow_morsel)
     server = _server(tmp_path, pool_size=1, memory_budget=1, parallelism=1)
     tenant = server.tenants["demo"]
+    tenant.engine.configure(morsel_rows=morsel_rows)
     try:
         start = time.monotonic()
         status, document, _ = post_json(

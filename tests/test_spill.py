@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -40,7 +41,6 @@ from repro.engine.spill import (
     MIN_SPILL_PARTITIONS,
     SpillAggregator,
     choose_partitions,
-    env_memory_budget,
     grouping_state_bytes,
 )
 from repro.engine.table import Table
@@ -79,8 +79,15 @@ def _random_morsels(rng, key_space: int, n_morsels: int, ops):
     return morsels
 
 
+@pytest.fixture()
+def spill_root(tmp_path, monkeypatch):
+    """Spill runs land under ``tmp_path`` (``tempfile``'s root, as TMPDIR)."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    return tmp_path
+
+
 @pytest.mark.parametrize("seed", range(4))
-def test_spill_aggregator_matches_direct_merge(seed, tmp_path):
+def test_spill_aggregator_matches_direct_merge(seed, spill_root):
     """Range-partitioned external merge == one direct in-RAM merge."""
     rng = np.random.default_rng(1234 + seed)
     ops = ["sum", "min", "count"]
@@ -93,7 +100,6 @@ def test_spill_aggregator_matches_direct_merge(seed, tmp_path):
     )
     with SpillAggregator(
         key_space, ops, budget_bytes=256, n_partitions=8,
-        spill_dir=str(tmp_path),
     ) as spiller:
         for keys, partials in morsels:
             spiller.add(keys, partials)
@@ -105,10 +111,10 @@ def test_spill_aggregator_matches_direct_merge(seed, tmp_path):
     for got, want in zip(got_partials, expected[1]):
         assert got.tobytes() == want.tobytes()
     # Context exit removed the run directory.
-    assert not any(tmp_path.iterdir())
+    assert not any(spill_root.iterdir())
 
 
-def test_spill_aggregator_cleanup_on_midmerge_failure(tmp_path, monkeypatch):
+def test_spill_aggregator_cleanup_on_midmerge_failure(spill_root, monkeypatch):
     """Injected merge failure still removes every temp file."""
     rng = np.random.default_rng(7)
     ops = ["sum"]
@@ -117,9 +123,7 @@ def test_spill_aggregator_cleanup_on_midmerge_failure(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("injected mid-merge failure")
 
-    aggregator = SpillAggregator(
-        1000, ops, budget_bytes=64, n_partitions=4, spill_dir=str(tmp_path)
-    )
+    aggregator = SpillAggregator(1000, ops, budget_bytes=64, n_partitions=4)
     with pytest.raises(RuntimeError, match="injected"):
         with aggregator:
             for keys, partials in morsels:
@@ -129,24 +133,13 @@ def test_spill_aggregator_cleanup_on_midmerge_failure(tmp_path, monkeypatch):
             monkeypatch.setattr("repro.engine.spill.merge_morsels", boom)
             aggregator.merge_all()
     assert aggregator.temp_dir is None
-    assert not any(tmp_path.iterdir())
+    assert not any(spill_root.iterdir())
 
 
 def test_spill_aggregator_empty_and_single_bucket():
     with SpillAggregator(10, ["sum"], budget_bytes=1000) as spiller:
         keys, partials = spiller.merge_all()
     assert len(keys) == 0 and len(partials) == 1 and len(partials[0]) == 0
-
-
-def test_env_memory_budget(monkeypatch):
-    monkeypatch.delenv("REPRO_MEMORY_BYTES", raising=False)
-    assert env_memory_budget() is None
-    monkeypatch.setenv("REPRO_MEMORY_BYTES", "1000")
-    assert env_memory_budget() == 1000
-    monkeypatch.setenv("REPRO_MEMORY_BYTES", "not-a-number")
-    assert env_memory_budget() is None
-    monkeypatch.setenv("REPRO_MEMORY_BYTES", "-5")
-    assert env_memory_budget() is None
 
 
 def test_partition_sizing():
@@ -161,18 +154,18 @@ def test_partition_sizing():
 # Random cubes: budget-forced-low arm vs unlimited arm, bit-identical
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", range(3))
-def test_random_cubes_spill_bit_identical(seed, monkeypatch):
-    monkeypatch.setenv("REPRO_MORSEL_ROWS", "256")  # several morsels per scan
+def test_random_cubes_spill_bit_identical(seed):
     _, serial_engine, hierarchies = _random_star(seed)
     serial_engine.result_cache.enabled = False
     schema = serial_engine.cube("RAND").schema
 
+    # 256-row morsels: several per scan
     _, spill_engine, _ = _random_star(seed)
     spill_engine.result_cache.enabled = False
-    spill_engine.set_memory_budget(2_000)
+    spill_engine.configure(memory_budget=2_000, morsel_rows=256)
 
     _, warm_engine, _ = _random_star(seed)
-    warm_engine.set_memory_budget(2_000)
+    warm_engine.configure(memory_budget=2_000, morsel_rows=256)
     assert warm_engine.result_cache.enabled
 
     rng = np.random.default_rng(9000 + seed)
@@ -260,14 +253,58 @@ def test_env_memory_bytes_routes_queries(monkeypatch):
     assert session.engine.metrics.get("engine.spill.queries") >= 1
 
 
-def test_executor_cleans_temp_files(tmp_path, monkeypatch):
+BATCH = [
+    QUANTITY_VARIANTS["Constant"],
+    QUANTITY_VARIANTS["Constant"].replace("by date,", "by month,"),
+]
+
+
+def test_execute_many_runs_by_the_session_budget(monkeypatch):
+    """A batch runs by its session's settings, not by the environment's:
+    the budget set in code spills it, and removing the budget removes it
+    for batches as for single statements."""
+    reference = AssessSession(prepare_engine(20_000), parallelism=1)
+    reference.engine.result_cache.enabled = False
+    session = AssessSession(prepare_engine(20_000), memory_budget=2_000)
+    session.engine.result_cache.enabled = False
+    batch = session.execute_many(BATCH)
+    assert session.engine.metrics.get("engine.spill.queries") >= 1
+    for result, text in zip(batch, BATCH):
+        assert results_identical(result, reference.assess(text))
+
+    monkeypatch.setenv("REPRO_MEMORY_BYTES", str(TINY_BUDGET))
+    unbounded = AssessSession(prepare_engine(SSB_ROWS))
+    unbounded.engine.result_cache.enabled = False
+    assert unbounded.memory_budget == TINY_BUDGET
+    unbounded.set_memory_budget(None)
+    unbounded.assess(BATCH[0])
+    unbounded.execute_many(BATCH)
+    assert unbounded.engine.metrics.get("engine.spill.queries") == 0
+
+
+def test_execute_many_honours_zone_pruning_off():
+    statements = [
+        text.replace("with SSB by", "with SSB for year = '1997' by")
+        for text in BATCH
+    ]
+    prunes = {}
+    for pruning in (True, False):
+        engine = prepare_engine(SSB_ROWS)
+        engine.result_cache.enabled = False
+        engine.catalog.table(engine.cube("SSB").star.fact_table).ensure_zone_maps(256)
+        engine.configure(zone_pruning=pruning)
+        AssessSession(engine).execute_many(statements)
+        prunes[pruning] = engine.metrics.get("engine.storage.prunes")
+    assert prunes[True] >= 1 and prunes[False] == 0
+
+
+def test_executor_cleans_temp_files(spill_root, monkeypatch):
     """End-to-end: run directories vanish on success and on failure."""
-    monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
     session = AssessSession(prepare_engine(SSB_ROWS), memory_budget=2_000)
     session.engine.result_cache.enabled = False
     session.assess(QUANTITY_VARIANTS["Constant"])
     assert session.engine.metrics.get("engine.spill.spills") >= 1
-    assert not any(tmp_path.iterdir())  # success path cleaned up
+    assert not any(spill_root.iterdir())  # success path cleaned up
 
     def boom(self):
         assert self.temp_dir is not None  # the pass really spilled first
@@ -276,7 +313,7 @@ def test_executor_cleans_temp_files(tmp_path, monkeypatch):
     monkeypatch.setattr(SpillAggregator, "merge_all", boom)
     with pytest.raises(RuntimeError, match="injected"):
         session.assess(QUANTITY_VARIANTS["Sibling"])
-    assert not any(tmp_path.iterdir())  # failure path cleaned up too
+    assert not any(spill_root.iterdir())  # failure path cleaned up too
 
 
 # ----------------------------------------------------------------------

@@ -313,7 +313,7 @@ def test_pruning_toggle_is_invisible():
 
     pruning_session, pruning_engine = session()
     no_pruning_session, no_pruning_engine = session()
-    no_pruning_engine.executor.zone_pruning = False
+    no_pruning_engine.configure(zone_pruning=False)
 
     a = pruning_session.assess(PRUNING_STATEMENT)
     b = no_pruning_session.assess(PRUNING_STATEMENT)
@@ -352,11 +352,8 @@ def test_parallel_pruning_skips_morsels():
     parallel_engine = ssb_engine_from_catalog(clustered)
     parallel_engine.result_cache.enabled = False
 
-    # sessions first: the AssessSession constructor applies the
-    # REPRO_PARALLELISM env default, which would override these configs
-    serial_session = AssessSession(serial_engine)
+    serial_session = AssessSession(serial_engine, parallelism=1)
     parallel_session = AssessSession(parallel_engine)
-    serial_session.set_parallelism(None)
     parallel_session.set_parallelism(2, morsel_rows=2_048, min_rows=2_048)
 
     serial = serial_session.assess(PRUNING_STATEMENT)

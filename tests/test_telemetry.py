@@ -18,11 +18,7 @@ from repro.obs.qlog import (
     validate_record,
 )
 from repro.obs.timeseries import LogHistogram, RingBuffer, TelemetryHub
-from repro.obs.profiler import (
-    SamplingProfiler,
-    profile_env_interval,
-    profiling,
-)
+from repro.obs.profiler import SamplingProfiler, profiling
 from repro.obs.rss import peak_rss_bytes, peak_rss_kb
 from repro.obs.telemetry import Telemetry
 from repro.obs.watchdog import (
@@ -333,15 +329,6 @@ class TestProfiler:
         profiler.write(path)
         assert path.read_text().strip() == profiler.collapsed().strip()
 
-    def test_env_interval_parsing(self):
-        assert profile_env_interval("") is None
-        assert profile_env_interval("0") is None
-        assert profile_env_interval("off") is None
-        assert profile_env_interval("1") == 0.005
-        assert profile_env_interval("on") == 0.005
-        assert profile_env_interval("2.5") == pytest.approx(0.0025)
-        assert profile_env_interval("0.0001") == pytest.approx(1e-4)
-
 
 # ----------------------------------------------------------------------
 # The session-level record hook
@@ -459,9 +446,12 @@ class TestSessionTelemetry:
         fresh = AssessSession(sales_session.engine)
         assert fresh.telemetry is None
 
-    def test_env_enables(self, sales, tmp_path, monkeypatch):
+    def test_env_enables(self, tmp_path, monkeypatch):
+        from repro.datagen import sales_engine
+
+        # The environment is read when an engine is built.
         monkeypatch.setenv("REPRO_TELEMETRY_DIR", str(tmp_path))
-        session = AssessSession(sales)
+        session = AssessSession(sales_engine(n_rows=2_000))
         assert session.telemetry is not None
         session.assess(MONTHLY)
         session.telemetry.close()

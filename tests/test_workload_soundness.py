@@ -100,8 +100,8 @@ def check_soundness(make_engine, text):
 
     # Differential 3: force the parallel path and watch for fallbacks.
     engine_par = make_engine()
-    session_par = AssessSession(engine_par, parallelism=2)
-    engine_par.executor.parallel.min_rows = 0
+    session_par = AssessSession(engine_par)
+    session_par.set_parallelism(2, min_rows=0)
     for index, statement in enumerate(statements):
         before = engine_par.metrics.get("engine.parallel.fallbacks")
         result = session_par.assess(statement)

@@ -32,6 +32,7 @@ from repro.obs.qlog import (  # noqa: E402
     QueryLogError,
     validate_record,
 )
+from repro.settings import Settings  # noqa: E402
 
 
 def check_directory(directory):
@@ -69,7 +70,7 @@ def check_directory(directory):
 
 def main(argv):
     if not argv:
-        argv = [os.environ.get("REPRO_TELEMETRY_DIR", "")]
+        argv = [Settings.from_env().telemetry_dir]
     if not argv[0]:
         print("usage: check_qlog_schema.py TELEMETRY_DIR", file=sys.stderr)
         return 2
