@@ -43,16 +43,18 @@ class Span:
     """A half-open source range ``[start, end)`` with 1-based line/column.
 
     ``line``/``column`` locate ``start``; they are computed from the text by
-    :meth:`from_text` (the tokenizer stores them directly on tokens).
+    :meth:`from_text` (the tokenizer stores them directly on tokens).  The
+    arguments are ints (the parser builds a dozen spans per statement, so
+    the constructor does not coerce them); ``end`` is clamped to ``start``.
     """
 
     __slots__ = ("start", "end", "line", "column")
 
     def __init__(self, start: int, end: int, line: int = 1, column: int = 1):
-        self.start = int(start)
-        self.end = max(int(end), self.start)
-        self.line = int(line)
-        self.column = int(column)
+        self.start = start
+        self.end = end if end > start else start
+        self.line = line
+        self.column = column
 
     @classmethod
     def from_text(cls, text: str, start: int, end: Optional[int] = None) -> "Span":

@@ -73,6 +73,17 @@ from .tokenizer import Token, TokenType, tokenize
 
 SchemaResolver = Union[Mapping[str, CubeSchema], Callable[[str], CubeSchema]]
 
+# Token types as module globals: on CPython 3.11 reading ``TokenType.COMMA``
+# costs about four global reads, and the parser tests a type on every token.
+IDENT, NUMBER, STRING = TokenType.IDENT, TokenType.NUMBER, TokenType.STRING
+COMMA, COLON, DOT = TokenType.COMMA, TokenType.COLON, TokenType.DOT
+EQUALS, END = TokenType.EQUALS, TokenType.END
+LPAREN, RPAREN = TokenType.LPAREN, TokenType.RPAREN
+LBRACE, RBRACE = TokenType.LBRACE, TokenType.RBRACE
+LBRACKET, RBRACKET = TokenType.LBRACKET, TokenType.RBRACKET
+PLUS, MINUS = TokenType.PLUS, TokenType.MINUS
+STAR, SLASH = TokenType.STAR, TokenType.SLASH
+
 
 def parse_statement(
     text: str,
@@ -133,89 +144,78 @@ class _Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.position = 0
+        self.token = self.tokens[0]  # the current token; END stays current
 
     # ------------------------------------------------------------------
     # Token plumbing
     # ------------------------------------------------------------------
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self.position + offset, len(self.tokens) - 1)
-        return self.tokens[index]
-
     def _advance(self) -> Token:
-        token = self._peek()
-        if token.type is not TokenType.END:
+        token = self.token
+        if token.type is not END:
             self.position += 1
+            self.token = self.tokens[self.position]
         return token
 
     def _expect(self, token_type: TokenType, what: str) -> Token:
-        token = self._peek()
+        token = self.token
         if token.type is not token_type:
-            raise ParseError(
-                f"expected {what}, found {token.value!r}",
-                position=token.position,
-                text=self.text,
-            )
+            raise self._error(f"expected {what}, found {token.value!r}")
         return self._advance()
 
+    def _word(self) -> str:
+        """The current token lowercased for keyword tests ("" if no IDENT)."""
+        token = self.token
+        return token.value.lower() if token.type is IDENT else ""
+
     def _expect_keyword(self, keyword: str) -> Token:
-        token = self._peek()
-        if not token.matches_keyword(keyword):
-            raise ParseError(
-                f"expected keyword {keyword!r}, found {token.value!r}",
-                position=token.position,
-                text=self.text,
+        if self._word() != keyword:
+            raise self._error(
+                f"expected keyword {keyword!r}, found {self.token.value!r}"
             )
         return self._advance()
 
     def _accept_keyword(self, keyword: str) -> bool:
-        if self._peek().matches_keyword(keyword):
+        if self._word() == keyword:
             self._advance()
             return True
         return False
 
     def _error(self, message: str) -> ParseError:
-        token = self._peek()
-        return ParseError(message, position=token.position, text=self.text)
+        return ParseError(message, position=self.token.position, text=self.text)
 
     def _span_from(self, start_token: Token) -> Span:
         """Span from a token's start to the end of the previous token."""
-        previous = self.tokens[max(self.position - 1, 0)]
-        end = previous.end if previous.end >= 0 else start_token.position
-        return Span(
-            start_token.position,
-            max(end, start_token.position),
-            start_token.line,
-            start_token.column,
-        )
+        return Span(start_token.position, self.tokens[self.position - 1].end,
+                    start_token.line, start_token.column)
 
     # ------------------------------------------------------------------
     # Statement (syntactic stage)
     # ------------------------------------------------------------------
     def parse_raw(self) -> RawStatement:
         self._expect_keyword("with")
-        source_token = self._expect(TokenType.IDENT, "a cube name")
+        source_token = self._expect(IDENT, "a cube name")
 
         predicates: List[RawPredicate] = []
         if self._accept_keyword("for"):
             predicates.append(self._parse_predicate())
-            while self._peek().type is TokenType.COMMA:
+            while self.token.type is COMMA:
                 self._advance()
                 predicates.append(self._parse_predicate())
 
         self._expect_keyword("by")
-        level_token = self._expect(TokenType.IDENT, "a level name")
+        level_token = self._expect(IDENT, "a level name")
         levels: List[Tuple[str, Span]] = [(level_token.value, level_token.span)]
-        while self._peek().type is TokenType.COMMA:
+        while self.token.type is COMMA:
             self._advance()
-            level_token = self._expect(TokenType.IDENT, "a level name")
+            level_token = self._expect(IDENT, "a level name")
             levels.append((level_token.value, level_token.span))
 
         self._expect_keyword("assess")
         star = False
-        if self._peek().type is TokenType.STAR:
+        if self.token.type is STAR:
             self._advance()
             star = True
-        measure_token = self._expect(TokenType.IDENT, "a measure name")
+        measure_token = self._expect(IDENT, "a measure name")
 
         raw = RawStatement(
             text=self.text,
@@ -231,7 +231,7 @@ class _Parser:
         if self._accept_keyword("against"):
             raw.benchmark = self._parse_against()
 
-        if self._peek().matches_keyword("using"):
+        if self._word() == "using":
             using_start = self._advance()
             raw.using = self._parse_expression(raw)
             raw.using_span = self._span_from(using_start)
@@ -239,8 +239,8 @@ class _Parser:
         self._expect_keyword("labels")
         raw.labels = self._parse_labels()
 
-        end = self._peek()
-        if end.type is not TokenType.END:
+        end = self.token
+        if end.type is not END:
             raise self._error(f"unexpected trailing input {end.value!r}")
         return raw
 
@@ -248,24 +248,24 @@ class _Parser:
     # for clause
     # ------------------------------------------------------------------
     def _parse_predicate(self) -> RawPredicate:
-        level_token = self._expect(TokenType.IDENT, "a level name")
+        level_token = self._expect(IDENT, "a level name")
         level = level_token.value
-        token = self._peek()
-        if token.type is TokenType.EQUALS:
+        word = self._word()
+        if self.token.type is EQUALS:
             self._advance()
             values: Tuple = (self._parse_value(),)
             op = "="
-        elif token.matches_keyword("in"):
+        elif word == "in":
             self._advance()
-            self._expect(TokenType.LPAREN, "'('")
+            self._expect(LPAREN, "'('")
             members = [self._parse_value()]
-            while self._peek().type is TokenType.COMMA:
+            while self.token.type is COMMA:
                 self._advance()
                 members.append(self._parse_value())
-            self._expect(TokenType.RPAREN, "')'")
+            self._expect(RPAREN, "')'")
             values = tuple(members)
             op = "in"
-        elif token.matches_keyword("between"):
+        elif word == "between":
             self._advance()
             low = self._parse_value()
             self._expect_keyword("and")
@@ -279,12 +279,12 @@ class _Parser:
         )
 
     def _parse_value(self):
-        token = self._peek()
-        if token.type is TokenType.STRING:
+        token = self.token
+        if token.type is STRING:
             return self._advance().value
-        if token.type is TokenType.NUMBER:
-            return _numeric(self._advance().value)
-        if token.type is TokenType.IDENT:
+        if token.type is NUMBER:
+            return float(self._advance().value)
+        if token.type is IDENT:
             return self._advance().value
         raise self._error(f"expected a value, found {token.value!r}")
 
@@ -292,40 +292,39 @@ class _Parser:
     # against clause
     # ------------------------------------------------------------------
     def _parse_against(self) -> RawBenchmark:
-        token = self._peek()
-        if token.type is TokenType.NUMBER:
+        token = self.token
+        if token.type is NUMBER:
             self._advance()
-            return RawBenchmark(
-                "constant", token.span, value=_numeric(token.value)
-            )
-        if token.matches_keyword("past"):
+            return RawBenchmark("constant", token.span, value=float(token.value))
+        word = self._word()
+        if word == "past":
             start = self._advance()
-            count = self._expect(TokenType.NUMBER, "the past window length")
+            count = self._expect(NUMBER, "the past window length")
             return RawBenchmark(
                 "past", self._span_from(start), k=int(float(count.value))
             )
-        if token.matches_keyword("ancestor"):
+        if word == "ancestor":
             start = self._advance()
             # The slice level of the ancestor comparison is recovered at
             # binding time from the group-by set; the syntax names only
             # the ancestor level (e.g. "against ancestor type").
-            ancestor = self._expect(TokenType.IDENT, "an ancestor level")
+            ancestor = self._expect(IDENT, "an ancestor level")
             return RawBenchmark(
                 "ancestor", self._span_from(start), ancestor_level=ancestor.value
             )
-        if token.type is TokenType.IDENT:
+        if token.type is IDENT:
             start = self._advance()
-            follow = self._peek()
-            if follow.type is TokenType.DOT:
+            follow = self.token
+            if follow.type is DOT:
                 self._advance()
-                measure = self._expect(TokenType.IDENT, "a measure name")
+                measure = self._expect(IDENT, "a measure name")
                 return RawBenchmark(
                     "external",
                     self._span_from(start),
                     cube=start.value,
                     measure=measure.value,
                 )
-            if follow.type is TokenType.EQUALS:
+            if follow.type is EQUALS:
                 self._advance()
                 member = self._parse_value()
                 return RawBenchmark(
@@ -340,9 +339,9 @@ class _Parser:
     # using clause — expression grammar
     # ------------------------------------------------------------------
     def _parse_expression(self, raw: RawStatement) -> Expression:
-        start = self._peek()
+        start = self.token
         left = self._parse_term(raw)
-        while self._peek().type in (TokenType.PLUS, TokenType.MINUS):
+        while self.token.type in (PLUS, MINUS):
             op = self._advance().value
             right = self._parse_term(raw)
             left = BinaryOp(op, left, right)
@@ -350,9 +349,9 @@ class _Parser:
         return left
 
     def _parse_term(self, raw: RawStatement) -> Expression:
-        start = self._peek()
+        start = self.token
         left = self._parse_factor(raw)
-        while self._peek().type in (TokenType.STAR, TokenType.SLASH):
+        while self.token.type in (STAR, SLASH):
             op = self._advance().value
             right = self._parse_factor(raw)
             left = BinaryOp(op, left, right)
@@ -360,41 +359,41 @@ class _Parser:
         return left
 
     def _parse_factor(self, raw: RawStatement) -> Expression:
-        token = self._peek()
-        if token.type is TokenType.MINUS:
+        token = self.token
+        if token.type is MINUS:
             self._advance()
             inner = self._parse_factor(raw)
             node: Expression = BinaryOp("-", Literal(0.0), inner)
             raw.expr_spans[id(node)] = self._span_from(token)
             return node
-        if token.type is TokenType.NUMBER:
+        if token.type is NUMBER:
             self._advance()
-            node = Literal(_numeric(token.value))
+            node = Literal(float(token.value))
             raw.expr_spans[id(node)] = token.span
             return node
-        if token.type is TokenType.LPAREN:
+        if token.type is LPAREN:
             self._advance()
             inner = self._parse_expression(raw)
-            self._expect(TokenType.RPAREN, "')'")
+            self._expect(RPAREN, "')'")
             return inner
-        if token.type is TokenType.IDENT:
+        if token.type is IDENT:
             self._advance()
-            follow = self._peek()
-            if follow.type is TokenType.LPAREN:
+            follow = self.token
+            if follow.type is LPAREN:
                 self._advance()
                 args: List[Expression] = []
-                if self._peek().type is not TokenType.RPAREN:
+                if self.token.type is not RPAREN:
                     args.append(self._parse_expression(raw))
-                    while self._peek().type is TokenType.COMMA:
+                    while self.token.type is COMMA:
                         self._advance()
                         args.append(self._parse_expression(raw))
-                self._expect(TokenType.RPAREN, "')'")
+                self._expect(RPAREN, "')'")
                 node = FunctionCall(token.value, args)
                 raw.expr_spans[id(node)] = self._span_from(token)
                 return node
-            if follow.type is TokenType.DOT:
+            if follow.type is DOT:
                 self._advance()
-                measure = self._expect(TokenType.IDENT, "a measure name")
+                measure = self._expect(IDENT, "a measure name")
                 node = MeasureRef(measure.value, qualifier=token.value)
                 raw.expr_spans[id(node)] = token.span.merge(measure.span)
                 return node
@@ -407,10 +406,10 @@ class _Parser:
     # labels clause
     # ------------------------------------------------------------------
     def _parse_labels(self) -> RawLabels:
-        token = self._peek()
-        if token.type is TokenType.LBRACE:
+        token = self.token
+        if token.type is LBRACE:
             return self._parse_range_set()
-        if token.type is TokenType.IDENT:
+        if token.type is IDENT:
             self._advance()
             return RawLabels("named", token.span, name=token.value)
         raise self._error(
@@ -418,39 +417,39 @@ class _Parser:
         )
 
     def _parse_range_set(self) -> RawLabels:
-        open_token = self._expect(TokenType.LBRACE, "'{'")
+        open_token = self._expect(LBRACE, "'{'")
         rules = [self._parse_rule()]
-        while self._peek().type is TokenType.COMMA:
+        while self.token.type is COMMA:
             self._advance()
             # Tolerate a trailing comma before the closing brace (the
             # paper's own examples end the set with one).
-            if self._peek().type is TokenType.RBRACE:
+            if self.token.type is RBRACE:
                 break
             rules.append(self._parse_rule())
-        self._expect(TokenType.RBRACE, "'}'")
+        self._expect(RBRACE, "'}'")
         return RawLabels("ranges", self._span_from(open_token), rules=rules)
 
     def _parse_rule(self) -> RawLabelRule:
-        open_token = self._peek()
-        if open_token.type is TokenType.LBRACKET:
+        open_token = self.token
+        if open_token.type is LBRACKET:
             low_closed = True
-        elif open_token.type is TokenType.LPAREN:
+        elif open_token.type is LPAREN:
             low_closed = False
         else:
             raise self._error("expected '[' or '(' to open a label range")
         self._advance()
         low = self._parse_bound()
-        self._expect(TokenType.COMMA, "','")
+        self._expect(COMMA, "','")
         high = self._parse_bound()
-        close_token = self._peek()
-        if close_token.type is TokenType.RBRACKET:
+        close_token = self.token
+        if close_token.type is RBRACKET:
             high_closed = True
-        elif close_token.type is TokenType.RPAREN:
+        elif close_token.type is RPAREN:
             high_closed = False
         else:
             raise self._error("expected ']' or ')' to close a label range")
         self._advance()
-        self._expect(TokenType.COLON, "':'")
+        self._expect(COLON, "':'")
         label = self._parse_label()
         return RawLabelRule(
             low, high, low_closed, high_closed, label, self._span_from(open_token)
@@ -458,34 +457,30 @@ class _Parser:
 
     def _parse_bound(self) -> float:
         sign = 1.0
-        if self._peek().type is TokenType.MINUS:
+        if self.token.type is MINUS:
             self._advance()
             sign = -1.0
-        token = self._peek()
-        if token.matches_keyword("inf"):
+        token = self.token
+        if token.type is NUMBER:
+            return sign * float(self._advance().value)
+        if self._word() == "inf":
             self._advance()
             return sign * float("inf")
-        if token.type is TokenType.NUMBER:
-            return sign * _numeric(self._advance().value)
         raise self._error(f"expected a numeric bound, found {token.value!r}")
 
     def _parse_label(self) -> str:
-        token = self._peek()
-        if token.type is TokenType.STRING:
+        token = self.token
+        if token.type is STRING:
             return self._advance().value
-        if token.type is TokenType.IDENT:
+        if token.type is IDENT:
             return self._advance().value
-        if token.type is TokenType.STAR:
+        if token.type is STAR:
             stars = 0
-            while self._peek().type is TokenType.STAR:
+            while self.token.type is STAR:
                 self._advance()
                 stars += 1
             return "*" * stars
         raise self._error(f"expected a label, found {token.value!r}")
-
-
-def _numeric(text: str) -> float:
-    return float(text)
 
 
 # ----------------------------------------------------------------------

@@ -3,16 +3,23 @@
 Turns statement text into a stream of typed tokens.  Keywords are
 recognised case-insensitively at parse time (the tokenizer only emits
 IDENT); string literals use single quotes with ``''`` escaping, numbers are
-unsigned (sign handling belongs to the grammar, e.g. in label ranges), and
-``*`` is a plain punctuation token so that both ``assess*`` and star labels
-(``***``) can be assembled by the parser.
+unsigned decimal digits with an optional fraction (sign handling belongs
+to the grammar, e.g. in label ranges), and ``*`` is a plain punctuation
+token so that both ``assess*`` and star labels (``***``) can be assembled
+by the parser.
+
+One compiled pattern does the scanning: each match is the whitespace
+before a token plus the token, and its capture group names the token
+type, so consecutive matches tile the text.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from typing import List, NamedTuple
 
+from ..core.diagnostics import Span
 from ..core.errors import ParseError
 
 PUNCTUATION = {
@@ -63,24 +70,38 @@ class Token(NamedTuple):
     end: int = -1
 
     def matches_keyword(self, keyword: str) -> bool:
-        """Case-insensitive keyword check (keywords are IDENT tokens)."""
-        return self.type is TokenType.IDENT and self.value.lower() == keyword.lower()
+        """Case-insensitive keyword check; ``keyword`` is given in lower case."""
+        return self.type is TokenType.IDENT and self.value.lower() == keyword
 
     @property
-    def span(self):
+    def span(self) -> Span:
         """The token's source :class:`~repro.core.diagnostics.Span`."""
-        from ..core.diagnostics import Span
-
         end = self.end if self.end >= 0 else self.position + max(len(self.value), 1)
         return Span(self.position, end, self.line, self.column)
 
 
-def _is_ident_start(char: str) -> bool:
-    return char.isalpha() or char == "_"
-
-
-def _is_ident_char(char: str) -> bool:
-    return char.isalnum() or char in "_#"
+# One group per token shape, the plain ones (value = matched text) first.
+# ``\w`` is ``str.isalnum`` plus ``_`` and ``\d`` is ``str.isdecimal``, so
+# identifiers continue as they always did and a number is made of digits
+# ``float`` accepts.  A closing quote must not be followed by another
+# (``''`` is an escaped quote).  An identifier with a non-ASCII start is
+# checked for ``str.isalpha`` after the match; anything left is an error.
+_TOKEN = re.compile(
+    r"\s*(?:"
+    r"([A-Za-z_][\w#]*)"
+    r"|(\d+(?:\.\d+)?)"
+    + "".join(f"|({re.escape(char)})" for char in PUNCTUATION)
+    + r"|('[^']*(?:''[^']*)*'(?!'))"
+    r"|([^\W\d][\w#]*)"
+    r"|(\S))"
+)
+_GROUP_TYPES = (
+    (None, TokenType.IDENT, TokenType.NUMBER)
+    + tuple(TokenType[name] for name in PUNCTUATION.values())
+    + (TokenType.STRING, TokenType.IDENT, None)
+)
+_STRING_GROUP = len(_GROUP_TYPES) - 3
+_new_token = tuple.__new__  # a Token from a ready tuple, half the cost of Token(...)
 
 
 def tokenize(text: str) -> List[Token]:
@@ -90,77 +111,37 @@ def tokenize(text: str) -> List[Token]:
     so parse and analysis diagnostics can point at exact source spans.
     """
     tokens: List[Token] = []
-    i, n = 0, len(text)
+    append = tokens.append
+    n = len(text)
     line, line_start = 1, 0
-
-    def emit(token_type: TokenType, value: str, start: int, end: int) -> None:
-        tokens.append(
-            Token(token_type, value, start, line, start - line_start + 1, end)
-        )
-
-    while i < n:
-        char = text[i]
-        if char.isspace():
-            if char == "\n":
-                line += 1
-                line_start = i + 1
-            i += 1
-            continue
-        if char == "'":
-            start = i
-            value, i = _read_string(text, i)
-            emit(TokenType.STRING, value, start, i)
-            raw = text[start:i]
-            if "\n" in raw:  # keep line tracking right across multi-line literals
-                line += raw.count("\n")
-                line_start = start + raw.rfind("\n") + 1
-            continue
-        if char.isdigit():
-            start = i
-            value, i = _read_number(text, i)
-            emit(TokenType.NUMBER, value, start, i)
-            continue
-        if _is_ident_start(char):
-            start = i
-            while i < n and _is_ident_char(text[i]):
-                i += 1
-            emit(TokenType.IDENT, text[start:i], start, i)
-            continue
-        if char in PUNCTUATION:
-            emit(TokenType[PUNCTUATION[char]], char, i, i + 1)
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {char!r}", position=i, text=text)
-    tokens.append(Token(TokenType.END, "", n, line, n - line_start + 1, n))
+    newline = text.find("\n") % (n + 1)  # the next newline, n when none is left
+    # Trailing whitespace is cut off so that every search matches where it
+    # starts; otherwise each trailing position would rescan to the end.
+    for match in _TOKEN.finditer(text, 0, len(text.rstrip())):
+        index = match.lastindex
+        start, end = match.span(index)
+        while newline < start:  # whitespace or a string literal crossed lines
+            line += 1
+            line_start = newline + 1
+            newline = text.find("\n", line_start) % (n + 1)
+        if index < _STRING_GROUP:
+            value = text[start:end]
+        elif index == _STRING_GROUP:
+            value = text[start + 1 : end - 1].replace("''", "'")
+        elif _GROUP_TYPES[index] is not None and text[start].isalpha():
+            value = text[start:end]
+        elif text[start] == "'":
+            raise ParseError("unterminated string literal", position=start, text=text)
+        else:
+            raise ParseError(
+                f"unexpected character {text[start]!r}", position=start, text=text
+            )
+        append(_new_token(Token, (
+            _GROUP_TYPES[index], value, start, line, start - line_start + 1, end
+        )))
+    while newline < n:
+        line += 1
+        line_start = newline + 1
+        newline = text.find("\n", line_start) % (n + 1)
+    append(Token(TokenType.END, "", n, line, n - line_start + 1, n))
     return tokens
-
-
-def _read_string(text: str, start: int) -> tuple:
-    """Read a single-quoted string literal starting at ``start``."""
-    i = start + 1
-    n = len(text)
-    parts: List[str] = []
-    while i < n:
-        char = text[i]
-        if char == "'":
-            if i + 1 < n and text[i + 1] == "'":  # escaped quote
-                parts.append("'")
-                i += 2
-                continue
-            return "".join(parts), i + 1
-        parts.append(char)
-        i += 1
-    raise ParseError("unterminated string literal", position=start, text=text)
-
-
-def _read_number(text: str, start: int) -> tuple:
-    """Read an unsigned numeric literal (integer or decimal)."""
-    i = start
-    n = len(text)
-    while i < n and text[i].isdigit():
-        i += 1
-    if i < n and text[i] == "." and i + 1 < n and text[i + 1].isdigit():
-        i += 1
-        while i < n and text[i].isdigit():
-            i += 1
-    return text[start:i], i

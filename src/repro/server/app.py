@@ -11,7 +11,9 @@ request life cycle for ``POST /v1/query``:
    queue (429 + ``Retry-After`` on saturation, 504 if the deadline
    lapses while queued);
 4. **lint** — the statement runs through the static analyzer; error
-   diagnostics (ASSESSxxx) come back as a 422 envelope;
+   diagnostics (ASSESSxxx) come back as a 422 envelope, and otherwise
+   the statement the analyzer bound is the one that runs, so the text
+   is parsed once;
 5. **execution** — runs on a worker thread so the per-request deadline
    is enforced as a hard response timeout (504); the worker gets the
    deadline too, stops at its next plan-operator or morsel checkpoint,
@@ -44,7 +46,9 @@ from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..analysis import AnalysisContext, analyze_text
 from ..core.deadline import Deadline, DeadlineExceeded
+from ..core.statement import AssessStatement
 from .config import VALID_PLANS, ServerConfig
 from .tenant import AdmissionRejected, Tenant
 from .wire import (
@@ -322,10 +326,14 @@ class ReproServer:
         return value
 
     @staticmethod
-    def _lint(session, statement: str, index: Optional[int] = None) -> None:
-        bag = session.analyze(statement)
+    def _lint(session, statement: str, index: Optional[int] = None) -> AssessStatement:
+        """The statement the analyzer bound, the one the request then runs,
+        so each statement is parsed once (``session.analyze`` makes the
+        same call)."""
+        bound, bag = analyze_text(statement, AnalysisContext.for_session(session))
         if bag.has_errors:
             raise LintFailure(bag, statement_index=index)
+        return bound
 
     # ------------------------------------------------------------------
     # Endpoint bodies (return (status, document) or (status, text, mime))
@@ -340,9 +348,9 @@ class ReproServer:
         start = time.perf_counter()
 
         def work(session):
-            self._lint(session, statement)
+            bound = self._lint(session, statement)
             deadline.check("planning")
-            result = session.assess(statement, plan=plan, deadline=deadline)
+            result = session.assess(bound, plan=plan, deadline=deadline)
             return serialize_result(result, offset, limit)
 
         document = self._execute(tenant, deadline, work)
@@ -370,10 +378,12 @@ class ReproServer:
         start = time.perf_counter()
 
         def work(session):
-            for index, statement in enumerate(statements):
+            bound = [
                 self._lint(session, statement, index=index)
+                for index, statement in enumerate(statements)
+            ]
             deadline.check("planning")
-            batch = session.execute_many(list(statements), plan=plan, deadline=deadline)
+            batch = session.execute_many(bound, plan=plan, deadline=deadline)
             return serialize_batch(batch)
 
         document = self._execute(tenant, deadline, work)
@@ -396,11 +406,11 @@ class ReproServer:
         deadline = self._resolve_deadline(payload)
 
         def work(session):
-            self._lint(session, statement)
+            bound = self._lint(session, statement)
             deadline.check("planning")
             return {
-                "plans": list(session.feasible_plans(statement)),
-                "explain": session.explain(statement, plan=plan),
+                "plans": list(session.feasible_plans(bound)),
+                "explain": session.explain(bound, plan=plan),
             }
 
         document = self._execute(tenant, deadline, work)

@@ -1,7 +1,15 @@
 """Unit tests for the statement tokenizer and parser (Section 4.1 syntax)."""
 
+import glob
+import importlib.util
+import os
+import sys
+
+import numpy as np
 import pytest
 
+from repro.analysis import extract_statements
+from repro.api import AssessSession
 from repro.core import (
     AncestorBenchmark,
     ConstantBenchmark,
@@ -14,8 +22,14 @@ from repro.core import (
     SiblingBenchmark,
     ZeroBenchmark,
 )
-from repro.datagen import budget_schema, sales_schema
+from repro.datagen import budget_schema, sales_engine, sales_schema
+from repro.experiments.statements import STATEMENTS
 from repro.parser import TokenType, parse_statement, tokenize
+
+from . import tokenizer_oracle
+from .test_parser_fuzz import _mutate
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +76,169 @@ class TestTokenizer:
     def test_hash_in_identifiers(self):
         tokens = tokenize("MFGR#12")
         assert tokens[0].value == "MFGR#12"
+
+    def test_trailing_whitespace_scans_in_linear_time(self):
+        # Each trailing position of a search used to rescan to the end.
+        tokens = tokenize("with" + " " * 200_000)
+        assert [t.type for t in tokens] == [TokenType.IDENT, TokenType.END]
+        assert tokens[-1].position == 200_004
+
+
+# ----------------------------------------------------------------------
+# A digit str.isdigit accepts but float does not (superscripts, circled
+# digits) is an unexpected character, not a NUMBER float() rejects.
+# ----------------------------------------------------------------------
+SUPERSCRIPT_STATEMENT = (
+    "with SALES by month assess storeSales against 10² labels quartiles"
+)
+
+
+class TestNonDecimalDigits:
+    def test_parse_raises_parse_error_at_the_digit(self, schemas):
+        with pytest.raises(ParseError) as excinfo:
+            parse_statement(SUPERSCRIPT_STATEMENT, schemas)
+        assert excinfo.value.args[0] == "unexpected character '²'"
+        assert excinfo.value.position == SUPERSCRIPT_STATEMENT.index("²")
+
+    def test_analyze_reports_assess001_with_its_span(self):
+        session = AssessSession(sales_engine(n_rows=200))
+        bag = session.analyze(SUPERSCRIPT_STATEMENT)
+        (diagnostic,) = bag.errors()
+        assert diagnostic.code == "ASSESS001"
+        assert diagnostic.message == "unexpected character '²'"
+        offset = SUPERSCRIPT_STATEMENT.index("²")
+        assert (diagnostic.span.start, diagnostic.span.end) == (offset, offset + 1)
+        assert (diagnostic.span.line, diagnostic.span.column) == (1, offset + 1)
+
+    @pytest.mark.parametrize("text", ["²", "x ③ y", "፩", "1²3", "0.5¹", "1².5"])
+    def test_the_one_difference_from_the_oracle(self, text):
+        # The character loop emitted a NUMBER that float() then rejected.
+        digit = next(i for i, char in enumerate(text)
+                     if char.isdigit() and not char.isdecimal())
+        (number,) = _non_decimal_numbers(tokenizer_oracle.tokenize(text))
+        with pytest.raises(ValueError):
+            float(number.value)
+        with pytest.raises(ParseError) as excinfo:
+            tokenize(text)
+        assert excinfo.value.args[0] == f"unexpected character {text[digit]!r}"
+        assert excinfo.value.position == digit
+
+    def test_arabic_indic_digits_are_numbers(self):
+        tokens = tokenize("١٢ ٣.٥ ۴")
+        assert [t.type for t in tokens[:-1]] == [TokenType.NUMBER] * 3
+        assert [float(t.value) for t in tokens[:-1]] == [12.0, 3.5, 4.0]
+
+
+# ----------------------------------------------------------------------
+# Differential: the compiled-pattern tokenizer against the character loop
+# ----------------------------------------------------------------------
+HAND_WRITTEN = (
+    "with SALES for product = 'multi\nline\n  literal' by month\n"
+    "assess quantity labels quartiles",
+    "'O''Brien' '''' '' 'a''''b'",
+    "'a'''b'",
+    "MFGR#12 MFGR#1 #x",
+    "1. 1..5 .5 1.2.3 007 1.",
+    "'unterminated",
+    "with 'a''",
+    "\twith\tSALES\r\nby month\r\n\r\nassess\x0bquantity\x0c labels q\r\n",
+    "with VENTES for pays = 'Česko' by région assess quantité labels q",
+    "αβγ ñandú _x straße ǅ ﬁ",
+    "against ١٢٣ ٤.٥ ۱۲ x٣",
+    "a²b x½ y①",
+    "against 10² labels",
+    "½x",
+    "a @ b",
+    "a b c　d",
+    "",
+    "   ",
+    "\n\n",
+    "x\n",
+    "x\n  \n",
+    "{[-inf, 0.9): bad, [0.9, 1.1]: ok, (1.1, inf): ***}",
+    "ratio(quantity, benchmark.quantity) * -2 / (a + b)",
+)
+
+
+def _outcome(tokenize_fn, text):
+    try:
+        return tuple(tokenize_fn(text))
+    except ParseError as error:
+        return ("ParseError", error.args[0], error.position)
+
+
+def _non_decimal_numbers(tokens):
+    return [token for token in tokens
+            if getattr(token, "type", None) is TokenType.NUMBER
+            and not token.value.replace(".", "").isdecimal()]
+
+
+def _assert_same_tokens(texts):
+    """Identical tokens, or identical error message and position — except
+    where the oracle made a NUMBER of a non-decimal digit: there the
+    tokenizer reports that digit as an unexpected character instead."""
+    differences = 0
+    for text in texts:
+        expected = _outcome(tokenizer_oracle.tokenize, text)
+        bad = _non_decimal_numbers(expected)
+        if bad:
+            offset = bad[0].position + next(
+                i for i, char in enumerate(bad[0].value)
+                if char != "." and not char.isdecimal()
+            )
+            expected = ("ParseError", f"unexpected character {text[offset]!r}", offset)
+            differences += 1
+        assert _outcome(tokenize, text) == expected, text
+    return differences
+
+
+def _bench_statements():
+    path = os.path.join(ROOT, "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look themselves up
+    spec.loader.exec_module(workloads)
+    texts = []
+    for name in ("cold_scan", "warm_explore", "batch_fused", "served_small",
+                 "served_wide"):
+        for seed in (7, 8, 9):
+            texts.extend(workloads.build(name, seed).statements())
+    return texts
+
+
+def _example_statements():
+    texts = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "examples", "*.assess"))):
+        with open(path) as handle:
+            texts.extend(extract_statements(handle.read()))
+    return texts
+
+
+class TestTokenizerMatchesTheCharacterLoop:
+    def test_hand_written(self):
+        assert _assert_same_tokens(HAND_WRITTEN) == 1  # "10²"
+
+    def test_bench_workload_statements(self):
+        texts = _bench_statements()
+        assert len(texts) >= 500
+        assert _assert_same_tokens(texts) == 0
+
+    def test_example_statements(self):
+        texts = _example_statements()
+        assert len(texts) >= 10
+        assert _assert_same_tokens(texts) == 0
+
+    @pytest.mark.parametrize("seed", (20260806, 1, 2, 3))
+    def test_fuzz_mutants(self, seed):
+        corpus = _example_statements() + [t.strip() for t in STATEMENTS.values()]
+        rng = np.random.default_rng(seed)
+        mutants = []
+        for _ in range(1000):
+            text = corpus[int(rng.integers(0, len(corpus)))]
+            for _ in range(int(rng.integers(1, 4))):
+                text = _mutate(rng, text)
+            mutants.append(text)
+        assert _assert_same_tokens(mutants) == 0
 
 
 class TestStatementParsing:

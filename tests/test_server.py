@@ -17,6 +17,7 @@ import sys
 import pytest
 
 from repro.api import AssessSession
+from repro.core.labels import Interval, LabelRule, RangeLabeling
 from repro.datagen import sales_engine
 from repro.server import (
     ServerConfig,
@@ -28,6 +29,7 @@ from repro.server.wire import SCHEMA_VERSION
 
 from .server_utils import (
     SALES_STATEMENT,
+    SALES_STATEMENT_2,
     SSB_STATEMENT,
     get_json,
     http_get,
@@ -236,6 +238,80 @@ def test_lint_failure_envelope_carries_assess_codes(server):
     codes = {d["code"] for d in error["diagnostics"]}
     assert codes and all(code.startswith("ASSESS") for code in codes)
     assert any(code in error["message"] for code in codes)
+
+
+def test_non_decimal_digit_is_a_lint_failure(server):
+    # '²'.isdigit() is true: the tokenizer once made it a NUMBER, float()
+    # raised, and the request came back 500 internal.
+    statement = "with SALES by month assess storeSales against 10² labels quartiles"
+    status, body, _ = http_post(
+        f"{server.url}/v1/query",
+        payload={"tenant": "acme", "statement": statement},
+    )
+    assert status == 422
+    error = _error(body, status)
+    assert error["code"] == "lint_failed"
+    (diagnostic,) = error["diagnostics"]
+    assert diagnostic["code"] == "ASSESS001"
+    assert diagnostic["message"] == "unexpected character '²'"
+    offset = statement.index("²")
+    assert (diagnostic["span"]["start"], diagnostic["span"]["end"]) == (offset, offset + 1)
+
+
+@pytest.fixture
+def parse_count(monkeypatch):
+    """The texts parsed (``parse_raw``) while the test runs."""
+    from repro.parser.parser import _Parser
+
+    parsed = []
+    original = _Parser.parse_raw
+
+    def counting(parser):
+        parsed.append(parser.text)
+        return original(parser)
+
+    monkeypatch.setattr(_Parser, "parse_raw", counting)
+    return parsed
+
+
+def test_each_statement_is_parsed_once(server, parse_count):
+    status, _, _ = post_json(
+        f"{server.url}/v1/query", {"tenant": "acme", "statement": SALES_STATEMENT}
+    )
+    assert status == 200
+    assert parse_count == [SALES_STATEMENT]
+    del parse_count[:]
+    statements = [SALES_STATEMENT, SALES_STATEMENT_2, SALES_STATEMENT]
+    status, _, _ = post_json(
+        f"{server.url}/v1/batch", {"tenant": "acme", "statements": statements}
+    )
+    assert status == 200
+    assert parse_count == statements
+    del parse_count[:]
+    status, _, _ = post_json(
+        f"{server.url}/v1/explain",
+        {"tenant": "acme", "statement": SALES_STATEMENT, "plan": "NP"},
+    )
+    assert status == 200
+    assert parse_count == [SALES_STATEMENT]
+
+
+def test_session_labeling_resolves_on_the_lint_bound_statement(server):
+    # A named spec is substituted at plan time, on the statement the
+    # analyzer bound (which knows the name from the session).
+    spec = RangeLabeling([
+        LabelRule(Interval(float("-inf"), 0.0, False, False), "negative"),
+        LabelRule(Interval(0.0, float("inf"), True, False), "nonnegative"),
+    ])
+    for session in server.tenants["acme"]._sessions:
+        session.define_labeling_spec("signs", spec)
+    status, document, _ = post_json(
+        f"{server.url}/v1/query",
+        {"tenant": "acme",
+         "statement": "with SALES by month assess storeSales labels signs"},
+    )
+    assert status == 200
+    assert set(document["label"]) == {"nonnegative"}
 
 
 def test_lint_failure_in_batch_names_statement(server):

@@ -502,6 +502,19 @@ def run_live_checks(rows=2000):
                  + validate_error_document(document, status=status)
                  + ([] if document.get("error", {}).get("diagnostics")
                     else ["lint envelope must carry diagnostics"]))
+        # '²'.isdigit() but float('²') raises: a syntax error, not a 500.
+        status, body, _ = _http(
+            f"{base}/v1/query", "POST",
+            payload={"tenant": "demo",
+                     "statement": statement.replace("labels", "against 10² labels")},
+        )
+        document = json.loads(body)
+        codes = [d.get("code") for d in document.get("error", {}).get("diagnostics", [])]
+        run_case("error: non-decimal digit",
+                 ([] if status == 422 else [f"status {status}"])
+                 + validate_error_document(document, status=status)
+                 + ([] if "ASSESS001" in codes
+                    else [f"expected an ASSESS001 diagnostic, got {codes}"]))
         status, body, _ = _http(f"{base}/v1/query", "GET")
         run_case("error: wrong method",
                  ([] if status == 405 else [f"status {status}"])
