@@ -540,9 +540,7 @@ class WorkloadAnalyzer:
                 continue
             self._plan_statement(record, bound, engine)
             for info in record.gets:
-                env.use_views(
-                    info.meta.source, tuple(info.meta.query.group_by.levels)
-                )
+                env.use_views(info.meta)
 
         # A view defined *anywhere* invalidates static routing claims for
         # its cube across the whole script (position-independent, sound).

@@ -3,8 +3,8 @@
 A ``.assess`` script is more than a bag of independent statements: it is
 executed top to bottom against one session, so earlier items create
 bindings later items consume — a named labeling defined up front, a
-materialized view the engine routes later gets onto, a cached result a
-later statement derives from.  This module gives the flow analysis that
+materialized view later gets derive from, a cached result a later
+statement derives from.  This module gives the flow analysis that
 sequential view:
 
 * :func:`scan_workload` segments script text into :class:`WorkloadItem`\\ s
@@ -32,7 +32,11 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Tuple
 
+from ...cache.derive import QueryMeta, can_derive
 from ...core.diagnostics import DiagnosticBag, Severity, Span
+from ...core.errors import SchemaError
+from ...core.groupby import GroupBySet
+from ...core.query import CubeQuery
 from ..codes import severity_of
 from ..lint import extract_statements
 
@@ -186,15 +190,26 @@ class BindingEnv:
             self._shadowed.append((item, previous.item))
         self._views[key] = _Definition(item)
 
-    def use_views(self, cube: str, needed_levels: Tuple[str, ...]) -> bool:
-        """Mark every view that could answer a get over these levels used."""
-        needed = set(needed_levels)
-        hit = False
+    def use_views(self, target: QueryMeta) -> None:
+        """Mark every view the engine could answer this get from used.
+
+        The engine's own relation decides: a view is the unpredicated
+        get of the cube's distributive measures at its levels, and it
+        answers ``target`` when :func:`can_derive` says so.
+        """
+        schema = target.query.schema
+        measures = tuple(m.name for m in schema.measures if m.is_distributive)
         for (view_cube, view_levels), definition in self._views.items():
-            if view_cube == cube.upper() and needed <= set(view_levels):
+            if view_cube != target.source.upper():
+                continue
+            try:
+                view = CubeQuery(
+                    target.source, GroupBySet(schema, view_levels), (), measures
+                )
+            except SchemaError:
+                continue
+            if can_derive(target, QueryMeta(view, frozenset(), frozenset())):
                 definition.used = True
-                hit = True
-        return hit
 
     # -- summaries ------------------------------------------------------
     def dead_definitions(self) -> List[WorkloadItem]:

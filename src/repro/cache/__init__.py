@@ -13,6 +13,9 @@ results and reuses them two ways:
   is re-aggregated from it (:mod:`~repro.cache.derive`), so drilling
   from ``month × product`` up to ``year`` never touches the fact table.
 
+A materialized view is a pinned entry: one more derivation source,
+outside LRU order and the cell budget.
+
 Wiring: :class:`~repro.olap.engine.MultidimensionalEngine` owns a
 :class:`SemanticResultCache`, executes through a
 :class:`CachingEngineExecutor`, annotates every query it builds with

@@ -15,17 +15,24 @@ protocol (see :meth:`SemanticResultCache.fetch`):
    the fact table;
 3. **miss** — the caller executes cold and :meth:`store`s the result.
 
+A materialized view is a *pinned* entry (:meth:`SemanticResultCache.pin`):
+a derivation source like any other, ranked with the cached entries by
+size, but outside LRU order and the cell budget, and kept by
+:meth:`~SemanticResultCache.clear`.  Derivation is the one place a get
+picks a finer source.
+
 Invalidation is by table name: the OLAP layer annotates every query it
 builds with the base tables of its star (:class:`QueryMeta`), and the
 catalog notifies the cache when a table is replaced or dropped; every
-entry whose physical or base tables include it is discarded.
+entry whose physical or base tables include it is discarded, pinned
+ones included.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, FrozenSet, Optional, Set
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from ..engine.executor import ResultSet
 from ..engine.query import AggregateQuery, DrillAcrossQuery, PivotQuery
@@ -47,10 +54,10 @@ _MAX_SEMANTICS = 4096
 
 
 class CacheEntry:
-    """One memoized aggregate result."""
+    """One memoized aggregate result (``view`` names a pinned one)."""
 
     __slots__ = ("fingerprint", "query", "result", "meta", "tables", "cells",
-                 "nbytes", "derived")
+                 "nbytes", "derived", "view")
 
     def __init__(
         self,
@@ -71,6 +78,7 @@ class CacheEntry:
             column.nbytes for column in result.columns.values()
         ) + sum(codes.nbytes for codes, _ in result.codes.values())
         self.derived = derived
+        self.view: Optional[str] = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CacheEntry(rows={len(self.result)}, cells={self.cells})"
@@ -138,6 +146,7 @@ class SemanticResultCache:
         self._entries: "OrderedDict[Fingerprint, CacheEntry]" = OrderedDict()
         self._semantics: "OrderedDict[Fingerprint, QueryMeta]" = OrderedDict()
         self._by_source: Dict[str, Set[Fingerprint]] = {}
+        self._pinned: Dict[str, CacheEntry] = {}
         self._cached_cells = 0
         # One reentrant lock over all mutable state: sessions may be
         # shared across threads (and catalog listeners may invalidate
@@ -219,34 +228,48 @@ class SemanticResultCache:
         """Memoize an executed (or derived) result, evicting LRU-first."""
         if not self.enabled:
             return
-        fingerprint = fingerprint_query(query)
         with self._lock:
-            meta = self._semantics.get(fingerprint)
-            tables: Set[str] = set()
-            for aggregate in _component_aggregates(query):
-                tables |= {aggregate.fact}
-                tables |= {join.table for join in aggregate.joins}
-                component_meta = self._semantics.get(fingerprint_query(aggregate))
-                if component_meta is not None:
-                    tables |= component_meta.base_tables
-            entry = CacheEntry(
-                fingerprint, query, result, meta, frozenset(tables),
-                derived_from_cache,
-            )
+            entry = self._entry(query, result, derived_from_cache)
             if entry.cells > self.cell_budget:
                 return  # would evict the whole cache for one oversized result
+            fingerprint = entry.fingerprint
             old = self._entries.pop(fingerprint, None)
             if old is not None:
                 self._forget(old)
             self._entries[fingerprint] = entry
             self._cached_cells += entry.cells
-            if meta is not None:
-                self._by_source.setdefault(meta.source, set()).add(fingerprint)
+            if entry.meta is not None:
+                self._by_source.setdefault(entry.meta.source, set()).add(fingerprint)
             self.counters.stores += 1
             while self._cached_cells > self.cell_budget and self._entries:
                 _, evicted = self._entries.popitem(last=False)
                 self._forget(evicted)
                 self.counters.evictions += 1
+
+    def pin(self, name: str, query: AggregateQuery, result: ResultSet) -> None:
+        """Keep an annotated result as the materialized view ``name``.
+
+        The entry answers later gets through derivation, like a cached
+        one; it leaves only by :meth:`unpin` or by invalidation of a table
+        it read.  An LRU copy of the same query is dropped: one result,
+        stored once.
+        """
+        with self._lock:
+            entry = self._entry(query, result, False)
+            entry.view = name
+            old = self._entries.pop(entry.fingerprint, None)
+            if old is not None:
+                self._forget(old)
+            self._pinned[name] = entry
+
+    def unpin(self, name: str) -> bool:
+        """Forget the view ``name``; ``False`` when no such view is pinned."""
+        with self._lock:
+            return self._pinned.pop(name, None) is not None
+
+    def pinned_names(self) -> Tuple[str, ...]:
+        with self._lock:
+            return tuple(sorted(self._pinned))
 
     def would_hit(self, query: AggregateQuery) -> Optional[str]:
         """Non-mutating probe: ``"exact"``, ``"derive"``, or ``None``.
@@ -282,11 +305,18 @@ class SemanticResultCache:
             ]
             for fingerprint in stale:
                 self._forget(self._entries.pop(fingerprint))
-            self.counters.invalidations += len(stale)
-            return len(stale)
+            views = [
+                name
+                for name, entry in self._pinned.items()
+                if table_name in entry.tables
+            ]
+            for name in views:
+                del self._pinned[name]
+            self.counters.invalidations += len(stale) + len(views)
+            return len(stale) + len(views)
 
     def clear(self) -> None:
-        """Drop all cached results (counters are kept)."""
+        """Drop all cached results; pinned views and counters are kept."""
         with self._lock:
             self._entries.clear()
             self._by_source.clear()
@@ -315,13 +345,36 @@ class SemanticResultCache:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _entry(
+        self, query: CacheableQuery, result: ResultSet, derived: bool
+    ) -> CacheEntry:
+        """An entry for a result, with the tables that invalidate it."""
+        fingerprint = fingerprint_query(query)
+        tables: Set[str] = set()
+        for aggregate in _component_aggregates(query):
+            tables |= {aggregate.fact}
+            tables |= {join.table for join in aggregate.joins}
+            component_meta = self._semantics.get(fingerprint_query(aggregate))
+            if component_meta is not None:
+                tables |= component_meta.base_tables
+        return CacheEntry(
+            fingerprint, query, result, self._semantics.get(fingerprint),
+            frozenset(tables), derived,
+        )
+
     def _candidates(self, meta: QueryMeta):
-        """Annotated entries of the same cube, smallest result first."""
+        """Annotated entries of the same cube, pinned views included,
+        smallest result first."""
         fingerprints = self._by_source.get(meta.source, ())
         entries = [
             self._entries[f]
             for f in fingerprints
             if f in self._entries and self._entries[f].meta is not None
+        ]
+        entries += [
+            entry
+            for entry in self._pinned.values()
+            if entry.meta is not None and entry.meta.source == meta.source
         ]
         entries.sort(key=lambda entry: len(entry.result))
         return entries
@@ -339,15 +392,18 @@ class SemanticResultCache:
                 meta, candidate.meta, candidate.result, self.rollup_resolver  # type: ignore[arg-type]
             )
             if result is not None:
-                self._entries.move_to_end(candidate.fingerprint)
+                if candidate.view is None:
+                    self._entries.move_to_end(candidate.fingerprint)
                 tracer = _active_tracer()
                 if tracer.enabled:
-                    tracer.event(
+                    event = tracer.event(
                         "cache.rollup-derivation",
                         source_fingerprint=_short(candidate.fingerprint),
                         source_rows=len(candidate.result),
                         rows_out=len(result),
                     )
+                    if candidate.view is not None:
+                        event.set(source_view=candidate.view)
                 return result
         return None
 

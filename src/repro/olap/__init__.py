@@ -5,9 +5,8 @@ multidimensional metadata plus the rewriting of logical cube operations into
 star-schema SQL.
 """
 
-from .engine import MultidimensionalEngine, RegisteredCube
+from .engine import MaterializedView, MultidimensionalEngine, RegisteredCube
 from .advisor import ViewRecommendation, advise_views
-from .materialized import MaterializedView, ViewRegistry
 from .metadata import hydrate_hierarchies
 
 __all__ = [
@@ -15,7 +14,6 @@ __all__ = [
     "MultidimensionalEngine",
     "RegisteredCube",
     "ViewRecommendation",
-    "ViewRegistry",
     "advise_views",
     "hydrate_hierarchies",
 ]

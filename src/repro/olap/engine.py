@@ -13,7 +13,7 @@ executor can attribute time to "get the target cube", "get the benchmark",
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,13 +53,29 @@ class RegisteredCube:
         return f"RegisteredCube({self.name!r})"
 
 
+@dataclass(frozen=True)
+class MaterializedView:
+    """A cube pre-aggregated at ``levels``, pinned in the result cache.
+
+    The paper's Oracle setup created materialized views "to improve
+    performances".  Here a view is the cached result of its get, kept
+    outside LRU order: every later get that the cache can derive from
+    it (``can_derive``) is answered by re-aggregating its rows.
+    """
+
+    name: str
+    source: str
+    levels: Tuple[str, ...]
+    measures: Tuple[str, ...]
+    row_count: int
+
+
 class MultidimensionalEngine:
     """Rewrites OLAP-level operations to engine queries and executes them."""
 
     def __init__(self, catalog: Catalog):
         from ..cache import CachingEngineExecutor, SemanticResultCache
         from ..obs.metrics import METRICS, MetricsRegistry
-        from .materialized import ViewRegistry
 
         self.catalog = catalog
         # Engine-scoped metrics: the cache and executor report into this
@@ -79,18 +95,17 @@ class MultidimensionalEngine:
             catalog, self.result_cache, metrics=self.metrics, engine=self
         )
         self._cubes: Dict[str, RegisteredCube] = {}
-        self._views = ViewRegistry()
-        self.use_materialized_views = True
         self._rollup_maps: Dict[Tuple[str, str, str], Optional[Dict]] = {}
         catalog.add_listener(self._on_catalog_change)
 
     def _on_catalog_change(self, event: str, table_name: str) -> None:
         """Invalidate caches when a catalog table changes identity.
 
-        Replacing or dropping a table makes every cached result (and
-        member roll-up map) that read from it stale.  Fresh registrations
-        cannot be referenced by any cached result, so they only reset the
-        roll-up maps (cheap to rebuild) in case a cube binding follows.
+        Replacing or dropping a table makes every cached result, pinned
+        view and member roll-up map that read from it stale.  Fresh
+        registrations cannot be referenced by any cached result, so they
+        only reset the roll-up maps (cheap to rebuild) in case a cube
+        binding follows.
         """
         if event in ("replace", "drop"):
             self.result_cache.invalidate_table(table_name)
@@ -149,30 +164,16 @@ class MultidimensionalEngine:
     # ------------------------------------------------------------------
     # Query rewriting
     # ------------------------------------------------------------------
-    def build_aggregate_query(
-        self, query: CubeQuery, allow_views: bool = True
-    ) -> AggregateQuery:
+    def build_aggregate_query(self, query: CubeQuery) -> AggregateQuery:
         """Rewrite a cube query (a logical *get*) into a star SQL query.
 
-        When a materialized view covers the query (its levels and predicate
-        levels stored, and either exactly the view's levels or measures
-        that re-aggregate exactly), the query is rewritten onto the view
-        table instead — the routing the paper's Oracle setup obtained from
-        its materialized views.
+        The rewrite depends on the cube query alone: whether a cached
+        result or a materialized view answers it is the result cache's
+        choice at execution time, as in Oracle's query rewrite.
         """
         registered = self.cube(query.source)
         star = registered.star
         schema = registered.schema
-        reaggregable = self.reaggregable(query)
-
-        if allow_views and self.use_materialized_views:
-            from .materialized import rewrite_on_view
-
-            view = self._views.best_for(query, schema, reaggregable)
-            if view is not None:
-                return self._annotated(
-                    rewrite_on_view(query, view, schema), query, reaggregable
-                )
 
         group_by = []
         for level_name in query.group_by.levels:
@@ -200,7 +201,6 @@ class MultidimensionalEngine:
                 aggregates=aggregates,
             ),
             query,
-            reaggregable,
         )
 
     def reaggregable(self, query: CubeQuery) -> FrozenSet[str]:
@@ -210,8 +210,9 @@ class MultidimensionalEngine:
         ``sum`` must pass ``Table.sums_exactly`` on its base fact column:
         only then do re-added partial sums equal the cold scan's row-order
         sum bit for bit.  The lowering applies the same gate to morsel
-        merges and fused members; cache derivation and view routing take
-        a strictly coarser answer only for these measures.
+        merges and fused members; cache derivation, from cached entries
+        and pinned views alike, takes a strictly coarser answer only for
+        these measures.
         """
         registered = self.cube(query.source)
         schema, star = registered.schema, registered.star
@@ -227,12 +228,7 @@ class MultidimensionalEngine:
             and (op != "sum" or fact.sums_exactly(star.column_for_measure(name)))
         )
 
-    def _annotated(
-        self,
-        aggregate: AggregateQuery,
-        query: CubeQuery,
-        reaggregable: FrozenSet[str],
-    ) -> AggregateQuery:
+    def _annotated(self, aggregate: AggregateQuery, query: CubeQuery) -> AggregateQuery:
         """Record the cube-level semantics of a pushed query in the cache.
 
         The physical query carries no hierarchy knowledge; this side
@@ -247,7 +243,7 @@ class MultidimensionalEngine:
             {star.fact_table} | {binding.table for binding in star.dimensions}
         )
         self.result_cache.annotate(
-            aggregate, QueryMeta(query, base_tables, reaggregable)
+            aggregate, QueryMeta(query, base_tables, self.reaggregable(query))
         )
         return aggregate
 
@@ -315,15 +311,14 @@ class MultidimensionalEngine:
         source: str,
         levels: Sequence[str],
         name: str = "",
-    ):
-        """Pre-aggregate a cube at a group-by set and register the view.
+    ) -> MaterializedView:
+        """Pre-aggregate a cube at a group-by set and pin it as a view.
 
         Only distributive measures (sum/min/max/count) are stored; avg
-        measures keep hitting the fact table.  Returns the
-        :class:`~repro.olap.materialized.MaterializedView`.
+        measures keep hitting the fact table.  The result is pinned in
+        the result cache, where it answers every get derivable from it
+        until :meth:`drop_view` or a change to a table it read.
         """
-        from .materialized import MaterializedView, build_view_table
-
         registered = self.cube(source)
         schema = registered.schema
         group_by = GroupBySet(schema, levels)
@@ -336,32 +331,28 @@ class MultidimensionalEngine:
             raise EngineError(
                 f"cube {source!r} has no distributive measures to materialize"
             )
-        query = CubeQuery(source, group_by, (), measures)
-        aggregate = self.build_aggregate_query(query, allow_views=False)
-        result = self.executor.execute_aggregate(aggregate)
-
         view_name = name or f"mv_{source.lower()}_{'_'.join(group_by.levels)}"
-        table = build_view_table(view_name, group_by.levels, measures, result)
-        self.catalog.register(table)
-        view = MaterializedView(
-            name=view_name,
-            source=source,
-            levels=tuple(group_by.levels),
-            table_name=view_name,
-            measures=measures,
-            row_count=len(table),
+        if view_name in self.view_names():
+            raise EngineError(f"materialized view {view_name!r} already exists")
+        aggregate = self.build_aggregate_query(CubeQuery(source, group_by, (), measures))
+        result = self.executor.execute_aggregate(aggregate)
+        self.result_cache.pin(view_name, aggregate, result)
+        return MaterializedView(
+            view_name, source, tuple(group_by.levels), measures, len(result)
         )
-        self._views.add(view)
-        return view
 
     def drop_view(self, name: str) -> None:
-        """Unregister a materialized view and drop its table."""
-        view = self._views.remove(name)
-        self.catalog.drop(view.table_name)
+        """Unpin a materialized view.
+
+        Results already derived from it stay cached: they are
+        bit-identical to cold answers.
+        """
+        if not self.result_cache.unpin(name):
+            raise EngineError(f"unknown materialized view {name!r}")
 
     def view_names(self) -> Tuple[str, ...]:
         """Names of all materialized views."""
-        return self._views.names()
+        return self.result_cache.pinned_names()
 
     # ------------------------------------------------------------------
     # SQL rendering (for Table 1 and explain())

@@ -1,5 +1,6 @@
 """Unit tests for the materialized-view advisor."""
 
+import numpy as np
 import pytest
 
 from repro.olap.advisor import advise_views, workload_gets
@@ -59,15 +60,26 @@ class TestAdviseViews:
         )
 
     def test_recommendation_is_materializable_and_routes(self, ssb_session, workload):
+        from repro.algebra.cost import Statistics
+        from repro.algebra.plan import GetNode
+
         engine = ssb_session.engine
         recommendations = advise_views(engine, workload)
         top = recommendations[0]
-        view = engine.materialize(top.source, top.levels, name="advised")
+        engine.result_cache.clear()
+        cold = ssb_session.assess(SIBLING, plan="POP")
+        engine.materialize(top.source, top.levels, name="advised")
         try:
-            statement = ssb_session.parse(SIBLING)
-            sql = ssb_session.pushed_sql(ssb_session.plan(statement, "POP"))[0]
-            assert "advised" in sql
+            engine.result_cache.clear()
+            plan = ssb_session.plan(ssb_session.parse(SIBLING), "POP")
+            gets = [node for node in plan.nodes() if isinstance(node, GetNode)]
+            assert [Statistics(engine).cache_probe(g.query) for g in gets] == ["derive"]
             result = ssb_session.assess(SIBLING, plan="POP")
             assert len(result) > 0
+            for name, values in cold.cube.measures.items():
+                assert np.array_equal(
+                    values, result.cube.measures[name],
+                    equal_nan=values.dtype.kind == "f",
+                ), name
         finally:
             engine.drop_view("advised")

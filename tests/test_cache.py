@@ -389,24 +389,29 @@ def test_catalog_replace_invalidates_cached_results():
     assert np.array_equal(fresh.measures["m_sum"], stale.measures["m_sum"] * 2.0)
 
 
-def test_view_drop_invalidates_view_routed_results():
+def test_view_drop_keeps_view_derived_results():
     engine, hierarchies = _random_engine(29)
     schema = engine.cube("RAND").schema
     h0 = hierarchies[0]
-    view = engine.materialize("RAND", [h0.level_names()[0]])
     query = CubeQuery(
         "RAND", GroupBySet(schema, [h0.level_names()[0]]), (), ("m_sum",)
     )
-    routed = engine.get(query)
-    assert engine.build_aggregate_query(query).fact == view.table_name
+    aggregate = engine.build_aggregate_query(query)
+    view = engine.materialize("RAND", [h0.level_names()[0]])
+    assert engine.build_aggregate_query(query) == aggregate
+    engine.result_cache.clear()
+    assert engine.result_cache.would_hit(aggregate) == "derive"
+    derived = engine.get(query)
 
     before = engine.result_cache.stats()["invalidations"]
     engine.drop_view(view.name)
-    assert engine.result_cache.stats()["invalidations"] > before
+    assert engine.result_cache.stats()["invalidations"] == before
+    assert engine.result_cache.would_hit(aggregate) == "exact"
+    engine.result_cache.clear()
+    assert engine.result_cache.would_hit(aggregate) is None
 
-    unrouted = engine.get(query)
-    assert engine.build_aggregate_query(query).fact == "rand_fact"
-    _assert_same_cube(routed, unrouted)
+    engine.result_cache.enabled = False
+    _assert_same_cube(derived, engine.get(query))
 
 
 def test_cell_budget_evicts_least_recently_used():

@@ -212,6 +212,23 @@ def test_materialize_directive_withholds_claims(context):
     assert report.warm_fingerprints == set()
 
 
+@pytest.mark.parametrize(
+    "levels, dead",
+    [
+        # month × category holds an exact ancestor of the integral
+        # quantity by year: the engine derives that get from it.
+        ("month, category", False),
+        # No get groups by, or rolls up from, the supplier region.
+        ("s_region", True),
+    ],
+)
+def test_view_is_used_when_a_get_derives_from_it(context, levels, dead):
+    text = f"materialize SSB by {levels};\n" + stmt("with SSB by year")
+    report = analyze_workload(text, context=context)
+    codes = [d.code for _, d in report.diagnostics()]
+    assert ("ASSESS501" in codes) == dead
+
+
 def test_schema_less_context_still_reports():
     report = analyze_workload(
         stmt("with SSB by month") + ";\n" + "materialize by nothing",
