@@ -11,13 +11,13 @@ breakdown experiment.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..core.cube import Cube, qualified
 from ..core.deadline import checkpoint as _checkpoint
-from ..core.errors import ExecutionError, FunctionError
+from ..core.errors import ExecutionError, FunctionError, MemberError, SchemaError
 from ..core.labels import CoordinateLabeling, NamedLabeling, RangeLabeling
 from ..core.result import AssessResult
 from ..core.statement import AssessStatement
@@ -141,7 +141,6 @@ class PlanExecutor:
             child = self._run(node.child, timings)
             return self._timed(node, timings, lambda: self._project(node, child))
         if isinstance(node, RollupJoinNode):
-            self._ensure_hydrated(node)
             left = self._run(node.left, timings)
             right = self._run(node.right, timings)
             return self._timed(
@@ -247,53 +246,42 @@ class PlanExecutor:
             projected = projected.rename_measures(node.renames)
         return projected
 
-    def _ensure_hydrated(self, node: RollupJoinNode) -> None:
-        """Load the part-of maps a rollup join needs, if not yet loaded.
-
-        Engines built for large cubes skip eager hydration; the ancestor
-        benchmark is the one operator that genuinely needs the in-memory
-        part-of order, so it hydrates its hierarchy on first use.
-        """
-        if not isinstance(node.left, GetNode):
-            return
-        registered = self.engine.cube(node.left.query.source)
-        hierarchy = registered.schema.hierarchy_of_level(node.level)
-        try:
-            members = hierarchy.members_of(node.level)
-        except Exception:  # pragma: no cover - defensive
-            members = frozenset()
-        if members:
-            return  # already hydrated
-        from ..olap.metadata import hydrate_hierarchies
-
-        hydrate_hierarchies(registered.schema, registered.star, self.engine.catalog)
-
     def _rollup_join(self, node: RollupJoinNode, left: Cube, right: Cube) -> Cube:
-        """Vectorised ancestor join: the engine's drill-across kernels.
+        """Ancestor join on codes: the engine's coded roll-up and drill-across
+        kernels.
 
-        Both sides' coordinates are dictionary-encoded and the left
-        level's dictionary is mapped to its ancestors — once per
-        *distinct* member, the only per-member Python work left — then the
-        coded keys are matched exactly like a pushed drill-across.
-        :meth:`_rollup_join_python` keeps the original row-at-a-time
-        implementation as the test oracle.
+        The left level's members map onto the engine's part-of table
+        (:meth:`~repro.olap.engine.MultidimensionalEngine.rollup`, the one
+        cache derivation uses) by one binary search over its distinct
+        members and reach their ancestors by one gather; the coded keys
+        are then matched exactly like a pushed drill-across.
         """
         from ..engine.executor import _gather_float, _joint_codes
         from ..engine.kernels import dictionary_encode, match_unique
 
-        hierarchy = left.schema.hierarchy_of_level(node.level)
+        if not isinstance(node.left, GetNode):
+            raise ExecutionError("an ancestor join requires a get on its left")
+        source = node.left.query.source
+        rollup = self.engine.rollup(source, node.level, node.ancestor_level)
+        if rollup is None:
+            raise SchemaError(
+                f"cube {source!r} has no part-of function from level "
+                f"{node.level!r} to {node.ancestor_level!r}"
+            )
         member_codes, members = dictionary_encode(left.coords[node.level])
-        ancestors = np.fromiter(
-            (hierarchy.rollup_member(m, node.level, node.ancestor_level) for m in members),
-            dtype=object, count=len(members),
-        )
-        ancestor_dict, ancestor_of = np.unique(ancestors, return_inverse=True)
+        lut = rollup.lut_for(members)
+        if lut is None:
+            missing = members[~np.isin(members, rollup.fine)]
+            raise MemberError(
+                f"no parent recorded for member {missing[0]!r} of level "
+                f"{node.level!r} at level {node.ancestor_level!r}"
+            )
 
         # Left key columns in left group-by order, the rolled-up level
         # substituted; the right side's ancestor level occupies the same
         # canonical position (same hierarchy), so the columns align.
         left_keys = [
-            (ancestor_of[member_codes], ancestor_dict)
+            (lut[member_codes], rollup.coarse)
             if name == node.level else dictionary_encode(left.coords[name])
             for name in left.group_by.levels
         ]
@@ -311,41 +299,6 @@ class PlanExecutor:
             measures[qualified(node.alias, name)] = _gather_float(
                 np.asarray(column, dtype=np.float64), match_index
             )
-        return Cube(left.schema, left.group_by, coords, measures)
-
-    def _rollup_join_python(
-        self, node: RollupJoinNode, left: Cube, right: Cube
-    ) -> Cube:
-        """Row-at-a-time reference implementation (the test oracle)."""
-        hierarchy = left.schema.hierarchy_of_level(node.level)
-        position = left.group_by.position_of(node.level)
-        right_index = right.coordinate_index()
-
-        keep: List[int] = []
-        matches: List[int] = []
-        for row, coordinate in enumerate(left.coordinates()):
-            member = coordinate[position]
-            ancestor = hierarchy.rollup_member(member, node.level, node.ancestor_level)
-            key = list(coordinate)
-            key[position] = ancestor
-            match = right_index.get(tuple(key))
-            if match is not None:
-                keep.append(row)
-                matches.append(match)
-            elif node.outer:
-                keep.append(row)
-                matches.append(-1)
-        index = np.asarray(keep, dtype=np.intp)
-        coords = {name: column[index] for name, column in left.coords.items()}
-        measures = {name: column[index] for name, column in left.measures.items()}
-        match_index = np.asarray(matches, dtype=np.intp)
-        for name, column in right.measures.items():
-            new_name = qualified(node.alias, name)
-            gathered = np.asarray(column, dtype=np.float64)
-            safe = np.where(match_index < 0, 0, match_index)
-            values = gathered[safe].copy() if len(gathered) else np.full(len(match_index), np.nan)
-            values[match_index < 0] = np.nan
-            measures[new_name] = values
         return Cube(left.schema, left.group_by, coords, measures)
 
     def _attach_property(self, node: AttachPropertyNode, cube: Cube) -> Cube:

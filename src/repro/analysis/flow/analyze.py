@@ -303,35 +303,17 @@ class WorkloadAnalyzer:
 
     # -- derivation certainty ------------------------------------------
     def _rollup_certain(
-        self, engine: object, stats: StatsProvider, source: str,
-        fine: str, coarse: str,
+        self, engine: object, source: str, fine: str, coarse: str
     ) -> bool:
-        """The runtime member roll-up provably succeeds and is total."""
+        """The runtime coded roll-up exists.
+
+        It is built from the one table that binds both levels, whose
+        dictionaries every result grouped by ``fine`` takes its members
+        from, so it is total on every cached member.
+        """
         try:
-            mapping = engine.member_rollup(source, fine, coarse)  # type: ignore[attr-defined]
+            return engine.rollup(source, fine, coarse) is not None  # type: ignore[attr-defined]
         except Exception:
-            return False
-        if mapping is None:
-            return False
-        try:
-            star = engine.cube(source).star  # type: ignore[attr-defined]
-            fine_table, fine_column = star.column_for_level(fine)
-            coarse_table, coarse_column = star.column_for_level(coarse)
-        except Exception:
-            return False
-        if fine_table == FACT:
-            fine_table = star.fact_table
-        if coarse_table == FACT:
-            coarse_table = star.fact_table
-        fine_members = stats.members(fine_table, fine_column)
-        coarse_members = stats.members(coarse_table, coarse_column)
-        if fine_members is None or coarse_members is None:
-            return False
-        try:
-            return fine_members <= set(mapping.keys()) and (
-                set(mapping.values()) <= coarse_members
-            )
-        except TypeError:
             return False
 
     def _derivation_certain(
@@ -352,8 +334,8 @@ class WorkloadAnalyzer:
         except Exception:
             return False
 
-        # Member roll-ups for residual predicates and the target group-by
-        # must provably build and cover every stored member.
+        # Residual predicates and the target group-by need a coded
+        # roll-up wherever their level is coarser than the entry's.
         entry_predicates = tuple(entry.meta.query.predicates)
         needed: List[str] = list(target_gb.levels)
         for predicate in target.query.predicates:
@@ -368,7 +350,7 @@ class WorkloadAnalyzer:
                 return False
             if entry_level == level:
                 continue
-            if not self._rollup_certain(engine, stats, source, entry_level, level):
+            if not self._rollup_certain(engine, source, entry_level, level):
                 return False
 
         # Target coordinates must encode (sort) cleanly after roll-up.

@@ -28,7 +28,7 @@ doubt (non-numeric column, missing table) must surface as ``False`` /
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -143,7 +143,6 @@ class StatsProvider:
         self._columns: Dict[Tuple[str, str], Optional[ColumnAbstract]] = {}
         self._cardinalities: Dict[Tuple[str, str], Optional[int]] = {}
         self._encodable: Dict[Tuple[str, str], bool] = {}
-        self._members: Dict[Tuple[str, str], Optional[FrozenSet[object]]] = {}
         self._zone_maps: Dict[Tuple[str, str], Optional[object]] = {}
 
     # ------------------------------------------------------------------
@@ -197,20 +196,6 @@ class StatsProvider:
                     ok = False
             self._encodable[key] = ok
         return self._encodable[key]
-
-    def members(self, table_name: str, column: str) -> Optional[FrozenSet[object]]:
-        """The distinct stored members of a column (``None`` unknown)."""
-        key = (table_name, column)
-        if key not in self._members:
-            members: Optional[FrozenSet[object]] = None
-            table = self._table(table_name)
-            if table is not None:
-                try:
-                    members = frozenset(table.column(column))  # type: ignore[attr-defined]
-                except Exception:
-                    members = None
-            self._members[key] = members
-        return self._members[key]
 
     def fact_rows(self, table_name: str) -> Optional[int]:
         table = self._table(table_name)

@@ -18,14 +18,19 @@ comparative cube algebras in the related work) formalise: a cached result
 
 A cached result is then one more source of finest groups of partials:
 :func:`derive_result` rolls the dictionary codes the cached result
-carries (:meth:`ResultSet.encoded`) up to the target levels — each
-distinct cached member through the engine's rollup resolver — hands the
+carries (:meth:`ResultSet.encoded`) up to the target levels with one
+gather through the engine's coded roll-up
+(:meth:`~repro.olap.engine.MultidimensionalEngine.rollup`), hands the
 cached measure columns over as the partials, and the engine's one
 re-aggregation step (:func:`~repro.engine.executor.finish_member`, the
 step fused batch members finish in) filters the residual predicates and
-re-groups.  Derivation never touches the fact table and never hashes a
-row.  Every dictionary is sorted, so a derived result has the row order
-of a cold one.
+re-groups.  Derivation never touches the fact table and does no Python
+work per member or row.  A rolled-up level takes the coarse dictionary
+of the table that binds both levels, the dictionary a cold result
+grouped by it carries, so a derived result holds the codes, the
+dictionary object and the row order of the cold one.  A part-of order
+that is no function (a fine member with two parents) has no coded
+roll-up, and derivation refuses.
 
 **Bit-exactness policy.**  A derived answer must be bit-identical to the
 cold one.  Equal group-by sets make every output group a single cached
@@ -47,21 +52,16 @@ a bit.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, Hashable, Mapping, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, Optional, Tuple
 
 import numpy as np
 
 from ..core.query import CubeQuery, Predicate, PredicateOp
 from ..engine.executor import Groups, Member, ResultSet, finish_member
-from ..engine.kernels import REAGGREGATION_OPS, dictionary_encode
+from ..engine.kernels import REAGGREGATION_OPS, Rollup
 
-RollupResolver = Callable[[str, str, str], Optional[Mapping[Any, Any]]]
-"""``(source, fine_level, coarse_level) -> {fine_member: coarse_member}``.
-
-Returns ``None`` when the engine cannot build the member roll-up (e.g. a
-degenerate level with no hydrated hierarchy), which makes derivation
-bail out and the query fall back to cold execution.
-"""
+RollupOf = Callable[[str, str, str], Optional[Rollup]]
+"""``(source, fine_level, coarse_level) -> Rollup``, ``None`` when none exists."""
 
 
 class QueryMeta:
@@ -123,10 +123,10 @@ def predicate_subsumes(broader: Predicate, narrower: Predicate) -> bool:
 def can_derive(target: QueryMeta, entry: QueryMeta) -> bool:
     """Static usability check: can ``entry``'s result answer ``target``?
 
-    Pure metadata reasoning — no roll-up maps are built, so this is cheap
+    Pure metadata reasoning — no roll-up is built, so this is cheap
     enough for candidate scans and for the cost model's warm-probe.  The
-    execution step can still bail out (returning ``None``) when a member
-    roll-up proves unbuildable.
+    execution step can still bail out (returning ``None``) when a coded
+    roll-up does not exist or lacks a cached member.
     """
     if entry.source != target.source:
         return False
@@ -173,13 +173,13 @@ def derive_result(
     target: QueryMeta,
     entry: QueryMeta,
     cached: ResultSet,
-    rollup: RollupResolver,
+    rollup: RollupOf,
 ) -> Optional[ResultSet]:
     """Compute ``target``'s result from ``entry``'s cached result.
 
     Assumes :func:`can_derive` holds.  Returns ``None`` when a needed
-    member roll-up cannot be built (the caller falls back to cold
-    execution).
+    roll-up does not exist or lacks a cached member (the caller falls
+    back to cold execution).
     """
     schema = target.query.schema
     entry_gb = entry.query.group_by
@@ -199,19 +199,17 @@ def derive_result(
             schema.hierarchy_of_level(level).name
         )
         try:
-            coded: Optional[Tuple[np.ndarray, np.ndarray]] = cached.encoded(
-                entry_level
-            )
+            level_codes, dictionary = cached.encoded(entry_level)
             if entry_level != level:
-                coded = _rollup_codes(
-                    *coded, rollup(target.source, entry_level, level)
-                )
+                coded = rollup(target.source, entry_level, level)
+                lut = None if coded is None else coded.lut_for(dictionary)
+                if coded is None or lut is None:
+                    return None
+                level_codes, dictionary = lut[level_codes], coded.coarse
         except TypeError:  # un-orderable mixed member types
             return None
-        if coded is None:
-            return None
-        codes[level] = (coded[0], len(coded[1]))
-        dictionaries[level] = coded[1]
+        codes[level] = (level_codes, len(dictionary))
+        dictionaries[level] = dictionary
 
     names = target.measure_names
     # An avg only derives at equal levels, where every group is one cached
@@ -233,29 +231,3 @@ def derive_result(
         ),
     )
 
-
-def _rollup_codes(
-    codes: np.ndarray, dictionary: np.ndarray, mapping: Optional[Mapping[Any, Any]]
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Map a coded member column through a fine→coarse roll-up.
-
-    Only the distinct members the cached rows hold go through the
-    mapping; the coarse codes are then gathered per row.  ``None`` when
-    the roll-up is unavailable or a member is missing from it.
-    """
-    if mapping is None:
-        return None
-    present = np.flatnonzero(np.bincount(codes, minlength=len(dictionary)))
-    rolled = np.empty(len(present), dtype=object)
-    for slot, member in enumerate(dictionary[present]):
-        coarse = mapping.get(member, _MISSING)
-        if coarse is _MISSING:
-            return None
-        rolled[slot] = coarse
-    coarse_codes, coarse_dictionary = dictionary_encode(rolled)
-    lut = np.zeros(len(dictionary), dtype=np.int64)
-    lut[present] = coarse_codes
-    return lut[codes], coarse_dictionary
-
-
-_MISSING = object()

@@ -38,7 +38,7 @@ from ..engine.executor import ResultSet
 from ..engine.query import AggregateQuery, DrillAcrossQuery, PivotQuery
 from ..obs.metrics import METRICS, MetricsRegistry
 from ..obs.tracer import active as _active_tracer
-from .derive import QueryMeta, RollupResolver, can_derive, derive_result
+from .derive import QueryMeta, RollupOf, can_derive, derive_result
 from .fingerprint import CacheableQuery, Fingerprint, fingerprint_query
 
 DEFAULT_CELL_BUDGET = 16_000_000
@@ -141,7 +141,7 @@ class SemanticResultCache:
     ):
         self.enabled = True
         self.cell_budget = cell_budget
-        self.rollup_resolver: Optional[RollupResolver] = None
+        self.rollup: Optional[RollupOf] = None
         self.counters = CacheStats(metrics)
         self._entries: "OrderedDict[Fingerprint, CacheEntry]" = OrderedDict()
         self._semantics: "OrderedDict[Fingerprint, QueryMeta]" = OrderedDict()
@@ -383,13 +383,13 @@ class SemanticResultCache:
         self, query: AggregateQuery, fingerprint: Fingerprint
     ) -> Optional[ResultSet]:
         meta = self._semantics.get(fingerprint)
-        if meta is None or self.rollup_resolver is None:
+        if meta is None or self.rollup is None:
             return None
         for candidate in self._candidates(meta):
             if not can_derive(meta, candidate.meta):  # type: ignore[arg-type]
                 continue
             result = derive_result(
-                meta, candidate.meta, candidate.result, self.rollup_resolver  # type: ignore[arg-type]
+                meta, candidate.meta, candidate.result, self.rollup  # type: ignore[arg-type]
             )
             if result is not None:
                 if candidate.view is None:

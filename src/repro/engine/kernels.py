@@ -23,7 +23,7 @@ Both return ``(group_ids, group_count, first_row_of_group)`` where
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -158,6 +158,57 @@ def narrow_codes(codes: np.ndarray, cardinality: int) -> np.ndarray:
     if cardinality <= 1 << 31:
         return codes.astype(np.int32, copy=False)
     return codes
+
+
+class Rollup(NamedTuple):
+    """A part-of function on dictionary codes (a coded roll-up).
+
+    ``coarse[lut[code]]`` is the parent of the fine member ``fine[code]``.
+    Both dictionaries are sorted and duplicate-free; the engine builds
+    them from one table's ``Table.dictionary_values``, the dictionaries
+    its results carry.
+    """
+
+    fine: np.ndarray
+    lut: np.ndarray  # fine code -> coarse code, narrow (see narrow_codes)
+    coarse: np.ndarray
+
+    @classmethod
+    def of(
+        cls,
+        fine: np.ndarray,
+        fine_codes: np.ndarray,
+        coarse: np.ndarray,
+        coarse_codes: np.ndarray,
+    ) -> "Optional[Rollup]":
+        """The roll-up one table's coded rows define: one integer scatter.
+
+        ``None`` when some fine member has two parents among the rows —
+        the part-of order is then not a function and no roll-up exists.
+        """
+        lut = np.zeros(len(fine), dtype=np.int64)
+        lut[fine_codes] = coarse_codes
+        if not np.array_equal(lut[fine_codes], coarse_codes):
+            return None
+        return cls(fine, narrow_codes(lut, len(coarse)), coarse)
+
+    def lut_for(self, dictionary: np.ndarray) -> Optional[np.ndarray]:
+        """The lookup table indexed by codes of ``dictionary``.
+
+        The fine dictionary itself takes :attr:`lut` as it is; any other
+        sorted dictionary is mapped onto it once, by binary search over
+        its distinct members.  ``None`` when one of them is no fine
+        member.  Raises ``TypeError`` for members that do not compare.
+        """
+        if dictionary is self.fine:
+            return self.lut
+        position = np.minimum(
+            np.searchsorted(self.fine, dictionary), len(self.fine) - 1
+        )
+        if not np.array_equal(self.fine[position], dictionary):
+            return None
+        lut: np.ndarray = self.lut[position]
+        return lut
 
 
 def fold_codes(

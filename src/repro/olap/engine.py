@@ -19,18 +19,19 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.cube import Cube
-from ..core.errors import EngineError, MemberError, SchemaError
+from ..core.errors import EngineError, SchemaError
 from ..core.groupby import GroupBySet
 from ..core.query import CubeQuery
 from ..core.schema import CubeSchema
 from ..engine.catalog import Catalog
 from ..engine.executor import EngineExecutor, ResultSet
-from ..engine.kernels import REAGGREGATION_OPS
+from ..engine.kernels import REAGGREGATION_OPS, Rollup
 from ..engine.query import (
     Aggregate,
     AggregateQuery,
     ColumnPredicate,
     DrillAcrossQuery,
+    FACT,
     PivotQuery,
 )
 from ..engine.sqlgen import render_sql
@@ -85,7 +86,7 @@ class MultidimensionalEngine:
         self.result_cache = SemanticResultCache(
             metrics=MetricsRegistry(parent=self.metrics, prefix="cache")
         )
-        self.result_cache.rollup_resolver = self.member_rollup
+        self.result_cache.rollup = self.rollup
         # How statements run: the environment's settings until code
         # configures the engine.  Every executor reads these two.
         self.settings = Settings.from_env()
@@ -95,17 +96,17 @@ class MultidimensionalEngine:
             catalog, self.result_cache, metrics=self.metrics, engine=self
         )
         self._cubes: Dict[str, RegisteredCube] = {}
-        self._rollup_maps: Dict[Tuple[str, str, str], Optional[Dict]] = {}
+        self._rollup_maps: Dict[Tuple[str, str, str], Optional[Rollup]] = {}
         catalog.add_listener(self._on_catalog_change)
 
     def _on_catalog_change(self, event: str, table_name: str) -> None:
         """Invalidate caches when a catalog table changes identity.
 
         Replacing or dropping a table makes every cached result, pinned
-        view and member roll-up map that read from it stale.  Fresh
+        view and coded roll-up that read from it stale.  Fresh
         registrations cannot be referenced by any cached result, so they
-        only reset the roll-up maps (cheap to rebuild) in case a cube
-        binding follows.
+        only reset the roll-ups (cheap to rebuild) in case a cube binding
+        follows.
         """
         if event in ("replace", "drop"):
             self.result_cache.invalidate_table(table_name)
@@ -427,46 +428,43 @@ class MultidimensionalEngine:
         return self.cube(source).star.has_property(property_name)
 
     # ------------------------------------------------------------------
-    # Member roll-up maps (used by cache derivation)
+    # Coded roll-ups (cache derivation and the ancestor join)
     # ------------------------------------------------------------------
-    def member_rollup(self, source: str, fine: str, coarse: str) -> Optional[Dict]:
-        """The ``{fine_member: coarse_member}`` map of one hierarchy.
+    def rollup(self, source: str, fine: str, coarse: str) -> Optional[Rollup]:
+        """The part-of function from ``fine`` to ``coarse`` members, coded.
 
-        Built from the dimension table binding both levels (one column
-        scan, cached until the catalog changes), falling back to hydrated
-        hierarchy part-of maps for degenerate or cross-table levels.
-        Returns ``None`` when neither source is available, which makes
-        cache derivation bail out — always sound.
+        Built from the one table that binds both levels — the dimension
+        table, or the fact table for degenerate levels — by one integer
+        scatter of its rows' codes, and kept until the catalog changes.
+        Its dictionaries are that table's, the ones every result grouped
+        by those levels carries.  ``None`` when no single table binds the
+        pair or a fine member has two parents in it: cache derivation then
+        refuses and the get runs cold.
         """
         key = (source, fine, coarse)
         if key not in self._rollup_maps:
             self._rollup_maps[key] = self._build_rollup(source, fine, coarse)
         return self._rollup_maps[key]
 
-    def _build_rollup(self, source: str, fine: str, coarse: str) -> Optional[Dict]:
+    def _build_rollup(self, source: str, fine: str, coarse: str) -> Optional[Rollup]:
         registered = self.cube(source)
         try:
             hierarchy = registered.schema.hierarchy_of_level(fine)
-        except SchemaError:
+            if not hierarchy.rolls_up_to(fine, coarse):
+                return None
+            fine_table, fine_column = registered.star.column_for_level(fine)
+            coarse_table, coarse_column = registered.star.column_for_level(coarse)
+        except (SchemaError, EngineError):
             return None
-        if not hierarchy.has_level(coarse) or not hierarchy.rolls_up_to(fine, coarse):
+        if fine_table != coarse_table:
             return None
-        star = registered.star
-        fine_table, fine_column = star.column_for_level(fine)
-        coarse_table, coarse_column = star.column_for_level(coarse)
-        if fine_table == coarse_table and fine_table != "__fact__":
-            table = self.catalog.table(fine_table)
-            return dict(zip(table.column(fine_column), table.column(coarse_column)))
-        members = hierarchy.members_of(fine)
-        if not members:
-            return None
-        try:
-            return {
-                member: hierarchy.rollup_member(member, fine, coarse)
-                for member in members
-            }
-        except MemberError:
-            return None
+        table = self.catalog.table(
+            registered.star.fact_table if fine_table == FACT else fine_table
+        )
+        return Rollup.of(
+            table.dictionary_values(fine_column), table.dictionary(fine_column)[0],
+            table.dictionary_values(coarse_column), table.dictionary(coarse_column)[0],
+        )
 
     # ------------------------------------------------------------------
     # Domain helpers (used by sibling/past planning)

@@ -265,6 +265,99 @@ def test_integral_partials_of_a_fractional_measure_are_not_re_added():
     _assert_same_cube(warm, reference.get(coarse))
 
 
+def _ssb_quantity_get(engine, level):
+    schema = engine.cube("SSB").schema
+    return engine.build_aggregate_query(
+        CubeQuery("SSB", GroupBySet(schema, [level]), (), ("quantity",))
+    )
+
+
+def _degenerate_engine():
+    """A single-table star whose two-level hierarchy lives on the fact table."""
+    from repro.core.hierarchy import Hierarchy, Level
+    from repro.core.schema import CubeSchema, Measure
+    from repro.engine.star import StarSchema
+
+    rng = np.random.default_rng(3)
+    cities = rng.integers(0, 40, 500)
+    catalog = Catalog()
+    catalog.register(Table("flat_fact", {
+        "f_city": np.asarray([f"city{c:02d}" for c in cities], dtype=object),
+        "f_region": np.asarray([f"region{c % 7}" for c in cities], dtype=object),
+        "f_quantity": rng.integers(1, 50, 500).astype(np.float64),
+    }))
+    schema = CubeSchema(
+        "FLAT",
+        [Hierarchy("Geo", [Level("city"), Level("region")])],
+        [Measure("quantity", "sum")],
+    )
+    star = StarSchema(
+        "FLAT", "flat_fact", [], {"quantity": "f_quantity"},
+        degenerate_levels={"city": "f_city", "region": "f_region"},
+    )
+    engine = MultidimensionalEngine(catalog)
+    engine.register_cube("FLAT", schema, star)
+    return engine
+
+
+@pytest.mark.parametrize("source, fine, coarse", [
+    ("SSB", "month", "year"),
+    ("SSB", "c_city", "c_region"),
+    ("SSB", "category", "mfgr"),
+    ("FLAT", "city", "region"),  # degenerate levels: the fact table binds both
+])
+def test_a_derived_answer_is_a_cold_answer(source, fine, coarse):
+    from repro.datagen import ssb_engine
+
+    if source == "SSB":
+        engine = ssb_engine(lineorder_rows=4_000, seed=5, with_budget=False)
+    else:
+        engine = _degenerate_engine()
+    schema = engine.cube(source).schema
+
+    def run(level):
+        return engine.executor.execute_aggregate(engine.build_aggregate_query(
+            CubeQuery(source, GroupBySet(schema, [level]), (), ("quantity",))
+        ))
+
+    run(fine)
+    derived = run(coarse)
+    assert engine.result_cache.stats()["derivations"] == 1
+    engine.result_cache.enabled = False
+    cold = run(coarse)
+    derived_codes, derived_dictionary = derived.codes[coarse]
+    cold_codes, cold_dictionary = cold.codes[coarse]
+    assert derived_dictionary is cold_dictionary
+    assert derived_codes.dtype == cold_codes.dtype
+    assert np.array_equal(derived_codes, cold_codes)
+    assert derived.column(coarse).tolist() == cold.column(coarse).tolist()
+    assert derived.column("quantity").tobytes() == cold.column("quantity").tobytes()
+
+
+def test_a_non_functional_rollup_refuses_to_derive():
+    """A city with two regions has no roll-up: derivation must run cold."""
+    from repro.datagen import ssb_engine
+
+    engine = ssb_engine(lineorder_rows=20_000, seed=5, with_budget=False)
+    customer = engine.catalog.table("ssb_customer")
+    columns = {name: customer.column(name).copy() for name in customer.column_names}
+    cities, counts = np.unique(columns["c_city"], return_counts=True)
+    city = cities[np.argmax(counts)]
+    row = int(np.flatnonzero(columns["c_city"] == city)[0])
+    regions = np.unique(columns["c_region"])
+    columns["c_region"][row] = regions[regions != columns["c_region"][row]][0]
+    engine.catalog.register(Table("ssb_customer", columns), replace=True)
+
+    engine.executor.execute_aggregate(_ssb_quantity_get(engine, "c_city"))
+    before = engine.result_cache.stats()["derivations"]
+    warm = engine.executor.execute_aggregate(_ssb_quantity_get(engine, "c_region"))
+    assert engine.result_cache.stats()["derivations"] == before
+    engine.result_cache.enabled = False
+    cold = engine.executor.execute_aggregate(_ssb_quantity_get(engine, "c_region"))
+    assert warm.column("c_region").tolist() == cold.column("c_region").tolist()
+    assert warm.column("quantity").tobytes() == cold.column("quantity").tobytes()
+
+
 def test_sums_exactly_gate():
     assert sums_exactly(np.array([], dtype=np.float64))
     assert sums_exactly(np.array([1.0, 2.0, 3e9]))

@@ -175,39 +175,162 @@ labels {[0, 0.2): small, [0.2, 1]: large}
 """
 
 
+def _rollup_join_python(node, left, right):
+    """Row-at-a-time ancestor join over hydrated part-of maps (the oracle)."""
+    import numpy as np
+
+    from repro.core.cube import Cube, qualified
+
+    hierarchy = left.schema.hierarchy_of_level(node.level)
+    position = left.group_by.position_of(node.level)
+    right_index = right.coordinate_index()
+
+    keep = []
+    matches = []
+    for row, coordinate in enumerate(left.coordinates()):
+        member = coordinate[position]
+        ancestor = hierarchy.rollup_member(member, node.level, node.ancestor_level)
+        key = list(coordinate)
+        key[position] = ancestor
+        match = right_index.get(tuple(key))
+        if match is not None:
+            keep.append(row)
+            matches.append(match)
+        elif node.outer:
+            keep.append(row)
+            matches.append(-1)
+    index = np.asarray(keep, dtype=np.intp)
+    coords = {name: column[index] for name, column in left.coords.items()}
+    measures = {name: column[index] for name, column in left.measures.items()}
+    match_index = np.asarray(matches, dtype=np.intp)
+    for name, column in right.measures.items():
+        gathered = np.asarray(column, dtype=np.float64)
+        safe = np.where(match_index < 0, 0, match_index)
+        values = (
+            gathered[safe].copy() if len(gathered)
+            else np.full(len(match_index), np.nan)
+        )
+        values[match_index < 0] = np.nan
+        measures[qualified(node.alias, name)] = values
+    return Cube(left.schema, left.group_by, coords, measures)
+
+
+def _rollup_join_sides(session, text, outer):
+    """The ancestor join node of a statement's NP plan and its two inputs."""
+    from repro.algebra.plan import RollupJoinNode
+
+    statement = session.parse(text)
+    plan = build_plan(statement, session.engine, "NP")
+    executor = PlanExecutor(session.engine, session.registry)
+    nodes = [n for n in plan.nodes() if isinstance(n, RollupJoinNode)]
+    assert len(nodes) == 1
+    node = nodes[0]
+    node.outer = outer
+    timings = {}
+    left = executor._run(node.left, timings)
+    right = executor._run(node.right, timings)
+    return executor, node, left, right
+
+
+def _assert_bit_identical(fast, slow):
+    import numpy as np
+
+    assert len(fast) == len(slow)
+    assert fast.coordinates() == slow.coordinates()
+    assert list(fast.measure_names) == list(slow.measure_names)
+    for name in fast.measure_names:
+        a, b = fast.measure(name), slow.measure(name)
+        if a.dtype == object:  # labels
+            assert a.tolist() == b.tolist(), name
+        else:
+            assert a.astype(np.float64).tobytes() == b.astype(np.float64).tobytes(), name
+
+
 class TestRollupJoinVectorized:
-    """The vectorised ancestor join must agree with the row-at-a-time oracle."""
+    """The coded ancestor join must agree with the row-at-a-time oracle."""
 
     @pytest.mark.parametrize("outer", [False, True])
     def test_matches_python_oracle(self, sales_session, outer):
-        import numpy as np
-
-        from repro.algebra.plan import RollupJoinNode
-
-        statement = sales_session.parse(ANCESTOR)
-        plan = build_plan(statement, sales_session.engine, "NP")
-        executor = PlanExecutor(sales_session.engine, sales_session.registry)
-        nodes = [n for n in plan.nodes() if isinstance(n, RollupJoinNode)]
-        assert len(nodes) == 1
-        node = nodes[0]
-        node.outer = outer
-        executor._ensure_hydrated(node)
-        timings = {}
-        left = executor._run(node.left, timings)
-        right = executor._run(node.right, timings)
-        fast = executor._rollup_join(node, left, right)
-        slow = executor._rollup_join_python(node, left, right)
-        assert len(fast) == len(slow)
-        assert fast.coordinates() == slow.coordinates()
-        assert set(fast.measure_names) == set(slow.measure_names)
-        for name in fast.measure_names:
-            assert np.array_equal(
-                np.asarray(fast.measure(name), dtype=np.float64),
-                np.asarray(slow.measure(name), dtype=np.float64),
-                equal_nan=True,
-            )
+        executor, node, left, right = _rollup_join_sides(
+            sales_session, ANCESTOR, outer
+        )
+        _assert_bit_identical(
+            executor._rollup_join(node, left, right),
+            _rollup_join_python(node, left, right),
+        )
 
     def test_ancestor_statement_end_to_end(self, sales_session):
         result = sales_session.assess(ANCESTOR, plan="NP")
         assert len(result) > 0
         assert set(result.label_counts()) <= {"small", "large"}
+
+
+SSB_ANCESTORS = [
+    "with SSB by c_city assess quantity against ancestor c_region "
+    "using ratio(quantity, benchmark.quantity) labels {[0, 0.1): small, [0.1, inf]: large}",
+    "with SSB for year = '1995' by month, category assess revenue against ancestor year "
+    "using ratio(revenue, benchmark.revenue) labels {[0, 0.1): small, [0.1, inf]: large}",
+    "with SSB by brand, s_region assess quantity against ancestor mfgr "
+    "using ratio(quantity, benchmark.quantity) labels {[0, 0.1): small, [0.1, inf]: large}",
+]
+
+
+class TestRollupJoinOnCodes:
+    """Ancestor statements need no hydrated part-of maps: the join rolls
+    up through the engine's coded part-of table."""
+
+    @pytest.fixture(scope="class")
+    def engines(self):
+        from repro.datagen import ssb_engine
+        from repro.olap import hydrate_hierarchies
+
+        plain = ssb_engine(lineorder_rows=8_000, seed=3, with_budget=False)
+        hydrated = ssb_engine(lineorder_rows=8_000, seed=3, with_budget=False)
+        registered = hydrated.cube("SSB")
+        hydrate_hierarchies(registered.schema, registered.star, hydrated.catalog)
+        return plain, hydrated
+
+    @pytest.mark.parametrize("outer", [False, True])
+    @pytest.mark.parametrize("text", SSB_ANCESTORS)
+    def test_unhydrated_matches_oracle_on_hydrated(self, engines, text, outer):
+        from repro import AssessSession
+
+        plain, hydrated = engines
+        executor, node, left, right = _rollup_join_sides(
+            AssessSession(plain), text, outer
+        )
+        fast = executor._rollup_join(node, left, right)
+        _, node, left, right = _rollup_join_sides(
+            AssessSession(hydrated), text, outer
+        )
+        _assert_bit_identical(fast, _rollup_join_python(node, left, right))
+        hierarchy = plain.cube("SSB").schema.hierarchy_of_level(node.level)
+        assert not hierarchy.members_of(node.level)  # never hydrated
+
+    @pytest.mark.parametrize("text", SSB_ANCESTORS)
+    def test_statement_bit_identical_to_hydrated_engine(self, engines, text):
+        from repro import AssessSession
+
+        plain, hydrated = engines
+        fast = AssessSession(plain).assess(text, plan="NP").cube
+        slow = AssessSession(hydrated).assess(text, plan="NP").cube
+        _assert_bit_identical(fast, slow)
+
+    def test_a_non_functional_part_of_order_raises(self):
+        import numpy as np
+
+        from repro import AssessSession
+        from repro.core.errors import SchemaError
+        from repro.datagen import ssb_engine
+        from repro.engine.table import Table
+
+        engine = ssb_engine(lineorder_rows=2_000, seed=3, with_budget=False)
+        customer = engine.catalog.table("ssb_customer")
+        columns = {name: customer.column(name).copy() for name in customer.column_names}
+        cities, counts = np.unique(columns["c_city"], return_counts=True)
+        row = int(np.flatnonzero(columns["c_city"] == cities[np.argmax(counts)])[0])
+        regions = np.unique(columns["c_region"])
+        columns["c_region"][row] = regions[regions != columns["c_region"][row]][0]
+        engine.catalog.register(Table("ssb_customer", columns), replace=True)
+        with pytest.raises(SchemaError, match="no part-of function"):
+            AssessSession(engine).assess(SSB_ANCESTORS[0], plan="NP")

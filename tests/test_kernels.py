@@ -18,6 +18,7 @@ from repro.engine.kernels import (
     fold_codes,
     match_unique,
     narrow_codes,
+    Rollup,
     sort_groups,
 )
 
@@ -283,3 +284,38 @@ class TestDictionaryEncode:
         assert narrow_codes(codes, 300).dtype == np.uint16
         assert narrow_codes(codes, 1 << 20).dtype == np.int32
         assert narrow_codes(codes, 1 << 40).dtype == np.int64
+
+
+class TestRollup:
+    """The coded part-of function: one scatter builds it, one gather applies it."""
+
+    CITIES = np.array(["c1", "c2", "c3", "c4"], dtype=object)
+    REGIONS = np.array(["east", "west"], dtype=object)
+
+    def rollup(self, parents=(1, 0, 1, 1)):
+        rows = np.array([0, 1, 2, 3, 2, 0])
+        return Rollup.of(
+            self.CITIES, rows, self.REGIONS, np.asarray(parents)[rows]
+        )
+
+    def test_the_fine_dictionary_takes_the_lut_as_it_is(self):
+        rollup = self.rollup()
+        assert rollup.lut_for(self.CITIES) is rollup.lut
+        assert rollup.lut.dtype == np.uint8
+        assert rollup.coarse[rollup.lut].tolist() == ["west", "east", "west", "west"]
+
+    def test_another_dictionary_maps_onto_the_fine_one(self):
+        rollup = self.rollup()
+        subset = np.array(["c2", "c4"], dtype=object)
+        assert rollup.coarse[rollup.lut_for(subset)].tolist() == ["east", "west"]
+        assert rollup.lut_for(self.CITIES.copy()).tolist() == rollup.lut.tolist()
+        assert rollup.lut_for(np.array([], dtype=object)).tolist() == []
+
+    @pytest.mark.parametrize("members", [["c2", "c9"], ["a0"], ["c5"]])
+    def test_a_member_the_table_lacks_has_no_lut(self, members):
+        assert self.rollup().lut_for(np.array(members, dtype=object)) is None
+
+    def test_a_member_with_two_parents_has_no_rollup(self):
+        rows = np.array([0, 1, 2, 3, 2])
+        coarse = np.array([1, 0, 1, 1, 0])  # c3 in west and east
+        assert Rollup.of(self.CITIES, rows, self.REGIONS, coarse) is None
