@@ -15,7 +15,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..core.cube import Cube, qualified
+from ..core.cube import Cube
 from ..core.deadline import checkpoint as _checkpoint
 from ..core.errors import ExecutionError, FunctionError, MemberError, SchemaError
 from ..core.labels import CoordinateLabeling, NamedLabeling, RangeLabeling
@@ -247,18 +247,16 @@ class PlanExecutor:
         return projected
 
     def _rollup_join(self, node: RollupJoinNode, left: Cube, right: Cube) -> Cube:
-        """Ancestor join on codes: the engine's coded roll-up and drill-across
-        kernels.
+        """Ancestor join on codes: the engine's coded roll-up, then the
+        drill-across every join shares.
 
-        The left level's members map onto the engine's part-of table
+        The left level's dictionary maps onto the engine's part-of table
         (:meth:`~repro.olap.engine.MultidimensionalEngine.rollup`, the one
-        cache derivation uses) by one binary search over its distinct
-        members and reach their ancestors by one gather; the coded keys
-        are then matched exactly like a pushed drill-across.
+        cache derivation uses) — by identity when it is the table's own,
+        else by one binary search over its distinct members — and its
+        codes reach their ancestors by one gather.  The keys are then
+        joined by :meth:`Cube.join_on_codes`.
         """
-        from ..engine.executor import _gather_float, _joint_codes
-        from ..engine.kernels import dictionary_encode, match_unique
-
         if not isinstance(node.left, GetNode):
             raise ExecutionError("an ancestor join requires a get on its left")
         source = node.left.query.source
@@ -268,7 +266,7 @@ class PlanExecutor:
                 f"cube {source!r} has no part-of function from level "
                 f"{node.level!r} to {node.ancestor_level!r}"
             )
-        member_codes, members = dictionary_encode(left.coords[node.level])
+        member_codes, members = left.encoded(node.level)
         lut = rollup.lut_for(members)
         if lut is None:
             missing = members[~np.isin(members, rollup.fine)]
@@ -282,24 +280,13 @@ class PlanExecutor:
         # canonical position (same hierarchy), so the columns align.
         left_keys = [
             (lut[member_codes], rollup.coarse)
-            if name == node.level else dictionary_encode(left.coords[name])
+            if name == node.level else left.encoded(name)
             for name in left.group_by.levels
         ]
-        right_keys = [
-            dictionary_encode(right.coords[name]) for name in right.group_by.levels
-        ]
-        matches = match_unique(*_joint_codes(left_keys, right_keys))
-        keep = np.ones(len(matches), dtype=bool) if node.outer else matches >= 0
-        index = np.nonzero(keep)[0]
-        match_index = matches[keep]
-
-        coords = {name: column[index] for name, column in left.coords.items()}
-        measures = {name: column[index] for name, column in left.measures.items()}
-        for name, column in right.measures.items():
-            measures[qualified(node.alias, name)] = _gather_float(
-                np.asarray(column, dtype=np.float64), match_index
-            )
-        return Cube(left.schema, left.group_by, coords, measures)
+        right_keys = [right.encoded(name) for name in right.group_by.levels]
+        return left.join_on_codes(
+            right, left_keys, right_keys, alias=node.alias, outer=node.outer
+        )
 
     def _attach_property(self, node: AttachPropertyNode, cube: Cube) -> Cube:
         level, lookup = self.engine.property_lookup(node.source, node.property_name)

@@ -234,7 +234,9 @@ def replace_join_with_pivot(plan: Plan) -> Plan:
     if len(target_members) != 1:
         raise PlanError("P3 requires the target to slice the pivot level on one member")
     reference = next(iter(target_members))
-    ordered_benchmark = sorted(benchmark_members, key=repr)
+    # The members' own order: the order of the past slices everywhere
+    # (the fan-in join's slots, the engine's predecessors).
+    ordered_benchmark = sorted(benchmark_members)
 
     measure = benchmark_query.measures[0]
     qualified = f"{join.alias}.{measure}"

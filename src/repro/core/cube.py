@@ -9,7 +9,12 @@ columns) and one array per measure.  This makes the holistic transformations
 of Section 3.2 and the joins of Section 4.2 vectorisable, mirroring the
 paper's use of Pandas DataFrames for in-memory post-processing.
 
-The heavy in-memory kernels used by the logical operators live here:
+Each cube keeps, per level, the ``(codes, dictionary)`` pair its engine
+result grouped by (``dictionary[codes]`` is the column, the dictionary is
+sorted) and encodes a level on demand when it has none.  The logical
+operators run on those codes, through the same kernels
+(:mod:`repro.engine.kernels`) as the engine's pushed drill-across and
+pivot:
 
 * :meth:`Cube.natural_join` — drill-across ``C1 ⋈ C2`` on full coordinates;
 * :meth:`Cube.partial_join` — ``C1 ⋈_{l1..lm} C2`` which matches on a subset
@@ -105,6 +110,7 @@ class Cube:
             raise SchemaError(f"ragged cube columns, lengths {sorted(lengths)}")
         self._n = lengths.pop() if lengths else 0
         self._coord_index: Optional[Dict[Coordinate, int]] = None
+        self.codes: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -193,6 +199,15 @@ class Cube:
             }
         return self._coord_index
 
+    def encoded(self, level: str) -> Tuple[np.ndarray, np.ndarray]:
+        """``(codes, dictionary)`` of a level: kept, or encoded now."""
+        entry = self.codes.get(level)
+        if entry is None:
+            from ..engine.kernels import dictionary_encode
+
+            entry = self.codes[level] = dictionary_encode(self.coords[level])
+        return entry
+
     def __contains__(self, coordinate: Coordinate) -> bool:
         """``γ in C`` — whether the coordinate participates in the cube."""
         return tuple(coordinate) in self.coordinate_index()
@@ -239,7 +254,7 @@ class Cube:
             )
         measures = dict(self.measures)
         measures[name] = column
-        return Cube(self.schema, self.group_by, self.coords, measures)
+        return self._with_measures(measures)
 
     def rename_measures(self, renames: Mapping[str, str]) -> "Cube":
         """Return a copy with measure columns renamed (order preserved)."""
@@ -248,33 +263,42 @@ class Cube:
             measures[renames.get(name, name)] = column
         if len(measures) != len(self.measures):
             raise SchemaError(f"renaming {renames!r} collapses measure columns")
-        return Cube(self.schema, self.group_by, self.coords, measures)
+        return self._with_measures(measures)
 
     def project_measures(self, names: Sequence[str]) -> "Cube":
         """Return a copy keeping only the named measure columns, in order."""
-        return Cube(
-            self.schema,
-            self.group_by,
-            self.coords,
-            {name: self.measure(name) for name in names},
-        )
+        return self._with_measures({name: self.measure(name) for name in names})
 
     def filter_rows(self, mask: np.ndarray) -> "Cube":
         """Return a copy keeping only rows where ``mask`` is true."""
-        coords = {level: column[mask] for level, column in self.coords.items()}
-        measures = {name: column[mask] for name, column in self.measures.items()}
-        return Cube(self.schema, self.group_by, coords, measures)
+        return self.take(mask)
+
+    def take(self, rows: np.ndarray) -> "Cube":
+        """The cells an index array or mask selects, codes carried along."""
+        cube = Cube(
+            self.schema,
+            self.group_by,
+            {level: column[rows] for level, column in self.coords.items()},
+            {name: column[rows] for name, column in self.measures.items()},
+        )
+        cube.codes = {
+            level: (codes[rows], dictionary)
+            for level, (codes, dictionary) in self.codes.items()
+        }
+        return cube
 
     def sorted_by_coordinates(self) -> "Cube":
         """Return a copy with rows sorted lexicographically by coordinate.
 
         Useful for deterministic output in tests and reports.
         """
-        order = sorted(range(self._n), key=self.coordinate_at)
-        index = np.asarray(order, dtype=np.intp)
-        coords = {level: column[index] for level, column in self.coords.items()}
-        measures = {name: column[index] for name, column in self.measures.items()}
-        return Cube(self.schema, self.group_by, coords, measures)
+        keys = [self.encoded(level)[0] for level in reversed(self.group_by.levels)]
+        return self.take(np.lexsort(keys) if keys else np.arange(self._n))
+
+    def _with_measures(self, measures: Mapping[str, np.ndarray]) -> "Cube":
+        cube = Cube(self.schema, self.group_by, self.coords, measures)
+        cube.codes = dict(self.codes)
+        return cube
 
     # ------------------------------------------------------------------
     # Joinability (Definition 3.1)
@@ -291,7 +315,7 @@ class Cube:
             )
 
     # ------------------------------------------------------------------
-    # Join kernels (Section 4.2)
+    # Join and pivot (Section 4.2)
     # ------------------------------------------------------------------
     def natural_join(
         self,
@@ -307,18 +331,35 @@ class Cube:
         measures filled with NaN.
         """
         self._require_joinable(other)
-        other_index = other.coordinate_index()
-        keep: List[int] = []
-        matches: List[int] = []
-        for row, coordinate in enumerate(self.coordinates()):
-            match = other_index.get(coordinate)
-            if match is not None:
-                keep.append(row)
-                matches.append(match)
-            elif outer:
-                keep.append(row)
-                matches.append(-1)
-        return self._assemble_join(other, keep, matches, alias)
+        levels = self.group_by.levels
+        return self.join_on_codes(
+            other,
+            [self.encoded(level) for level in levels],
+            [other.encoded(level) for level in levels],
+            alias=alias,
+            outer=outer,
+        )
+
+    def join_on_codes(
+        self,
+        other: "Cube",
+        left_keys: "Sequence[Tuple[np.ndarray, np.ndarray]]",
+        right_keys: "Sequence[Tuple[np.ndarray, np.ndarray]]",
+        alias: str = BENCHMARK_ALIAS,
+        outer: bool = False,
+    ) -> "Cube":
+        """The drill-across on given ``(codes, dictionary)`` key columns,
+        which must be unique on ``other``'s side.
+
+        :meth:`natural_join` passes every level of both cubes; the ancestor
+        join passes the left cube's levels with one rolled up.
+        """
+        from ..engine.kernels import join_unique
+
+        rows, matches = join_unique(
+            left_keys, right_keys, len(self), len(other), outer
+        )
+        return self._joined(other, rows, matches[:, None], alias)
 
     def partial_join(
         self,
@@ -330,13 +371,18 @@ class Cube:
         """Partial join ``self ⋈_{l1..lm} other`` (Section 4.2).
 
         Cells match when they agree on ``join_levels`` only.  For each target
-        cell, the measures of *all* matching cells of ``other`` are appended
-        (ordered deterministically by the matching cells' coordinates), with
-        names suffixed ``_1 .. _p`` when more than one match occurs.  This is
-        the construct past benchmarks use to line up the k previous time
-        slices next to each target cell.  Unlike the natural join, this
+        cell, the measures of *all* matching cells of ``other`` are appended.
+        Each match goes in the slot of its *residual coordinate* (its members
+        outside ``join_levels``) among the residual coordinates ``other``
+        holds, in the members' sorted order: with ``p`` of them the columns
+        are suffixed ``_1 .. _p`` and a missing match stays NaN; with one,
+        the names carry no suffix.  This is the construct past benchmarks
+        use to line up the k previous time slices next to each target cell
+        (slice ``i`` in column ``_i``).  Unlike the natural join, this
         operation is not commutative.
         """
+        from ..engine.kernels import join_fan_in
+
         self._require_joinable(other)
         for level in join_levels:
             if level not in self.group_by:
@@ -344,32 +390,18 @@ class Cube:
                     f"join level {level!r} is not part of group-by "
                     f"{list(self.group_by.levels)}"
                 )
-        positions = [self.group_by.position_of(level) for level in join_levels]
-
-        def key_of(coordinate: Coordinate) -> Tuple:
-            return tuple(coordinate[p] for p in positions)
-
-        buckets: Dict[Tuple, List[int]] = {}
-        for row, coordinate in enumerate(other.coordinates()):
-            buckets.setdefault(key_of(coordinate), []).append(row)
-        for rows in buckets.values():
-            rows.sort(key=other.coordinate_at)
-
-        max_matches = max((len(rows) for rows in buckets.values()), default=0)
-        keep: List[int] = []
-        match_lists: List[List[int]] = []
-        for row, coordinate in enumerate(self.coordinates()):
-            matched = buckets.get(key_of(coordinate))
-            if matched:
-                keep.append(row)
-                match_lists.append(matched)
-            elif outer:
-                keep.append(row)
-                match_lists.append([])
-        if max_matches <= 1:
-            flat = [rows[0] if rows else -1 for rows in match_lists]
-            return self._assemble_join(other, keep, flat, alias)
-        return self._assemble_multi_join(other, keep, match_lists, max_matches, alias)
+        residual = [
+            level for level in other.group_by.levels if level not in join_levels
+        ]
+        rows, slots = join_fan_in(
+            [self.encoded(level) for level in join_levels],
+            [other.encoded(level) for level in join_levels],
+            [other.encoded(level) for level in residual],
+            len(self),
+            len(other),
+            outer,
+        )
+        return self._joined(other, rows, slots, alias)
 
     def pivot(
         self,
@@ -396,137 +428,61 @@ class Cube:
         its renamed columns).  Past benchmarks use this to line up the k
         history slices without losing cells absent from the newest slice.
         """
+        from ..engine.kernels import gather_with_nulls, pivot_rows
+
         if level not in self.group_by:
             raise SchemaError(
                 f"pivot level {level!r} not in group-by {list(self.group_by.levels)}"
             )
-        position = self.group_by.position_of(level)
-        rest_positions = [
-            i for i in range(len(self.group_by.levels)) if i != position
-        ]
-
-        def rest_key(coordinate: Coordinate) -> Tuple:
-            return tuple(coordinate[p] for p in rest_positions)
-
-        slice_rows: Dict[Member, Dict[Tuple, int]] = {}
-        rest_first_row: Dict[Tuple, int] = {}
-        for row, coordinate in enumerate(self.coordinates()):
-            member = coordinate[position]
-            key = rest_key(coordinate)
-            slice_rows.setdefault(member, {})[key] = row
-            rest_first_row.setdefault(key, row)
-
-        spread = reference_member is None
-        if spread:
-            reference = rest_first_row
-        else:
-            reference = slice_rows.get(reference_member, {})
-        neighbour_members = list(measure_renames.keys())
-
-        keep: List[int] = []
-        neighbour_rows: Dict[Member, List[int]] = {m: [] for m in neighbour_members}
-        for key, row in reference.items():
-            rows_for_key = {
-                member: slice_rows.get(member, {}).get(key, -1)
-                for member in neighbour_members
-            }
-            if require_all and any(r < 0 for r in rows_for_key.values()):
-                continue
-            keep.append(row)
-            for member in neighbour_members:
-                neighbour_rows[member].append(rows_for_key[member])
-
-        index = np.asarray(keep, dtype=np.intp)
-        coords = {name: column[index] for name, column in self.coords.items()}
-        if spread:
+        neighbours = list(measure_renames)
+        rows, member_rows = pivot_rows(
+            [self.encoded(rest) for rest in self.group_by.levels if rest != level],
+            self.encoded(level),
+            reference_member,
+            neighbours,
+            require_all,
+        )
+        pivoted = self.take(rows)
+        if reference_member is None:
             filler = fill_member if fill_member is not None else (
-                neighbour_members[-1] if neighbour_members else None
+                neighbours[-1] if neighbours else None
             )
-            fill_column = np.empty(len(index), dtype=object)
+            fill_column = np.empty(len(rows), dtype=object)
             fill_column[:] = filler
-            coords[level] = fill_column
-            measures: Dict[str, np.ndarray] = {}
-        else:
-            measures = {
-                name: column[index] for name, column in self.measures.items()
-            }
-        for member in neighbour_members:
-            rows = np.asarray(neighbour_rows[member], dtype=np.intp)
+            pivoted.coords[level] = fill_column
+            del pivoted.codes[level]
+            pivoted.measures = {}
+        for slot, member in enumerate(neighbours):
             for measure_name, new_name in measure_renames[member].items():
-                source = self.measure(measure_name)
-                column = _gather_with_nulls(source, rows)
-                if new_name in measures:
+                if new_name in pivoted.measures:
                     raise SchemaError(f"pivot would duplicate column {new_name!r}")
-                measures[new_name] = column
-        return Cube(self.schema, self.group_by, coords, measures)
-
-    # ------------------------------------------------------------------
-    # Join assembly internals
-    # ------------------------------------------------------------------
-    def _assemble_join(
-        self,
-        other: "Cube",
-        keep: Sequence[int],
-        matches: Sequence[int],
-        alias: str,
-    ) -> "Cube":
-        index = np.asarray(keep, dtype=np.intp)
-        match_index = np.asarray(matches, dtype=np.intp)
-        coords = {name: column[index] for name, column in self.coords.items()}
-        measures: Dict[str, np.ndarray] = {
-            name: column[index] for name, column in self.measures.items()
-        }
-        for name, column in other.measures.items():
-            new_name = qualified(alias, name)
-            if new_name in measures:
-                raise SchemaError(f"join would duplicate column {new_name!r}")
-            measures[new_name] = _gather_with_nulls(column, match_index)
-        return Cube(self.schema, self.group_by, coords, measures)
-
-    def _assemble_multi_join(
-        self,
-        other: "Cube",
-        keep: Sequence[int],
-        match_lists: Sequence[Sequence[int]],
-        width: int,
-        alias: str,
-    ) -> "Cube":
-        index = np.asarray(keep, dtype=np.intp)
-        coords = {name: column[index] for name, column in self.coords.items()}
-        measures: Dict[str, np.ndarray] = {
-            name: column[index] for name, column in self.measures.items()
-        }
-        padded = np.full((len(match_lists), width), -1, dtype=np.intp)
-        for i, rows in enumerate(match_lists):
-            padded[i, : len(rows)] = rows
-        for name, column in other.measures.items():
-            for slot in range(width):
-                new_name = qualified(alias, name) if width == 1 else (
-                    f"{qualified(alias, name)}_{slot + 1}"
+                pivoted.measures[new_name] = gather_with_nulls(
+                    self.measure(measure_name), member_rows[:, slot]
                 )
-                measures[new_name] = _gather_with_nulls(column, padded[:, slot])
-        return Cube(self.schema, self.group_by, coords, measures)
+        return pivoted
+
+    def _joined(
+        self, other: "Cube", rows: np.ndarray, slots: np.ndarray, alias: str
+    ) -> "Cube":
+        """The kept ``rows`` of this cube with ``other``'s measures appended,
+        one column per slot of the join's ``rows × width`` matrix."""
+        from ..engine.kernels import fan_in_columns
+
+        joined = self.take(rows)
+        for name, column in other.measures.items():
+            for new_name, values in fan_in_columns(
+                qualified(alias, name), column, slots
+            ).items():
+                if new_name in joined.measures:
+                    raise SchemaError(f"join would duplicate column {new_name!r}")
+                joined.measures[new_name] = values
+        return joined
 
     def __repr__(self) -> str:
         return (
             f"Cube(schema={self.schema.name!r}, by={list(self.group_by.levels)}, "
             f"measures={list(self.measures)}, cells={self._n})"
         )
-
-
-def _gather_with_nulls(column: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Gather ``column[rows]`` treating ``-1`` as "no match" → NaN/None."""
-    missing = rows < 0
-    safe = np.where(missing, 0, rows)
-    if column.dtype == object:
-        gathered = column[safe].copy()
-        gathered[missing] = None
-        return gathered
-    if len(column) == 0:
-        return np.full(len(rows), np.nan)
-    gathered = column[safe].astype(np.float64, copy=True)
-    gathered[missing] = np.nan
-    return gathered
 
 
 def constant_benchmark_cube(target: Cube, value: float, name: str = "constant") -> Cube:

@@ -7,9 +7,9 @@ the engine can keep being explored in memory:
 
 * :func:`rollup` — aggregate a derived cube to a coarser group-by set via
   the hierarchies' part-of orders;
-* :func:`slice_cube` — restrict a cube with a predicate (slice/dice);
-* :func:`drill_across` — merge measures of two joinable cubes (a thin alias
-  over the natural join, without the benchmark aliasing).
+* :func:`slice_cube` — restrict a cube with a predicate (slice/dice).
+
+Drill-across is :meth:`~repro.core.cube.Cube.natural_join`.
 
 Roll-up re-aggregates the *already aggregated* cells of a derived cube, so
 it is only exact for distributive aggregation operators (sum, min, max,
@@ -123,8 +123,3 @@ def slice_cube(cube: Cube, predicate: Predicate) -> Cube:
         )
     column = cube.coords[predicate.level]
     return cube.filter_rows(predicate.mask(column))
-
-
-def drill_across(left: Cube, right: Cube, alias: str = "other") -> Cube:
-    """Drill-across two joinable cubes, merging their measures."""
-    return left.natural_join(right, alias=alias)

@@ -4,10 +4,11 @@ This is the substitute for the paper's DBMS: it evaluates the three query
 shapes of :mod:`repro.engine.query` with set-oriented NumPy kernels —
 semi-join filtering through dimension tables, factorised multi-column
 group-by, and drill-across and pivot over the dictionary codes each
-result carries (sort-based join, scatter-based pivot).  Its performance
-profile mirrors a real DBMS closely enough for the NP/JOP/POP comparison to
-be meaningful: pushing a join or pivot here is significantly cheaper than
-performing it cell-at-a-time on cube objects.
+result carries (sort-based join, scatter-based pivot, both in
+:mod:`repro.engine.kernels`).  The in-memory join and pivot of the NP
+plans run the same kernels on the codes a cube keeps, so what pushing an
+operator saves is what the paper says it saves: a second materialised
+cube and a separate join, against one query.
 """
 
 from __future__ import annotations
@@ -46,9 +47,12 @@ from .kernels import REAGGREGATION_OPS
 from .kernels import aggregate as _aggregate
 from .kernels import combine_codes as _combine_codes
 from .kernels import dictionary_encode as _dictionary_encode
-from .kernels import match_unique as _match_unique
+from .kernels import fan_in_columns as _fan_in_columns
+from .kernels import gather_with_nulls as _gather_with_nulls
+from .kernels import join_fan_in as _join_fan_in
+from .kernels import join_unique as _join_unique
 from .kernels import narrow_codes as _narrow_codes
-from .kernels import sort_groups as _sort_groups
+from .kernels import pivot_rows as _pivot_rows
 from .spill import (
     SpillAggregator,
     choose_partitions as _choose_partitions,
@@ -825,106 +829,34 @@ class EngineExecutor:
     def _drill_across_join(
         self, query: DrillAcrossQuery, left: ResultSet, right: ResultSet
     ) -> ResultSet:
-        """The join itself, after both sides have been aggregated."""
-        left_codes, right_codes = _joint_codes(
-            [left.encoded(alias) for alias in query.join_on],
-            [right.encoded(alias) for alias in query.join_on],
-        )
-        if query.multi:
-            return self._drill_across_multi(query, left, right, left_codes, right_codes)
+        """The join itself, after both sides have been aggregated.
 
-        matches = _match_unique(left_codes, right_codes)
-        keep = np.ones(len(left), dtype=bool) if query.outer else matches >= 0
-        result = left.take(keep)
-        matched = matches[keep]
+        A fan-in (``multi``) join slots each right match by its grouping
+        values outside the join key (:func:`~repro.engine.kernels.join_fan_in`).
+        """
+        left_keys = [left.encoded(alias) for alias in query.join_on]
+        right_keys = [right.encoded(alias) for alias in query.join_on]
+        if query.multi:
+            residual = [
+                right.encoded(gb.alias)
+                for gb in query.right.group_by
+                if gb.alias not in query.join_on
+            ]
+            rows, slots = _join_fan_in(
+                left_keys, right_keys, residual, len(left), len(right), query.outer
+            )
+        else:
+            rows, matches = _join_unique(
+                left_keys, right_keys, len(left), len(right), query.outer
+            )
+            slots = matches[:, None]
+        result = left.take(rows)
         for agg in query.right.aggregates:
             name = query.renames.get(agg.alias, agg.alias)
-            result.columns[name] = _gather_float(right.column(agg.alias), matched)
-        return result
-
-    def _drill_across_multi(
-        self,
-        query: DrillAcrossQuery,
-        left: ResultSet,
-        right: ResultSet,
-        left_codes: np.ndarray,
-        right_codes: np.ndarray,
-    ) -> ResultSet:
-        """Fan-in partial join: append each right match as extra columns.
-
-        Each match is slotted by its *residual coordinate* — the right
-        side's grouping values outside the join key — against the globally
-        sorted list of distinct residual coordinates.  For a past benchmark
-        the residual is the time slice, so slice ``i`` always lands in
-        column ``name_i`` (oldest first) and a missing slice stays NaN,
-        preserving the time alignment the regression transform needs.
-        """
-        right_group_aliases = [gb.alias for gb in query.right.group_by]
-        residual_aliases = [
-            alias for alias in right_group_aliases if alias not in query.join_on
-        ]
-        slots, width = self._residual_slots(right, residual_aliases)
-
-        # Sort-based join: for each left code, its right matches are the
-        # contiguous run [lo, hi) in the stably sorted right codes (sorted
-        # in place: _joint_codes folded them into a fresh array).
-        order, _, sorted_codes = _sort_groups(right_codes)
-        lo = np.searchsorted(sorted_codes, left_codes, side="left")
-        hi = np.searchsorted(sorted_codes, left_codes, side="right")
-        counts = hi - lo
-        keep = (counts > 0) if not query.outer else np.ones(len(left_codes), bool)
-        index = np.nonzero(keep)[0].astype(np.int64)
-        result = left.take(index)
-
-        # Scatter every (kept left row, residual slot) pair in one pass.
-        kept_counts = counts[index]
-        total = int(kept_counts.sum())
-        padded = np.full((len(index), max(width, 1)), -1, dtype=np.int64)
-        if total:
-            out_rows = np.repeat(np.arange(len(index), dtype=np.int64), kept_counts)
-            offsets = np.arange(total, dtype=np.int64) - np.repeat(
-                np.cumsum(kept_counts) - kept_counts, kept_counts
+            result.columns.update(
+                _fan_in_columns(name, right.column(agg.alias), slots)
             )
-            right_rows = order[np.repeat(lo[index], kept_counts) + offsets]
-            padded[out_rows, slots[right_rows]] = right_rows
-        for agg in query.right.aggregates:
-            base_name = query.renames.get(agg.alias, agg.alias)
-            source = right.column(agg.alias)
-            if width <= 1:
-                result.columns[base_name] = _gather_float(source, padded[:, 0])
-            else:
-                for slot in range(width):
-                    result.columns[f"{base_name}_{slot + 1}"] = _gather_float(
-                        source, padded[:, slot]
-                    )
         return result
-
-    @staticmethod
-    def _residual_slots(
-        right: ResultSet, residual_aliases: "List[str]"
-    ) -> "Tuple[np.ndarray, int]":
-        """Slot id of every right row by its residual coordinate.
-
-        The residual columns' dictionary codes fold into dense ids; only
-        the (few) distinct coordinates are materialised as tuples to fix
-        the slot order — sorted by ``repr``, oldest-first for time slices
-        — so slice ``i`` always lands in column ``name_i``.
-        """
-        n_right = len(right)
-        if not residual_aliases:
-            return np.zeros(n_right, dtype=np.int64), 1
-        inverse, count, first_rows = _combine_codes(
-            _code_columns(right, residual_aliases), n_right
-        )
-        distinct = [
-            tuple(right.column(alias)[row] for alias in residual_aliases)
-            for row in first_rows
-        ]
-        by_repr = sorted(range(count), key=lambda i: repr(distinct[i]))
-        slot_of_code = np.empty(count, dtype=np.int64)
-        for slot, code in enumerate(by_repr):
-            slot_of_code[code] = slot
-        return slot_of_code[inverse], count
 
     # ------------------------------------------------------------------
     # Pivot (POP)
@@ -950,88 +882,22 @@ class EngineExecutor:
 
     def _pivot_of_base(self, query: PivotQuery, base: ResultSet) -> ResultSet:
         """The pivot scatter itself, after the base has been aggregated."""
-        rest_aliases = [
-            gb.alias for gb in query.base.group_by if gb.alias != query.pivot_alias
-        ]
-        rest_ids, rest_count, _ = _combine_codes(
-            _code_columns(base, rest_aliases), len(base)
+        rows, member_rows = _pivot_rows(
+            [
+                base.encoded(gb.alias)
+                for gb in query.base.group_by
+                if gb.alias != query.pivot_alias
+            ],
+            base.encoded(query.pivot_alias),
+            query.reference,
+            list(query.members),
+            query.require_all,
         )
-
-        members = [query.reference] + list(query.members.keys())
-        member_slot = {member: i for i, member in enumerate(members)}
-        pivot_codes, dictionary = base.encoded(query.pivot_alias)
-        slot_of_code = np.array(
-            [member_slot.get(value, -1) for value in dictionary], dtype=np.int64
-        )
-        slots = slot_of_code[pivot_codes]
-        valid = slots >= 0
-
-        n_slots = len(members)
-        row_of = np.full((rest_count, n_slots), -1, dtype=np.int64)
-        row_of[rest_ids[valid], slots[valid]] = np.nonzero(valid)[0]
-
-        reference_rows = row_of[:, 0]
-        keep_groups = reference_rows >= 0
-        if query.require_all:
-            keep_groups &= (row_of >= 0).all(axis=1)
-        reference_rows = reference_rows[keep_groups]
-
         # The base's group-by and aggregate columns, at the reference rows.
-        result = base.take(reference_rows)
-        for slot, (member, renames) in enumerate(query.members.items(), start=1):
-            member_rows = row_of[keep_groups, slot]
+        result = base.take(rows)
+        for slot, renames in enumerate(query.members.values()):
             for agg_alias, new_name in renames.items():
-                source = base.column(agg_alias)
-                result.columns[new_name] = _gather_float(source, member_rows)
+                result.columns[new_name] = _gather_with_nulls(
+                    base.column(agg_alias), member_rows[:, slot]
+                )
         return result
-
-
-# ----------------------------------------------------------------------
-# Kernels
-# ----------------------------------------------------------------------
-def _code_columns(
-    result: ResultSet, aliases: Sequence[str]
-) -> "List[Tuple[np.ndarray, int]]":
-    """The ``(codes, cardinality)`` fold input of some result columns."""
-    return [
-        (codes, len(dictionary))
-        for codes, dictionary in (result.encoded(alias) for alias in aliases)
-    ]
-
-
-def _joint_codes(
-    left_keys: "Sequence[Tuple[np.ndarray, np.ndarray]]",
-    right_keys: "Sequence[Tuple[np.ndarray, np.ndarray]]",
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Fold the ``(codes, dictionary)`` key columns of both join sides.
-
-    Where both sides share a dictionary their codes already agree and are
-    used as they are; otherwise each side's dictionary is mapped onto the
-    sorted union of the two — a pass over distinct values only — and the
-    codes are gathered through that map.  Either way no row value is
-    compared or hashed.
-    """
-    n_left = len(left_keys[0][0]) if left_keys else 0
-    left_codes = np.zeros(n_left, dtype=np.int64)
-    right_codes = np.zeros(len(right_keys[0][0]) if right_keys else 0, dtype=np.int64)
-    for (left_key, left_dict), (right_key, right_dict) in zip(left_keys, right_keys):
-        if left_dict is not right_dict and not np.array_equal(left_dict, right_dict):
-            union = np.unique(np.concatenate([left_dict, right_dict]))
-            left_key = np.searchsorted(union, left_dict)[left_key]
-            right_key = np.searchsorted(union, right_dict)[right_key]
-            left_dict = union
-        cardinality = max(len(left_dict), 1)
-        left_codes = left_codes * cardinality + left_key
-        right_codes = right_codes * cardinality + right_key
-    return left_codes, right_codes
-
-
-def _gather_float(source: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Gather float values treating row ``-1`` as NULL (NaN)."""
-    missing = rows < 0
-    safe = np.where(missing, 0, rows)
-    if len(source) == 0:
-        return np.full(len(rows), np.nan)
-    gathered = np.asarray(source, dtype=np.float64)[safe]
-    gathered[missing] = np.nan
-    return gathered

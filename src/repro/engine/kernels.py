@@ -7,8 +7,12 @@ roll-up goes through, with :data:`REAGGREGATION_OPS` saying how partials
 re-aggregate.  :func:`fold_codes` is the group-by fold over
 dictionary codes (a counting pass for small key spaces, one packed-key
 stable sort, :func:`sort_groups`, for large ones); :func:`match_unique` is
-the equality join over coded keys built on the same sort.  Two
-factorizations of raw columns are provided:
+the equality join over coded keys built on the same sort.  The drill-across
+(:func:`join_unique`), the fan-in partial join (:func:`join_fan_in`) and
+the pivot (:func:`pivot_rows`) over ``(codes, dictionary)`` key columns
+are the one implementation of each: the engine's pushed queries and the
+in-memory cube operators both call them.  Two factorizations of raw
+columns are provided:
 
 * :func:`factorize_numpy` — the production kernel: per-column ``np.unique``
   encoding combined into a single integer key, factorised once more.  Fully
@@ -23,7 +27,7 @@ Both return ``(group_ids, group_count, first_row_of_group)`` where
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -141,6 +145,179 @@ def match_unique(probe: np.ndarray, build: np.ndarray) -> np.ndarray:
     position = np.minimum(np.searchsorted(sorted_keys, probe), len(build) - 1)
     found = sorted_keys[position] == probe
     return np.where(found, position if order is None else order[position], -1)
+
+
+KeyColumns = Sequence[Tuple[np.ndarray, np.ndarray]]
+"""``(codes, dictionary)`` per key column: ``dictionary[codes]`` is the
+column and the dictionary is sorted, as results and cubes carry them."""
+
+
+def joint_codes(
+    left_keys: KeyColumns, right_keys: KeyColumns, n_left: int, n_right: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Fold the ``(codes, dictionary)`` key columns of both join sides.
+
+    Where both sides share a dictionary their codes already agree and are
+    used as they are; otherwise each side's dictionary is mapped onto the
+    sorted union of the two — a pass over distinct values only — and the
+    codes are gathered through that map.  Either way no row value is
+    compared or hashed.  Both returned arrays are fresh ``int64``; with
+    no key columns every row of a side has key 0.
+    """
+    left_codes = np.zeros(n_left, dtype=np.int64)
+    right_codes = np.zeros(n_right, dtype=np.int64)
+    for (left_key, left_dict), (right_key, right_dict) in zip(left_keys, right_keys):
+        if left_dict is not right_dict and not np.array_equal(left_dict, right_dict):
+            union = np.unique(np.concatenate([left_dict, right_dict]))
+            left_key = np.searchsorted(union, left_dict)[left_key]
+            right_key = np.searchsorted(union, right_dict)[right_key]
+            left_dict = union
+        cardinality = max(len(left_dict), 1)
+        left_codes = left_codes * cardinality + left_key
+        right_codes = right_codes * cardinality + right_key
+    return left_codes, right_codes
+
+
+def join_unique(
+    left_keys: KeyColumns,
+    right_keys: KeyColumns,
+    n_left: int,
+    n_right: int,
+    outer: bool,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The drill-across on coded keys that are unique on the right.
+
+    ``n_left`` and ``n_right`` are the two sides' row counts.  Returns
+    ``(rows, matches)``: the left rows kept, in left order, and each
+    one's right partner, ``-1`` where an outer join found none.
+    """
+    matches = match_unique(*joint_codes(left_keys, right_keys, n_left, n_right))
+    rows = np.arange(len(matches)) if outer else np.flatnonzero(matches >= 0)
+    partners: np.ndarray = matches[rows]
+    return rows, partners
+
+
+def join_fan_in(
+    left_keys: KeyColumns,
+    right_keys: KeyColumns,
+    residual: KeyColumns,
+    n_left: int,
+    n_right: int,
+    outer: bool,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The partial join on coded keys: every right match of a left row.
+
+    Each match is slotted by its *residual coordinate* — the right
+    side's key columns outside the join key — in their folded code
+    order, which is the members' own sorted order.  For a past
+    benchmark the residual is the time slice, so slice ``i`` is always
+    in slot ``i`` (oldest first) and a missing slice stays empty,
+    preserving the time alignment the regression transform needs.
+    ``n_left`` and ``n_right`` are as for :func:`join_unique`.
+
+    Returns ``(rows, slots)``: the left rows kept, in left order, and a
+    ``len(rows) × width`` matrix of right rows, ``-1`` where none
+    matched; ``width`` is the number of distinct residual coordinates
+    (at least one).
+    """
+    probe, build = joint_codes(left_keys, right_keys, n_left, n_right)
+    slot_of, width, _ = combine_codes(
+        [(codes, len(dictionary)) for codes, dictionary in residual], n_right
+    )
+    # For each left key its right matches are the contiguous run
+    # [lo, hi) of the stably sorted right keys (sorted in place:
+    # joint_codes folded them into a fresh array).
+    order, _, sorted_keys = sort_groups(build)
+    lo = np.searchsorted(sorted_keys, probe, side="left")
+    counts = np.searchsorted(sorted_keys, probe, side="right") - lo
+    rows = np.arange(len(probe)) if outer else np.flatnonzero(counts > 0)
+
+    # Scatter every (kept left row, residual slot) pair in one pass.
+    kept_counts = counts[rows]
+    total = int(kept_counts.sum())
+    slots = np.full((len(rows), max(width, 1)), -1, dtype=np.int64)
+    if total:
+        out_rows = np.repeat(np.arange(len(rows), dtype=np.int64), kept_counts)
+        offsets = np.arange(total, dtype=np.int64) - np.repeat(
+            np.cumsum(kept_counts) - kept_counts, kept_counts
+        )
+        right_rows = order[np.repeat(lo[rows], kept_counts) + offsets]
+        slots[out_rows, slot_of[right_rows]] = right_rows
+    return rows, slots
+
+
+def pivot_rows(
+    rest: KeyColumns,
+    pivot: Tuple[np.ndarray, np.ndarray],
+    reference: Optional[Hashable],
+    neighbours: Sequence[Hashable],
+    require_all: bool,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The pivot on coded keys: one output row per rest-key.
+
+    The rest-key (every key column but the pivoted one) folds into dense
+    ids; a ``(rest groups × members)`` matrix of rows is filled by one
+    scatter of the pivot column's codes.  With a ``reference`` member
+    each rest-key that has a reference row is kept, at that row.  Without
+    one (*spread*) every rest-key is kept, at its first row.  With
+    ``require_all`` a rest-key that lacks a neighbour is dropped.
+
+    Returns ``(rows, members)``: the kept rows, in rest-key order, and a
+    ``len(rows) × len(neighbours)`` matrix of each neighbour's row at
+    that rest-key, ``-1`` where the slice has none.
+    """
+    codes, dictionary = pivot
+    rest_ids, rest_count, first = combine_codes(
+        [(key, len(values)) for key, values in rest], len(codes)
+    )
+    members = list(neighbours) if reference is None else [reference, *neighbours]
+    member_slot = {member: slot for slot, member in enumerate(members)}
+    slot_of_code = np.array(
+        [member_slot.get(value, -1) for value in dictionary], dtype=np.int64
+    )
+    slots = slot_of_code[codes]
+    valid = slots >= 0
+    row_of = np.full((rest_count, len(members)), -1, dtype=np.int64)
+    row_of[rest_ids[valid], slots[valid]] = np.flatnonzero(valid)
+
+    if reference is None:
+        rows, keep = first, np.ones(rest_count, dtype=bool)
+    else:
+        rows, keep = row_of[:, 0], row_of[:, 0] >= 0
+        row_of = row_of[:, 1:]
+    if require_all:
+        keep &= (row_of >= 0).all(axis=1)
+    kept: np.ndarray = rows[keep]
+    kept_members: np.ndarray = row_of[keep]
+    return kept, kept_members
+
+
+def gather_with_nulls(column: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``column[rows]`` with row ``-1`` as NULL: None in an object (label)
+    column, NaN in any other, which comes out ``float64``."""
+    missing = rows < 0
+    null = None if column.dtype == object else np.nan
+    if not len(column):
+        return np.full(len(rows), null, dtype=object if null is None else np.float64)
+    gathered: np.ndarray = column[np.where(missing, 0, rows)]
+    if null is not None:
+        gathered = gathered.astype(np.float64, copy=False)
+    gathered[missing] = null
+    return gathered
+
+
+def fan_in_columns(
+    name: str, column: np.ndarray, slots: np.ndarray
+) -> Dict[str, np.ndarray]:
+    """One column gathered per slot of a join's ``rows × width`` matrix:
+    ``name`` when the width is one, else ``name_1 .. name_width``."""
+    width = slots.shape[1]
+    if width == 1:
+        return {name: gather_with_nulls(column, slots[:, 0])}
+    return {
+        f"{name}_{slot + 1}": gather_with_nulls(column, slots[:, slot])
+        for slot in range(width)
+    }
 
 
 def narrow_codes(codes: np.ndarray, cardinality: int) -> np.ndarray:

@@ -516,7 +516,13 @@ class MultidimensionalEngine:
             ]
         coords = {level: result.column(level) for level in query.group_by.levels}
         measures = {alias: result.column(alias) for alias in measure_aliases}
-        return Cube(registered.schema, query.group_by, coords, measures)
+        cube = Cube(registered.schema, query.group_by, coords, measures)
+        cube.codes = {
+            level: result.codes[level]
+            for level in query.group_by.levels
+            if level in result.codes
+        }
+        return cube
 
 
 def _pool_shape(settings: Settings) -> Tuple[int, int, Optional[int]]:

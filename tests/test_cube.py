@@ -197,15 +197,22 @@ class TestPartialJoin:
         assert math.isnan(joined.cell(("Pear", "Italy"))["benchmark.quantity"])
 
     def test_multi_match_appends_numbered_columns(self, schema):
-        italy = make_cube(schema, ITALY[:1])
-        both = make_cube(schema, [FRANCE[0], (("Apple", "Spain"), (60.0,))])
+        italy = make_cube(schema, ITALY[:2])
+        both = make_cube(
+            schema,
+            [FRANCE[0], (("Apple", "Spain"), (60.0,)), (("Pear", "Spain"), (70.0,))],
+        )
         joined = italy.partial_join(both, ["product"])
-        # Matches ordered by the benchmark cells' coordinates: France < Spain.
+        # One column per benchmark slice, in member order: France < Spain.
         assert "benchmark.quantity_1" in joined.measure_names
         assert "benchmark.quantity_2" in joined.measure_names
         cell = joined.cell(("Apple", "Italy"))
         assert cell["benchmark.quantity_1"] == 150.0
         assert cell["benchmark.quantity_2"] == 60.0
+        # Pear lacks the France slice: Spain stays in the second column.
+        cell = joined.cell(("Pear", "Italy"))
+        assert math.isnan(cell["benchmark.quantity_1"])
+        assert cell["benchmark.quantity_2"] == 70.0
 
     def test_join_level_must_be_in_group_by(self, schema):
         italy = make_cube(schema, ITALY)

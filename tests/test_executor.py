@@ -334,3 +334,285 @@ class TestRollupJoinOnCodes:
         engine.catalog.register(Table("ssb_customer", columns), replace=True)
         with pytest.raises(SchemaError, match="no part-of function"):
             AssessSession(engine).assess(SSB_ANCESTORS[0], plan="NP")
+
+
+# ----------------------------------------------------------------------
+# The in-memory join and pivot run the engine's coded kernels; these
+# row-at-a-time versions of them are the oracle.
+# ----------------------------------------------------------------------
+def _gather_python(column, rows):
+    """``column[rows]`` with ``-1`` as NULL: NaN, or None for objects."""
+    import numpy as np
+
+    rows = np.asarray(rows, dtype=np.intp)
+    if column.dtype == object:
+        out = np.empty(len(rows), dtype=object)
+        for i, row in enumerate(rows):
+            out[i] = column[row] if row >= 0 else None
+        return out
+    out = np.full(len(rows), np.nan)
+    for i, row in enumerate(rows):
+        if row >= 0:
+            out[i] = column[row]
+    return out
+
+
+def _assemble_python(left, right, keep, match_rows, width, alias):
+    """The kept left cells with one column per match slot appended."""
+    import numpy as np
+
+    from repro.core.cube import Cube, qualified
+
+    index = np.asarray(keep, dtype=np.intp)
+    coords = {name: column[index] for name, column in left.coords.items()}
+    measures = {name: column[index] for name, column in left.measures.items()}
+    for name, column in right.measures.items():
+        for slot in range(width):
+            new_name = qualified(alias, name)
+            if width > 1:
+                new_name = f"{new_name}_{slot + 1}"
+            measures[new_name] = _gather_python(
+                column, [rows[slot] for rows in match_rows]
+            )
+    return Cube(left.schema, left.group_by, coords, measures)
+
+
+def _natural_join_python(left, right, alias="benchmark", outer=False):
+    right_index = right.coordinate_index()
+    keep, matches = [], []
+    for row, coordinate in enumerate(left.coordinates()):
+        match = right_index.get(coordinate)
+        if match is not None or outer:
+            keep.append(row)
+            matches.append([-1 if match is None else match])
+    return _assemble_python(left, right, keep, matches, 1, alias)
+
+
+def _partial_join_python(left, right, join_levels, alias="benchmark", outer=False):
+    """Each match in the slot of its residual coordinate, in member order."""
+    positions = [left.group_by.position_of(level) for level in join_levels]
+    residual = [i for i in range(len(right.group_by.levels)) if i not in positions]
+
+    def key_of(coordinate):
+        return tuple(coordinate[p] for p in positions)
+
+    def residual_of(coordinate):
+        return tuple(coordinate[p] for p in residual)
+
+    coordinates = right.coordinates()
+    slot_of = {
+        value: slot
+        for slot, value in enumerate(sorted({residual_of(c) for c in coordinates}))
+    }
+    width = max(len(slot_of), 1)
+    buckets = {}
+    for row, coordinate in enumerate(coordinates):
+        matched = buckets.setdefault(key_of(coordinate), [-1] * width)
+        matched[slot_of[residual_of(coordinate)]] = row
+    keep, match_rows = [], []
+    for row, coordinate in enumerate(left.coordinates()):
+        matched = buckets.get(key_of(coordinate))
+        if matched is not None or outer:
+            keep.append(row)
+            match_rows.append(matched or [-1] * width)
+    return _assemble_python(left, right, keep, match_rows, width, alias)
+
+
+def _pivot_python(cube, level, reference_member, measure_renames,
+                  require_all=True, fill_member=None):
+    import numpy as np
+
+    from repro.core.cube import Cube
+
+    position = cube.group_by.position_of(level)
+    rest_positions = [i for i in range(len(cube.group_by.levels)) if i != position]
+
+    def rest_key(coordinate):
+        return tuple(coordinate[p] for p in rest_positions)
+
+    slice_rows, rest_first_row = {}, {}
+    for row, coordinate in enumerate(cube.coordinates()):
+        key = rest_key(coordinate)
+        slice_rows.setdefault(coordinate[position], {})[key] = row
+        rest_first_row.setdefault(key, row)
+
+    spread = reference_member is None
+    reference = rest_first_row if spread else slice_rows.get(reference_member, {})
+    neighbours = list(measure_renames)
+    keep, neighbour_rows = [], {member: [] for member in neighbours}
+    for key, row in reference.items():
+        rows_for_key = {
+            member: slice_rows.get(member, {}).get(key, -1) for member in neighbours
+        }
+        if require_all and any(r < 0 for r in rows_for_key.values()):
+            continue
+        keep.append(row)
+        for member in neighbours:
+            neighbour_rows[member].append(rows_for_key[member])
+
+    index = np.asarray(keep, dtype=np.intp)
+    coords = {name: column[index] for name, column in cube.coords.items()}
+    if spread:
+        fill_column = np.empty(len(index), dtype=object)
+        fill_column[:] = fill_member
+        coords[level] = fill_column
+        measures = {}
+    else:
+        measures = {name: column[index] for name, column in cube.measures.items()}
+    for member in neighbours:
+        for measure_name, new_name in measure_renames[member].items():
+            measures[new_name] = _gather_python(
+                cube.measure(measure_name), neighbour_rows[member]
+            )
+    return Cube(cube.schema, cube.group_by, coords, measures)
+
+
+def _cell_bits(cube):
+    """Coordinate -> measure values, floats as bit patterns."""
+    import numpy as np
+
+    columns = [cube.measure(name) for name in cube.measure_names]
+    return {
+        coordinate: tuple(
+            column[row] if column.dtype == object
+            else np.float64(column[row]).tobytes()
+            for column in columns
+        )
+        for row, coordinate in enumerate(cube.coordinates())
+    }
+
+
+def _assert_same_cells(fast, slow):
+    """Bit-identical cells and columns, row order ignored."""
+    assert list(fast.measure_names) == list(slow.measure_names)
+    assert len(fast) == len(slow)
+    assert _cell_bits(fast) == _cell_bits(slow)
+
+
+def _random_cubes(seed, integer):
+    """Two random cubes over one three-level group-by; the right one has
+    a label column.  ``integer`` recodes every member as an int whose
+    order reverses the members' string order."""
+    import numpy as np
+
+    from repro.core.cube import Cube
+    from repro.datagen import random_detailed_cube, random_schema
+
+    rng = np.random.default_rng(seed)
+    schema = random_schema(rng, n_hierarchies=3, max_depth=3, n_measures=2)
+    left = random_detailed_cube(rng, schema, density=0.6)
+    right = random_detailed_cube(rng, schema, density=0.5)
+    labels = np.empty(len(right), dtype=object)
+    labels[:] = [("low", "high")[i % 2] for i in range(len(right))]
+    right = right.with_measure("tag", labels)
+    if integer:
+        rank = {}
+        for level in left.group_by.levels:
+            members = sorted(set(left.coords[level]) | set(right.coords[level]))
+            rank[level] = {m: len(members) - i for i, m in enumerate(members)}
+
+        def recode(cube):
+            coords = {
+                level: np.array([rank[level][m] for m in column], dtype=np.int64)
+                for level, column in cube.coords.items()
+            }
+            return Cube(schema, cube.group_by, coords, cube.measures)
+
+        left, right = recode(left), recode(right)
+    return left, right
+
+
+CUBE_SEEDS = range(6)
+
+
+class TestCodedOperatorsMatchOracle:
+    """Cube.natural_join / partial_join / pivot against the row-at-a-time
+    oracle, on string and integer members."""
+
+    @pytest.mark.parametrize("outer", [False, True])
+    @pytest.mark.parametrize("integer", [False, True])
+    @pytest.mark.parametrize("seed", CUBE_SEEDS)
+    def test_natural_join(self, seed, integer, outer):
+        left, right = _random_cubes(seed, integer)
+        _assert_same_cells(
+            left.natural_join(right, outer=outer),
+            _natural_join_python(left, right, outer=outer),
+        )
+
+    @pytest.mark.parametrize("outer", [False, True])
+    @pytest.mark.parametrize("integer", [False, True])
+    @pytest.mark.parametrize("seed", CUBE_SEEDS)
+    def test_partial_join_unique(self, seed, integer, outer):
+        """The right side holds one residual slice: one unsuffixed column."""
+        left, right = _random_cubes(seed, integer)
+        level = left.group_by.levels[-1]
+        member = right.coords[level][0]
+        right = right.filter_rows(right.coords[level] == member)
+        join_levels = list(left.group_by.levels[:-1])
+        fast = left.partial_join(right, join_levels, outer=outer)
+        assert "benchmark.m0" in fast.measure_names
+        _assert_same_cells(
+            fast, _partial_join_python(left, right, join_levels, outer=outer)
+        )
+
+    @pytest.mark.parametrize("outer", [False, True])
+    @pytest.mark.parametrize("integer", [False, True])
+    @pytest.mark.parametrize("seed", CUBE_SEEDS)
+    @pytest.mark.parametrize("n_join", [0, 1, 2])
+    def test_partial_join_fan_in(self, seed, integer, outer, n_join):
+        left, right = _random_cubes(seed, integer)
+        join_levels = list(left.group_by.levels[:n_join])
+        _assert_same_cells(
+            left.partial_join(right, join_levels, outer=outer),
+            _partial_join_python(left, right, join_levels, outer=outer),
+        )
+
+    @pytest.mark.parametrize("require_all", [False, True])
+    @pytest.mark.parametrize("integer", [False, True])
+    @pytest.mark.parametrize("seed", CUBE_SEEDS)
+    def test_reference_pivot(self, seed, integer, require_all):
+        cube, _ = _random_cubes(seed, integer)
+        for level in cube.group_by.levels:
+            members = sorted(set(cube.coords[level].tolist()))
+            if len(members) < 2:
+                continue
+            renames = {
+                member: {"m0": f"m0_{i}", "m1": f"m1_{i}"}
+                for i, member in enumerate(members[1:])
+            }
+            _assert_same_cells(
+                cube.pivot(level, members[0], renames, require_all=require_all),
+                _pivot_python(cube, level, members[0], renames,
+                              require_all=require_all),
+            )
+
+    @pytest.mark.parametrize("integer", [False, True])
+    @pytest.mark.parametrize("seed", CUBE_SEEDS)
+    def test_spread_pivot(self, seed, integer):
+        cube, _ = _random_cubes(seed, integer)
+        for level in cube.group_by.levels:
+            members = sorted(set(cube.coords[level].tolist()))
+            renames = {m: {"m0": f"past_{i + 1}"} for i, m in enumerate(members)}
+            _assert_same_cells(
+                cube.pivot(level, None, renames, require_all=False,
+                           fill_member=members[-1]),
+                _pivot_python(cube, level, None, renames, require_all=False,
+                              fill_member=members[-1]),
+            )
+
+
+@pytest.mark.parametrize("intention", ["External", "Sibling", "Past"])
+def test_np_plans_never_probe_coordinate_index(monkeypatch, intention):
+    """NP's join and pivot run on codes: no per-coordinate dict lookup."""
+    from repro import AssessSession
+    from repro.core.cube import Cube
+    from repro.experiments.statements import prepare_engine, statement_text
+
+    session = AssessSession(prepare_engine(2000))
+
+    def refuse(self):
+        raise AssertionError("Cube.coordinate_index called")
+
+    monkeypatch.setattr(Cube, "coordinate_index", refuse)
+    result = session.assess(statement_text(intention), plan="NP")
+    assert len(result) > 0

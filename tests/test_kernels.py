@@ -16,8 +16,12 @@ from repro.engine.kernels import (
     factorize_numpy,
     factorize_python,
     fold_codes,
+    gather_with_nulls,
+    join_fan_in,
+    join_unique,
     match_unique,
     narrow_codes,
+    pivot_rows,
     Rollup,
     sort_groups,
 )
@@ -319,3 +323,55 @@ class TestRollup:
         rows = np.array([0, 1, 2, 3, 2])
         coarse = np.array([1, 0, 1, 1, 0])  # c3 in west and east
         assert Rollup.of(self.CITIES, rows, self.REGIONS, coarse) is None
+
+
+def _keys(*columns):
+    """``(codes, dictionary)`` key columns of raw member lists."""
+    return [dictionary_encode(np.array(column, dtype=object)) for column in columns]
+
+
+class TestJoinAndPivotKernels:
+    def test_gather_with_nulls_floats_labels_and_empty_sources(self):
+        rows = np.array([1, -1, 0])
+        floats = gather_with_nulls(np.array([1.5, 2.5]), rows)
+        assert floats.dtype == np.float64
+        assert floats[0] == 2.5 and np.isnan(floats[1]) and floats[2] == 1.5
+        labels = gather_with_nulls(np.array(["a", "b"], dtype=object), rows)
+        assert labels.tolist() == ["b", None, "a"]
+        empty = gather_with_nulls(np.array([], dtype=object), np.array([-1, -1]))
+        assert empty.tolist() == [None, None]
+        assert np.isnan(gather_with_nulls(np.array([]), np.array([-1]))).all()
+
+    def test_join_unique_keeps_left_order_and_outer_rows(self):
+        left = _keys(["b", "a", "c"])
+        right = _keys(["a", "b"])
+        rows, matches = join_unique(left, right, 3, 2, outer=False)
+        assert rows.tolist() == [0, 1] and matches.tolist() == [1, 0]
+        rows, matches = join_unique(left, right, 3, 2, outer=True)
+        assert rows.tolist() == [0, 1, 2] and matches.tolist() == [1, 0, -1]
+
+    def test_join_fan_in_slots_matches_by_residual_member_order(self):
+        left = _keys(["x", "y"])
+        # right rows: (x, 10) (y, 9) (x, 9) — residual members as ints
+        right = _keys(["x", "y", "x"])
+        residual = [dictionary_encode(np.array([10, 9, 9]))]
+        rows, slots = join_fan_in(left, right, residual, 2, 3, outer=False)
+        assert rows.tolist() == [0, 1]
+        assert slots.tolist() == [[2, 0], [1, -1]]  # 9 before 10
+
+    def test_join_fan_in_without_join_keys_matches_every_row(self):
+        residual = [dictionary_encode(np.array([3, 1, 2]))]
+        rows, slots = join_fan_in([], [], residual, 2, 3, outer=False)
+        assert rows.tolist() == [0, 1]
+        assert slots.tolist() == [[1, 2, 0], [1, 2, 0]]
+
+    def test_pivot_rows_reference_and_spread(self):
+        rest = _keys(["p", "p", "q", "r"])
+        pivot = dictionary_encode(np.array(["it", "fr", "fr", "it"], dtype=object))
+        rows, members = pivot_rows(rest, pivot, "it", ["fr"], require_all=False)
+        assert rows.tolist() == [0, 3] and members.tolist() == [[1], [-1]]
+        rows, members = pivot_rows(rest, pivot, "it", ["fr"], require_all=True)
+        assert rows.tolist() == [0] and members.tolist() == [[1]]
+        rows, members = pivot_rows(rest, pivot, None, ["fr", "it"], require_all=False)
+        assert rows.tolist() == [0, 2, 3]
+        assert members.tolist() == [[1, 0], [2, -1], [-1, 3]]

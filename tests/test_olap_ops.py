@@ -14,7 +14,7 @@ from repro.core import (
     Predicate,
     SchemaError,
 )
-from repro.core.olap_ops import drill_across, drill_down_levels, rollup, slice_cube
+from repro.core.olap_ops import drill_down_levels, rollup, slice_cube
 from repro.datagen import brute_force_rollup
 
 
@@ -125,6 +125,6 @@ class TestSlice:
 class TestDrillAcross:
     def test_merges_measures(self, schema, cube):
         other = cube.rename_measures({"qty": "qty2", "best": "best2"})
-        merged = drill_across(cube, other)
+        merged = cube.natural_join(other, alias="other")
         assert "other.qty2" in merged.measure_names
         assert np.allclose(merged.measure("qty"), merged.measure("other.qty2"))

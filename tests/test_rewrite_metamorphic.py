@@ -195,3 +195,47 @@ def test_parallel_execution_preserves_the_metamorphic_relation():
         result = parallel.execute_plan(plan, statement_p)
         assert identical_cells(result, reference), name
     assert parallel.engine.metrics.get("engine.parallel.queries") >= 1
+
+
+def test_past_slices_in_member_order_on_integer_periods():
+    """An int64 time level orders its past slices numerically in every
+    plan: 10 follows 9 (it sorts before 7 by ``repr``)."""
+    from repro.datagen.flat import star_from_flat
+    from repro.engine.catalog import Catalog
+    from repro.engine.table import Table
+    from repro.olap.engine import MultidimensionalEngine
+
+    periods = np.repeat(np.arange(1, 13, dtype=np.int64), 3)
+    products = np.empty(len(periods), dtype=object)
+    products[:] = ["p1", "p2", "p3"] * 12
+    steps = np.tile([1.0, 2.0, 3.0], 12)
+    quantity = 100.0 + periods * steps + (periods % 3) * 5.0
+    engine = MultidimensionalEngine(Catalog())
+    star_from_flat(
+        engine,
+        "SHOP",
+        Table("flat", {"period": periods, "product": products, "quantity": quantity}),
+        {"Time": ["period"], "Product": ["product"]},
+        {"quantity": "sum"},
+    )
+    session = AssessSession(engine)
+    text = (
+        "with SHOP for period = 11 by period, product "
+        f"assess quantity against past 4 {LABELS}"
+    )
+    names = _assert_all_plans_identical(session, text)
+    assert names == ["NP", "JOP", "POP"]
+
+
+def test_past_grouped_by_the_time_level_alone(session):
+    """A past benchmark whose join key is empty (group-by = the time
+    level): every target cell matches every past slice."""
+    month = _members(session, "month")[6]
+    text = (
+        f"with SSB for month = '{month}' by month "
+        f"assess quantity against past 3 {LABELS}"
+    )
+    names = _assert_all_plans_identical(session, text)
+    assert "JOP" in names
+    statement = session.parse(text)
+    assert len(session.execute_plan(session.plans(statement)["JOP"], statement)) == 1
