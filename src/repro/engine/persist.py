@@ -408,9 +408,9 @@ def load_catalog(path: str, *, mmap: bool = True) -> Catalog:
     everything resident, for differential tests); zone maps come straight
     from the manifest, so pruning works before any data file is paged in.
     """
-    if os.path.isdir(path):
-        return _load_v2(path, mmap=mmap)
-    if not os.path.exists(path) and os.path.exists(f"{path}.npz"):
+    if not os.path.exists(path):
+        if not os.path.exists(f"{path}.npz"):
+            raise EngineError(f"no saved catalog at {path!r} (nor {path}.npz)")
         path = f"{path}.npz"
     if os.path.isdir(path):
         return _load_v2(path, mmap=mmap)

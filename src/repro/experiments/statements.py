@@ -18,9 +18,10 @@ table:
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
-from ..datagen.ssb import build_budget_table, ssb_engine
+from ..datagen.sales import sales_engine
+from ..datagen.ssb import build_budget_table, ssb_engine, ssb_engine_from_catalog
 from ..olap.engine import MultidimensionalEngine
 
 INTENTIONS: Tuple[str, ...] = ("Constant", "External", "Sibling", "Past")
@@ -68,3 +69,33 @@ def prepare_engine(lineorder_rows: int, seed: int = 7) -> MultidimensionalEngine
     engine = ssb_engine(lineorder_rows=lineorder_rows, seed=seed, with_budget=False)
     build_budget_table(engine, levels=BUDGET_LEVELS)
     return engine
+
+
+# Demo cube -> (fact rows, generator seed) when the caller gives none.
+DEMO_DEFAULTS: Dict[str, Tuple[int, int]] = {"sales": (20_000, 42), "ssb": (60_000, 7)}
+
+
+def demo_engine(
+    cube: str, rows: Optional[int] = None, *, seed: Optional[int] = None,
+    store: Optional[str] = None, mmap: bool = True,
+) -> MultidimensionalEngine:
+    """The engine behind every demo cube the CLI and the server build.
+
+    ``store`` loads a saved column store (memory-mapped unless ``mmap`` is
+    false) and ignores the rest; otherwise ``cube`` names a generated demo
+    cube, ``sales`` or ``ssb`` (with the BUDGET cube, so all four
+    intentions answer), sized and seeded by :data:`DEMO_DEFAULTS` unless
+    ``rows``/``seed`` are given.
+    """
+    if store is not None:
+        from ..engine.persist import load_catalog
+
+        return ssb_engine_from_catalog(load_catalog(store, mmap=mmap))
+    if cube not in DEMO_DEFAULTS:
+        raise ValueError(f"unknown demo cube {cube!r} (choose 'sales' or 'ssb')")
+    default_rows, default_seed = DEMO_DEFAULTS[cube]
+    rows = rows or default_rows
+    seed = default_seed if seed is None else seed
+    if cube == "ssb":
+        return prepare_engine(rows, seed=seed)
+    return sales_engine(n_rows=rows, seed=seed)

@@ -356,48 +356,3 @@ def _watch_one(
             f"configured parallelism is not being used",
         ))
     return found
-
-
-# ----------------------------------------------------------------------
-# BENCH_*.json trajectory
-# ----------------------------------------------------------------------
-def bench_trajectory(root) -> List[Dict[str, object]]:
-    """Summarize the repo's BENCH_*.json documents, oldest PR first.
-
-    The bench documents are heterogeneous (each PR records its own
-    experiment), so the trajectory extracts only the comparable spine:
-    every numeric leaf whose key ends in ``_s`` (seconds), plus
-    ``speedup``/``overhead``-ish ratios — enough for ``repro history
-    --bench`` to show whether the recorded performance story moved.
-    """
-    rows: List[Dict[str, object]] = []
-    root = Path(root)
-    for path in sorted(root.glob("BENCH_*.json")):
-        try:
-            document = json.loads(path.read_text())
-        except (OSError, ValueError):
-            continue
-        metrics: Dict[str, float] = {}
-        _collect_metrics(document, "", metrics)
-        rows.append({
-            "file": path.name,
-            "benchmark": document.get("benchmark", "")
-            if isinstance(document, dict) else "",
-            "metrics": dict(sorted(metrics.items())[:24]),
-        })
-    return rows
-
-
-def _collect_metrics(node, prefix: str, out: Dict[str, float]) -> None:
-    if isinstance(node, dict):
-        for key, value in node.items():
-            _collect_metrics(value, f"{prefix}{key}.", out)
-        return
-    if isinstance(node, list):
-        return  # sample arrays are noise, not trajectory
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        return
-    leaf = prefix.rstrip(".")
-    key = leaf.rsplit(".", 1)[-1]
-    if key.endswith("_s") or "speedup" in key or "overhead" in key:
-        out[leaf] = float(node)

@@ -40,6 +40,7 @@ query-log records.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 from http import HTTPStatus
@@ -628,6 +629,14 @@ def _make_handler(app: ReproServer):
 # CLI entry point: ``python -m repro.cli serve``
 # ----------------------------------------------------------------------
 def serve_main(argv=None) -> int:
+    """``python -m repro.cli serve [argv]``: parsed by the CLI's command
+    table, run by :func:`serve`."""
+    from ..cli import main
+
+    return main(["serve", *(sys.argv[1:] if argv is None else argv)])
+
+
+def serve(args) -> int:
     """The ``serve`` subcommand: stand up the multi-tenant HTTP server.
 
     Either ``--config PATH`` (JSON; TOML on Python 3.11+) or the quick
@@ -636,52 +645,6 @@ def serve_main(argv=None) -> int:
     without binding a socket loop (the CI smoke uses it).  SIGINT
     triggers the graceful drain.
     """
-    import argparse
-
-    from ..cli import add_memory_flag, add_parallelism_flag
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli serve",
-        description="Serve assess statements to concurrent tenants over "
-        "HTTP/JSON with admission control (see docs/server.md).",
-    )
-    parser.add_argument("--config", metavar="PATH", default=None,
-                        help="server config file (JSON; TOML on py3.11+); "
-                        "overrides the quick flags below")
-    parser.add_argument("--host", default=None,
-                        help="bind address (default: 127.0.0.1)")
-    parser.add_argument("--port", type=int, default=None,
-                        help="bind port (default: 8787; 0 = ephemeral)")
-    parser.add_argument("--tenants", default="default",
-                        help="comma-separated tenant ids for the quick "
-                        "config (default: one tenant named 'default')")
-    parser.add_argument("--cube", choices=("sales", "ssb"), default="ssb",
-                        help="demo cube every quick tenant serves "
-                        "(default: ssb)")
-    parser.add_argument("--rows", type=int, default=None,
-                        help="fact rows per quick tenant")
-    parser.add_argument("--store", metavar="PATH", default=None,
-                        help="serve a saved column store instead of a "
-                        "generated demo cube")
-    parser.add_argument("--pool-size", type=int, default=None,
-                        help="sessions per tenant (default: 2)")
-    parser.add_argument("--max-queue", type=int, default=None,
-                        help="queued requests per tenant before 429 "
-                        "(default: 8)")
-    parser.add_argument("--deadline", type=float, default=None, metavar="S",
-                        help="default per-request deadline in seconds "
-                        "(default: 30)")
-    parser.add_argument("--telemetry-dir", metavar="DIR", default=None,
-                        help="per-tenant query logs under DIR/<tenant>")
-    add_parallelism_flag(parser)
-    add_memory_flag(parser)
-    parser.add_argument("--check", action="store_true",
-                        help="build the tenants, print the endpoint map, "
-                        "and exit without serving")
-    args = parser.parse_args(argv)
-
-    import sys
-
     from .config import (
         AdmissionConfig,
         ServerConfigError,
@@ -711,7 +674,7 @@ def serve_main(argv=None) -> int:
                     cube=args.cube,
                     rows=args.rows,
                     store=args.store,
-                    pool_size=args.pool_size or 2,
+                    pool_size=args.pool_size,
                     parallelism=args.parallelism,
                     memory_budget=args.memory_bytes,
                     telemetry_dir=telemetry_dir,

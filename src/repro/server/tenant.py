@@ -22,6 +22,7 @@ from typing import Dict, List
 
 from ..api import AssessSession
 from ..core.deadline import Deadline, DeadlineExceeded
+from ..experiments.statements import demo_engine
 from .config import AdmissionConfig, TenantConfig
 
 
@@ -37,28 +38,6 @@ class AdmissionRejected(Exception):
         self.retry_after_s = retry_after_s
 
 
-def build_engine(config: TenantConfig):
-    """The tenant's isolated engine, per its config.
-
-    ``store`` loads a saved column store (memory-mapped, so SF-scale
-    tenants serve out of core); otherwise one of the demo cubes is
-    generated — ``ssb`` with the BUDGET external cube so all four
-    experiment intentions answer.
-    """
-    if config.store is not None:
-        from ..datagen.ssb import ssb_engine_from_catalog
-        from ..engine.persist import load_catalog
-
-        return ssb_engine_from_catalog(load_catalog(config.store))
-    if config.cube == "ssb":
-        from ..experiments.statements import prepare_engine
-
-        return prepare_engine(config.rows or 60_000, seed=config.seed)
-    from ..datagen.sales import sales_engine
-
-    return sales_engine(n_rows=config.rows or 20_000, seed=config.seed)
-
-
 class Tenant:
     """One tenant: engine + session pool + admission bookkeeping."""
 
@@ -66,7 +45,9 @@ class Tenant:
         self.config = config
         self.admission = admission
         self.tenant_id = config.tenant_id
-        self.engine = build_engine(config)
+        self.engine = demo_engine(
+            config.cube, config.rows, seed=config.seed, store=config.store
+        )
         if config.cache_cells is not None:
             self.engine.result_cache.cell_budget = config.cache_cells
         self.telemetry = None
