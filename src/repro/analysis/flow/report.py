@@ -4,8 +4,9 @@ The report is the analyzer's structured output — the sharing plan
 (fusion groups), the derivation edges, the exactness verdicts, and the
 cardinality/cost bounds — next to the per-item diagnostic bags the lint
 surface renders.  It has a stable machine-readable form
-(:meth:`WorkloadReport.to_json`, ``workload_schema_version = 1``) that
-the CI workload-analysis job asserts against, and a human rendering
+(:meth:`WorkloadReport.to_json`, ``workload_schema_version = 1``,
+declared as :data:`WORKLOAD_DOCUMENT`) that the CI workload-analysis
+job checks, and a human rendering
 (:meth:`WorkloadReport.render`) the CLI prints under
 ``repro lint --workload``.
 
@@ -27,11 +28,62 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ...core.diagnostics import Diagnostic, DiagnosticBag
+from ...contract import COUNT, NULL, NUMBER
+from ...core.diagnostics import DIAGNOSTIC_JSON, Diagnostic, DiagnosticBag
 from .domains import Exactness, Interval
 
 WORKLOAD_SCHEMA_VERSION = 1
 """Version of the ``to_json`` document layout."""
+
+_INTERVAL = {"required": {"lo": NUMBER, "hi": NUMBER}}
+WORKLOAD = {
+    "required": {
+        "workload_schema_version": {WORKLOAD_SCHEMA_VERSION},
+        "origin": str,
+        "statements": [{"required": {
+            "index": COUNT, "kind": str, "statement": str, "cube": str,
+            "group_by": [str], "measures": [str], "plan": str,
+            "composite": bool, "parallel_safe": (bool, NULL),
+            "diagnostics": [DIAGNOSTIC_JSON],
+        }}],
+        "derivations": [{"required": {
+            "source": COUNT, "target": COUNT, "kind": str, "reason": str,
+        }}],
+        "fusions": [{"required": {
+            "statements": [COUNT], "scan_predicates": [str],
+            "key_space": (int, NULL), "verdict": str, "member_safety": [bool],
+        }}],
+        "exactness": [{"required": dict.fromkeys(
+            ("cube", "measure", "op", "verdict", "detail"), str
+        )}],
+        "bounds": [{"required": {
+            "index": COUNT, "cells": _INTERVAL, "cost": _INTERVAL,
+            "admission_warning": bool,
+        }}],
+        "summary": str,
+    },
+}
+"""One :meth:`WorkloadReport.to_json` document."""
+
+WORKLOAD_DOCUMENT = {
+    "required": {
+        "schema_version": {WORKLOAD_SCHEMA_VERSION},
+        "mode": {"workload", "statement"},
+    },
+    "optional": {
+        "workloads": {"type": list, "items": WORKLOAD, "min_len": 1},
+        "results": [{"required": {
+            "origin": str, "statement": str, "diagnostics": [DIAGNOSTIC_JSON],
+        }}],
+    },
+    "check": lambda document: [
+        f"mode {document['mode']!r} needs {key!r}"
+        for mode, key in (("workload", "workloads"), ("statement", "results"))
+        if document["mode"] == mode and key not in document
+    ],
+}
+"""The ``repro lint --format=json`` document, with or without
+``--workload``."""
 
 
 class StatementInfo:

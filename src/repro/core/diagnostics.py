@@ -108,6 +108,23 @@ class Span:
         return f"Span({self.start}..{self.end} @ {self.label()})"
 
 
+DIAGNOSTIC_JSON = {
+    "required": {
+        "code": {"type": str, "pattern": r"^ASSESS[0-9]+$"},
+        "severity": frozenset(str(severity) for severity in Severity),
+        "message": str,
+        "span": {
+            "type": (dict, type(None)),
+            "required": dict.fromkeys(("start", "end", "line", "column"), int),
+        },
+        "hint": (str, type(None)),
+        "source": str,
+    },
+}
+"""The JSON layout of one diagnostic (``repro lint --format=json``), as a
+:mod:`repro.contract` spec."""
+
+
 class Diagnostic:
     """One structured finding of the static analyzer."""
 

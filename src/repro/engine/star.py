@@ -105,18 +105,6 @@ class StarSchema:
                 self._property_bindings[property_name] = (binding, level_name, column)
 
     # ------------------------------------------------------------------
-    def binding_for_level(self, level_name: str) -> Optional[DimensionBinding]:
-        """The dimension binding that stores a level, or ``None`` when the
-        level is degenerate (on the fact table)."""
-        if level_name in self.degenerate_levels:
-            return None
-        try:
-            return self._binding_by_level[level_name]
-        except KeyError:
-            raise EngineError(
-                f"star schema {self.name!r} does not bind level {level_name!r}"
-            ) from None
-
     def column_for_level(self, level_name: str) -> Tuple[str, str]:
         """The ``(table_token, column)`` pair storing a level's members."""
         if level_name in self.degenerate_levels:

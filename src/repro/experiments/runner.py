@@ -105,19 +105,6 @@ class ExperimentRunner:
         executor = PlanExecutor(session.engine, session.registry)
         return executor.execute(plan, statement)
 
-    def run_traced(self, intention: str, scale: str, plan_name: str):
-        """One execution with the tracer installed.
-
-        Returns ``(result, tracer)`` — feed the tracer to
-        :func:`repro.obs.summarize_spans` / ``render_span_tree`` or the
-        export helpers.  The harness's ``--trace`` flag builds on this.
-        """
-        from ..obs import tracing
-
-        with tracing() as tracer:
-            result = self.run_once(intention, scale, plan_name)
-        return result, tracer
-
     def run_timed(
         self,
         intention: str,

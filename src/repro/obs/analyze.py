@@ -30,8 +30,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..algebra.cost import CostEstimate, estimate_plan_cost
 from ..algebra.plan import GetNode, JoinNode, PivotNode, Plan, PlanNode
+from ..contract import NON_NEGATIVE, NULL, NUMBER
 from ..core.diagnostics import DiagnosticBag, Severity
-from .export import trace_to_chrome, trace_to_json
+from .export import TRACE, trace_to_chrome, trace_to_json
 from .tracer import Span, Tracer, install
 
 
@@ -215,6 +216,20 @@ def _collect_node_spans(roots: Sequence[Span]) -> Dict[int, Span]:
 # ----------------------------------------------------------------------
 # The report
 # ----------------------------------------------------------------------
+TRACE_REPORT = {
+    "required": {
+        "version": {1},
+        "statements": [{"required": {
+            "plan": str, "estimated_cost": NUMBER, "seconds": NON_NEGATIVE,
+            "nodes": [dict],
+        }}],
+        "batch_report": (dict, NULL),
+        "trace": TRACE,
+    },
+}
+"""The :meth:`ExplainAnalyzeReport.to_json` document (``repro trace --json``)."""
+
+
 class ExplainAnalyzeReport:
     """The outcome of one EXPLAIN ANALYZE run (single statement or batch)."""
 

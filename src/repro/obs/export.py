@@ -19,9 +19,9 @@ of ``repro trace --json`` and the one CI validates:
       ]
     }
 
-:func:`validate_trace` is a hand-rolled structural checker (the repo is
-zero-dependency, so no jsonschema); it raises :class:`TraceFormatError`
-with a JSON-pointer-ish path on the first violation.
+:data:`TRACE` declares that contract for :func:`repro.contract.violations`;
+:func:`validate_trace` raises :class:`TraceFormatError` with the first
+violation, path included.
 
 ``trace_to_chrome`` flattens the same tree into the Chrome / Perfetto
 ``trace_event`` array format (``chrome://tracing``, https://ui.perfetto.dev):
@@ -33,9 +33,23 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+from ..contract import NON_NEGATIVE, require
 from .tracer import Span, Tracer
 
 _SCALARS = (str, int, float, bool, type(None))
+
+TRACE_SPAN = {
+    "closed": True,
+    "required": {
+        "name": {"type": str, "min_len": 1},
+        "start_us": NON_NEGATIVE,
+        "duration_us": NON_NEGATIVE,
+        "attrs": {"values": _SCALARS},
+    },
+}
+TRACE_SPAN["required"]["children"] = [TRACE_SPAN]
+TRACE = {"required": {"version": {1}, "spans": [TRACE_SPAN]}}
+"""The ``trace_to_json`` document: a version and a tree of spans."""
 
 
 class TraceFormatError(ValueError):
@@ -96,51 +110,8 @@ def trace_to_chrome(tracer: Tracer) -> List[Dict[str, object]]:
 
 
 def validate_trace(document: object) -> None:
-    """Structurally validate a trace JSON document; raises on violation."""
-    if not isinstance(document, dict):
-        raise TraceFormatError("trace document must be an object")
-    if document.get("version") != 1:
-        raise TraceFormatError(
-            f"unsupported trace version {document.get('version')!r}"
-        )
-    spans = document.get("spans")
-    if not isinstance(spans, list):
-        raise TraceFormatError("'spans' must be an array")
-    for index, span in enumerate(spans):
-        _validate_span(span, f"spans[{index}]")
-
-
-def _validate_span(span: object, path: str) -> None:
-    if not isinstance(span, dict):
-        raise TraceFormatError(f"{path}: span must be an object")
-    unknown = set(span) - {"name", "start_us", "duration_us", "attrs", "children"}
-    if unknown:
-        raise TraceFormatError(f"{path}: unknown keys {sorted(unknown)}")
-    name = span.get("name")
-    if not isinstance(name, str) or not name:
-        raise TraceFormatError(f"{path}: 'name' must be a non-empty string")
-    for key in ("start_us", "duration_us"):
-        value = span.get(key)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise TraceFormatError(f"{path}: {key!r} must be a number")
-        if value < 0:
-            raise TraceFormatError(f"{path}: {key!r} must be non-negative")
-    attrs = span.get("attrs")
-    if not isinstance(attrs, dict):
-        raise TraceFormatError(f"{path}: 'attrs' must be an object")
-    for key, value in attrs.items():
-        if not isinstance(key, str):
-            raise TraceFormatError(f"{path}: attr keys must be strings")
-        if not isinstance(value, _SCALARS):
-            raise TraceFormatError(
-                f"{path}: attr {key!r} must be a scalar, got "
-                f"{type(value).__name__}"
-            )
-    children = span.get("children")
-    if not isinstance(children, list):
-        raise TraceFormatError(f"{path}: 'children' must be an array")
-    for index, child in enumerate(children):
-        _validate_span(child, f"{path}.children[{index}]")
+    """Raise :class:`TraceFormatError` unless ``document`` meets :data:`TRACE`."""
+    require(document, TRACE, TraceFormatError)
 
 
 def render_span_tree(tracer: Tracer, min_us: float = 0.0) -> str:

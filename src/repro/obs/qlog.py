@@ -27,9 +27,9 @@ Durability and concurrency model:
   by default, skip unparseable lines rather than failing — a crashed
   writer must not take the history down with it.
 
-The record schema is versioned (``"v": 1``) and validated by
-``tools/check_qlog_schema.py``; see ``docs/observability.md`` for the
-field-by-field description.
+The record schema is versioned (``"v": 1``) and declared as
+:data:`QLOG_RECORD`, which ``tools/check_schema.py qlog`` checks; see
+``docs/observability.md`` for the field-by-field description.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ import time
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional
 
+from ..contract import NON_NEGATIVE, NUMBER, require
+
 QLOG_SCHEMA_VERSION = 1
 """Bump when a record field changes meaning; the validator pins it."""
 
@@ -51,12 +53,34 @@ SEGMENT_SUFFIX = ".jsonl"
 DEFAULT_MAX_BYTES = 16 * 1024 * 1024
 DEFAULT_KEEP = 8
 
-#: Record keys that must always be present (the validator's contract).
-REQUIRED_FIELDS = (
-    "v", "ts", "session", "seq", "fingerprint", "cube", "measure",
-    "group_by", "benchmark", "plan", "status", "phases", "total_s",
-    "rows_in", "rows_out", "cells_out", "counters", "peak_rss_kb",
-)
+QLOG_RECORD = {
+    "required": {
+        "v": {QLOG_SCHEMA_VERSION},
+        "ts": NUMBER,
+        "session": str,
+        "seq": int,
+        "fingerprint": str,
+        "cube": str,
+        "measure": str,
+        "group_by": [str],
+        "benchmark": str,
+        "plan": str,
+        "status": {"ok", "error"},
+        "phases": {"values": NON_NEGATIVE},
+        "total_s": NON_NEGATIVE,
+        "rows_in": int,
+        "rows_out": int,
+        "cells_out": int,
+        "counters": {"values": int},
+        "peak_rss_kb": int,
+    },
+    "check": lambda record: (
+        [] if record["status"] == "ok" or isinstance(record.get("error"), str)
+        else ["an error record needs an 'error' string"]
+    ),
+}
+"""The contract of one record; other keys (``error``, ``batch``, ...) may
+appear."""
 
 
 def statement_fingerprint(statement) -> str:
@@ -252,66 +276,8 @@ def iter_records(
 
 
 def validate_record(record: object, where: str = "record") -> None:
-    """Structurally validate one query-log record; raises on violation."""
-    if not isinstance(record, dict):
-        raise QueryLogError(f"{where}: must be an object")
-    if record.get("v") != QLOG_SCHEMA_VERSION:
-        raise QueryLogError(
-            f"{where}: unsupported schema version {record.get('v')!r}"
-        )
-    missing = [field for field in REQUIRED_FIELDS if field not in record]
-    if missing:
-        raise QueryLogError(f"{where}: missing fields {missing}")
-    _expect(record, where, "ts", (int, float))
-    _expect(record, where, "session", str)
-    _expect(record, where, "seq", int)
-    _expect(record, where, "fingerprint", str)
-    _expect(record, where, "cube", str)
-    _expect(record, where, "measure", str)
-    _expect(record, where, "benchmark", str)
-    _expect(record, where, "plan", str)
-    _expect(record, where, "total_s", (int, float))
-    _expect(record, where, "rows_in", int)
-    _expect(record, where, "rows_out", int)
-    _expect(record, where, "cells_out", int)
-    _expect(record, where, "peak_rss_kb", int)
-    if record["status"] not in ("ok", "error"):
-        raise QueryLogError(f"{where}: status must be 'ok' or 'error'")
-    if record["status"] == "error" and not isinstance(
-        record.get("error"), str
-    ):
-        raise QueryLogError(f"{where}: error records need an 'error' string")
-    group_by = record["group_by"]
-    if not isinstance(group_by, list) or not all(
-        isinstance(level, str) for level in group_by
-    ):
-        raise QueryLogError(f"{where}: group_by must be a string array")
-    phases = record["phases"]
-    if not isinstance(phases, dict) or not all(
-        isinstance(k, str) and isinstance(v, (int, float)) and v >= 0
-        for k, v in phases.items()
-    ):
-        raise QueryLogError(
-            f"{where}: phases must map step names to non-negative seconds"
-        )
-    counters = record["counters"]
-    if not isinstance(counters, dict) or not all(
-        isinstance(k, str) and isinstance(v, int)
-        for k, v in counters.items()
-    ):
-        raise QueryLogError(
-            f"{where}: counters must map metric names to integers"
-        )
-    if record["total_s"] < 0:
-        raise QueryLogError(f"{where}: total_s must be non-negative")
-
-
-def _expect(record: Dict[str, object], where: str, key: str, types) -> None:
-    value = record[key]
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise QueryLogError(
-            f"{where}: {key!r} must be {types}, got {type(value).__name__}"
-        )
+    """Raise :class:`QueryLogError` unless ``record`` meets :data:`QLOG_RECORD`."""
+    require(record, QLOG_RECORD, QueryLogError, where)
 
 
 def counters_delta(

@@ -17,8 +17,9 @@ encoding); every non-finite value — ``NaN`` *and* ``±inf``, which
 ``ratio()`` against a zero benchmark produces — is mapped to ``null`` so
 the documents stay strict JSON.
 
-The response schema is versioned (:data:`SCHEMA_VERSION`) and
-structurally validated by ``tools/check_server_schema.py``.
+The response schema is versioned (:data:`SCHEMA_VERSION`) and declared
+per endpoint in :data:`RESPONSES`, which ``tools/check_schema.py server``
+checks.
 """
 
 from __future__ import annotations
@@ -27,8 +28,144 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..contract import COUNT, NON_NEGATIVE, NULL, NUMBER
+from ..core.diagnostics import DIAGNOSTIC_JSON
+
 SCHEMA_VERSION = 2
 """Bump when a response field changes meaning; the validator pins it."""
+
+PLAN_NAMES = frozenset({"NP", "JOP", "POP"})
+ERROR_CODES = frozenset({
+    "bad_json", "bad_request", "unknown_tenant", "lint_failed",
+    "overloaded", "deadline_exceeded", "shutting_down",
+    "method_not_allowed", "not_found", "payload_too_large", "internal",
+    # the stdlib's protocol errors, sent through the same envelope
+    "request_uri_too_long", "request_header_fields_too_large",
+    "not_implemented", "http_version_not_supported",
+})
+
+
+def _result_rules(body: Dict[str, object]) -> List[str]:
+    """The rules of a result body that relate two of its fields."""
+    rows, offset, returned = body["rows"], body["offset"], body["returned"]
+    columns = {f"coordinates.{level}": column
+               for level, column in body["coordinates"].items()}
+    columns.update((key, body[key])
+                   for key in ("value", "benchmark", "comparison", "label"))
+    problems = [f"len({key}) ({len(column)}) != returned ({returned})"
+                for key, column in columns.items() if len(column) != returned]
+    if returned > max(rows - offset, 0):
+        problems.append(f"returned ({returned}) exceeds rows - offset "
+                        f"({rows} - {offset})")
+    if sorted(body["coordinates"]) != sorted(body["levels"]):
+        problems.append(f"coordinates keys {sorted(body['coordinates'])} "
+                        f"!= levels {sorted(body['levels'])}")
+    if sum(body["label_counts"].values()) != rows:
+        problems.append(f"label_counts sum ({sum(body['label_counts'].values())}) "
+                        f"!= rows ({rows})")
+    return problems
+
+
+RESULT = {
+    "closed": True,
+    "required": {
+        "plan": PLAN_NAMES,
+        "levels": [str],
+        "measure": str,
+        "rows": COUNT,
+        "offset": COUNT,
+        "returned": COUNT,
+        "coordinates": {"values": [(str, int, float, bool, NULL)]},
+        "value": [(*NUMBER, NULL)],
+        "benchmark": [(*NUMBER, NULL)],
+        "comparison": [(*NUMBER, NULL)],
+        "label": [(str, NULL)],
+        "label_counts": {"values": COUNT},
+        "timings": {"values": NON_NEGATIVE},
+    },
+    "check": _result_rules,
+}
+"""One :func:`serialize_result` body (a query response or a batch item)."""
+
+_ENVELOPE = {"schema_version": {SCHEMA_VERSION}, "tenant": str}
+RESPONSES = {
+    "query": {**RESULT, "required": {
+        **RESULT["required"], **_ENVELOPE, "elapsed_s": NON_NEGATIVE,
+    }},
+    "batch": {
+        "required": {
+            **_ENVELOPE,
+            "results": {"type": list, "items": RESULT, "min_len": 1},
+            "seconds": [NON_NEGATIVE],
+            "sharing": {"required": dict.fromkeys(
+                ("engine_scans", "cache_hits", "cache_derivations"), COUNT
+            )},
+        },
+        "check": lambda document: (
+            [] if len(document["seconds"]) == len(document["results"])
+            else ["seconds must hold one number per result"]
+        ),
+    },
+    "explain": {"required": {
+        **_ENVELOPE,
+        "plan": str,
+        "plans": {"type": list, "items": PLAN_NAMES, "min_len": 1},
+        "explain": {"type": str, "pattern": r"\S"},
+    }},
+    "health": {"required": {
+        "schema_version": {SCHEMA_VERSION},
+        "status": {"ok", "draining"},
+        "tenants": [str],
+        **dict.fromkeys(("uptime_s", "in_flight", "requests_total"),
+                        NON_NEGATIVE),
+    }},
+    "stats": {
+        "required": {
+            **_ENVELOPE,
+            "cube": str,
+            "pool": {
+                "required": dict.fromkeys(("size", "available", "in_use"), COUNT),
+                "check": lambda pool: (
+                    [] if pool["available"] + pool["in_use"] == pool["size"]
+                    else ["available + in_use != size"]
+                ),
+            },
+            "admission": {"required": dict.fromkeys(
+                ("admitted", "completed", "errors", "rejected_queue_full",
+                 "rejected_deadline", "max_queue", "waiting"), COUNT,
+            )},
+            "cache": dict,
+            "counters": dict,
+        },
+        "optional": {"telemetry": {"required": {
+            "directory": str, "records": COUNT, "fingerprints": COUNT,
+            "sessions": [str], "advisories": list,
+        }}},
+    },
+    "error": {"required": {
+        "schema_version": {SCHEMA_VERSION},
+        "error": {
+            "required": {
+                "status": {"type": int, "min": 400, "max": 599},
+                "code": ERROR_CODES,
+                "message": {"type": str, "min_len": 1},
+            },
+            "optional": {
+                "diagnostics": {
+                    "type": list,
+                    "min_len": 1,
+                    "items": {"required": {
+                        key: spec
+                        for key, spec in DIAGNOSTIC_JSON["required"].items()
+                        if key != "source"
+                    }},
+                },
+                "retry_after_s": NON_NEGATIVE,
+            },
+        },
+    }},
+}
+"""Each endpoint's response document (every non-200 is ``error``)."""
 
 _JSON_SCALARS = {str, int, bool, type(None)}
 

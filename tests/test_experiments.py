@@ -1,5 +1,7 @@
 """Unit tests for the experiment harness (runner + reporting)."""
 
+import struct
+
 import pytest
 
 from repro.experiments import (
@@ -69,17 +71,32 @@ class TestRunner:
             assert large > small
 
     def test_all_plans_agree_on_reference_statements(self, runner):
+        """Every feasible plan, cold and then served from the result
+        cache, answers every cell with NP's float64 bit pattern and label."""
+
+        def cells(result):
+            return {
+                cell.coordinate: (struct.pack("<d", cell.comparison), cell.label)
+                for cell in result
+            }
+
+        cache = runner.session("SSB1").engine.result_cache
         for intention in INTENTIONS:
-            outcomes = {}
+            reference = cells(runner.run_once(intention, "SSB1", "NP"))
             for plan in runner.plans_for(intention):
-                result = runner.run_once(intention, "SSB1", plan)
-                outcomes[plan] = {
-                    cell.coordinate: (round(cell.comparison, 9), cell.label)
-                    for cell in result
-                }
-            reference = outcomes.pop("NP")
-            for plan, cells in outcomes.items():
-                assert cells == reference, f"{intention}/{plan} diverges"
+                cold = cells(runner.run_once(intention, "SSB1", plan))
+                assert cold == reference, f"{intention}/{plan} cold diverges"
+                cache.clear()
+                cache.enabled = True
+                try:
+                    runner.run_once(intention, "SSB1", plan)
+                    hits = cache.stats()["hits"]
+                    warm = cells(runner.run_once(intention, "SSB1", plan))
+                    assert cache.stats()["hits"] > hits, f"{intention}/{plan}"
+                finally:
+                    cache.enabled = False
+                    cache.clear()
+                assert warm == reference, f"{intention}/{plan} warm diverges"
 
     def test_table1_structure(self, runner):
         table = runner.table1()

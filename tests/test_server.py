@@ -1,11 +1,11 @@
 """Contract suite for the multi-tenant assess server.
 
 Every endpoint's 200 body and every error envelope is checked against
-the schema-v2 contract — structurally via the validators in
-``tools/check_server_schema.py`` (the same code the CI smoke runs) and
-behaviorally via golden field assertions.  One live server per module
-(session reuse keeps the battery fast); tests only read, so sharing is
-safe.
+the schema-v2 contract — structurally via the response specs of
+``repro.server.wire`` (the ones ``tools/check_schema.py server --live``
+checks in the CI smoke) and behaviorally via golden field assertions.
+One live server per module (session reuse keeps the battery fast);
+tests only read, so sharing is safe.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import sys
 import pytest
 
 from repro.api import AssessSession
+from repro.contract import violations
 from repro.core.labels import Interval, LabelRule, RangeLabeling
 from repro.datagen import sales_engine
 from repro.server import (
@@ -25,7 +26,7 @@ from repro.server import (
     TenantConfig,
     load_config,
 )
-from repro.server.wire import SCHEMA_VERSION
+from repro.server.wire import RESPONSES, SCHEMA_VERSION
 
 from .server_utils import (
     SALES_STATEMENT,
@@ -41,16 +42,7 @@ from .server_utils import (
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools")
 )
-from check_server_schema import (  # noqa: E402
-    INF_STATEMENT,
-    validate_batch_document,
-    validate_error_document,
-    validate_explain_document,
-    validate_health_document,
-    validate_metrics_text,
-    validate_query_document,
-    validate_stats_document,
-)
+from check_schema import INF_STATEMENT, validate_metrics_text  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +64,7 @@ def test_query_contract(server):
         {"tenant": "acme", "statement": SALES_STATEMENT},
     )
     assert status == 200
-    assert validate_query_document(document) == []
+    assert violations(document, RESPONSES["query"]) == []
     assert document["schema_version"] == SCHEMA_VERSION
     assert document["tenant"] == "acme"
     assert document["levels"] == ["month"]
@@ -93,7 +85,7 @@ def test_query_paging_slices_the_canonical_order(server):
     _, whole, _ = post_json(url, request)
     status, page, _ = post_json(url, {**request, "offset": 3, "limit": 4})
     assert status == 200
-    assert validate_query_document(page) == []
+    assert violations(page, RESPONSES["query"]) == []
     assert (page["rows"], page["offset"], page["returned"]) == (whole["rows"], 3, 4)
     assert page["label_counts"] == whole["label_counts"]
     for key in ("value", "benchmark", "comparison", "label"):
@@ -101,7 +93,7 @@ def test_query_paging_slices_the_canonical_order(server):
     assert page["coordinates"]["month"] == whole["coordinates"]["month"][3:7]
     # Past the end: an empty page, still a valid document.
     _, beyond, _ = post_json(url, {**request, "offset": whole["rows"] + 5})
-    assert validate_query_document(beyond) == []
+    assert violations(beyond, RESPONSES["query"]) == []
     assert beyond["returned"] == 0 and beyond["value"] == []
 
 
@@ -115,7 +107,7 @@ def test_infinite_comparison_is_served_as_null(server):
         {"tenant": "acme", "statement": INF_STATEMENT},
     )
     assert status == 200
-    assert validate_query_document(document) == []
+    assert violations(document, RESPONSES["query"]) == []
     assert document["comparison"] == [None] * document["rows"]
     assert document["value"] == [cell.value for cell in direct.cells()]
     assert document["label"] == [cell.label for cell in direct.cells()]
@@ -137,7 +129,7 @@ def test_batch_contract(server):
          "statements": [SSB_STATEMENT, SSB_STATEMENT]},
     )
     assert status == 200
-    assert validate_batch_document(document) == []
+    assert violations(document, RESPONSES["batch"]) == []
     assert len(document["results"]) == 2
     assert len(document["seconds"]) == 2
     # Identical statements in one batch share work: same cells, labels,
@@ -154,7 +146,7 @@ def test_explain_contract(server):
         {"tenant": "acme", "statement": SALES_STATEMENT, "plan": "NP"},
     )
     assert status == 200
-    assert validate_explain_document(document) == []
+    assert violations(document, RESPONSES["explain"]) == []
     assert document["plan"] == "NP"
     assert "NP" in document["plans"]
 
@@ -162,7 +154,7 @@ def test_explain_contract(server):
 def test_health_contract(server):
     status, document = get_json(f"{server.url}/v1/health")
     assert status == 200
-    assert validate_health_document(document) == []
+    assert violations(document, RESPONSES["health"]) == []
     assert document["status"] == "ok"
     assert document["tenants"] == ["acme", "globex"]
 
@@ -186,7 +178,7 @@ def test_tenant_stats_contract(server):
               {"tenant": "acme", "statement": SALES_STATEMENT})
     status, document = get_json(f"{server.url}/v1/tenants/acme/stats")
     assert status == 200
-    assert validate_stats_document(document) == []
+    assert violations(document, RESPONSES["stats"]) == []
     assert document["tenant"] == "acme"
     assert document["cube"] == "sales"
     assert document["pool"]["size"] == 2
@@ -199,7 +191,8 @@ def test_tenant_stats_contract(server):
 # ----------------------------------------------------------------------
 def _error(body, status):
     document = json.loads(body)
-    assert validate_error_document(document, status=status) == []
+    assert violations(document, RESPONSES["error"]) == []
+    assert document["error"]["status"] == status
     return document["error"]
 
 

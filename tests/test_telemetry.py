@@ -664,19 +664,19 @@ class TestHistoryCli:
         from pathlib import Path
 
         spec = importlib.util.spec_from_file_location(
-            "check_qlog_schema",
+            "check_schema",
             Path(__file__).resolve().parent.parent
-            / "tools" / "check_qlog_schema.py",
+            / "tools" / "check_schema.py",
         )
         tool = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tool)
         self._populate(sales, tmp_path)
-        assert tool.main([str(tmp_path)]) == 0
+        assert tool.main(["qlog", str(tmp_path)]) == 0
         # A schema violation must fail the check.
         log = QueryLog(tmp_path)
         log.append({"v": 99, "not": "a record"})
         log.close()
-        assert tool.main([str(tmp_path)]) == 1
+        assert tool.main(["qlog", str(tmp_path)]) == 1
 
 
 # ----------------------------------------------------------------------
