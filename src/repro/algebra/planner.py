@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ..core.errors import PlanError, ValidationError
+from ..core.errors import PlanError
 from ..core.groupby import GroupBySet
 from ..core.query import CubeQuery, Predicate
+from ..core.rules import external_findings, property_findings, raise_first
 from ..core.statement import (
     AncestorBenchmark,
     AssessStatement,
@@ -165,8 +166,8 @@ def _attach_properties(
 
     Any unqualified ``using`` reference that is neither a schema measure nor
     a benchmark column must name a level property bound by the star schema
-    (§8 extension); its level must belong to the group-by set so each cell
-    has a member to look the value up with.
+    (§8 extension) whose level is grouped (ASSESS124, checked here because
+    only the engine knows the bindings).
     """
     from .plan import AttachPropertyNode
 
@@ -188,17 +189,12 @@ def _attach_properties(
                 continue
         else:
             continue
-        if not engine.has_property(statement.source, name):
-            raise ValidationError(
-                f"{name!r} is neither a measure of {statement.source!r} nor a "
-                "bound level property"
-            )
-        level, _, _ = engine.cube(statement.source).star.property_binding(name)
-        if level not in statement.group_by:
-            raise ValidationError(
-                f"property {name!r} belongs to level {level!r}, which must be "
-                f"in the by clause to be referenced"
-            )
+        level = None
+        if engine.has_property(statement.source, name):
+            level, _, _ = engine.cube(statement.source).star.property_binding(name)
+        raise_first(property_findings(
+            name, statement.source, level, statement.group_by.levels
+        ))
         fixed_member = None
         if ref.qualifier == "benchmark":
             benchmark = statement.benchmark
@@ -275,12 +271,10 @@ def _external_pipeline(
     benchmark = statement.benchmark
     assert isinstance(benchmark, ExternalBenchmark)
     external = engine.cube(benchmark.cube)
-    for level_name in statement.group_by.levels:
-        if not external.schema.has_level(level_name):
-            raise ValidationError(
-                f"external cube {benchmark.cube!r} has no level {level_name!r}; "
-                "the cubes are not joinable (Definition 3.1)"
-            )
+    raise_first(external_findings(
+        benchmark.cube, benchmark.measure_name, external.schema,
+        statement.group_by.levels,
+    ))
     external_group_by = GroupBySet(external.schema, statement.group_by.levels)
     external_predicates = tuple(
         p for p in statement.predicates if external.schema.has_level(p.level)

@@ -9,10 +9,9 @@ catalog, and the "Diagnostics" section of ``docs/language.md`` for prose).
 Entry points
 ------------
 
-* :func:`analyze_text` — lint one statement text end to end;
-* :func:`analyze_raw_statement` — run the statement passes over an
-  already-parsed raw AST (what ``parse_statement(collect_diagnostics=True)``
-  calls);
+* :func:`analyze_text` — parse, check and bind one statement text (the
+  one path from text to a statement: ``parse_statement`` raises its first
+  error);
 * :func:`verify_plan` — run the plan passes over a built
   :class:`~repro.algebra.plan.Plan` (what ``build_plan(validate=True)``
   calls);
@@ -48,7 +47,7 @@ from .lint import (
     statements_from_python,
 )
 from .plan_passes import verify_plan
-from .statement_passes import analyze_raw_statement, analyze_text
+from .statement_passes import analyze_text
 
 __all__ = [
     "ALL_CODES",
@@ -61,7 +60,6 @@ __all__ = [
     "WORKLOAD_CODES",
     "WORKLOAD_SCHEMA_VERSION",
     "WorkloadReport",
-    "analyze_raw_statement",
     "analyze_text",
     "analyze_workload",
     "batch_diagnostics",

@@ -3,7 +3,7 @@
 Every finding of the static analyzer carries one of these codes.  Codes are
 grouped by the layer that produces them:
 
-* ``ASSESS0xx`` — parsing/binding failures surfaced as diagnostics;
+* ``ASSESS0xx`` — syntax errors surfaced as diagnostics;
 * ``ASSESS1xx`` — statement passes (semantic checks on the raw AST);
 * ``ASSESS2xx`` — plan passes (structural checks on logical plan trees);
 * ``ASSESS3xx`` — batch passes (checks over a statement *list*, run by
@@ -42,9 +42,8 @@ def _info(code: str, severity: Severity, title: str) -> CodeInfo:
 ALL_CODES: Dict[str, CodeInfo] = {
     info.code: info
     for info in (
-        # -- parse/bind (0xx) ------------------------------------------------
+        # -- parse (0xx) -----------------------------------------------------
         _info("ASSESS001", Severity.ERROR, "statement text does not parse"),
-        _info("ASSESS002", Severity.ERROR, "statement fails semantic binding"),
         # -- statement passes (1xx) -----------------------------------------
         _info("ASSESS101", Severity.ERROR, "unknown cube in the with clause"),
         _info("ASSESS102", Severity.ERROR, "unknown level in the by clause"),

@@ -2,8 +2,8 @@
 
 Passes never resolve names themselves; they ask the context, which wraps
 
-* a schema resolver (the same mapping-or-callable ``parse_statement``
-  accepts) — possibly absent, in which case schema-dependent checks skip;
+* a schema resolver (a mapping or a callable from cube names to schemas)
+  — possibly absent, in which case schema-dependent checks skip;
 * a :class:`~repro.functions.registry.FunctionRegistry` (defaults to the
   library registry) for using/labels function checks;
 * optionally an engine, enabling level-property resolution for unqualified
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Mapping, Optional, Union
 
+from ..core.errors import ReproError
 from ..core.schema import CubeSchema
 from ..functions.registry import FunctionRegistry, default_registry
 
@@ -56,16 +57,8 @@ class AnalysisContext:
             if callable(self.schemas):
                 return self.schemas(cube_name)
             return self.schemas[cube_name]
-        except Exception:
+        except (KeyError, ReproError):
             return None
-
-    def __call__(self, cube_name: str) -> CubeSchema:
-        """Act as a schema resolver (the callable flavour ``parse_statement``
-        accepts); raises ``KeyError`` for unresolvable cubes."""
-        schema = self.resolve(cube_name)
-        if schema is None:
-            raise KeyError(cube_name)
-        return schema
 
     def knows_labeling(self, name: str) -> bool:
         """Whether a labels-clause name resolves to *something* callable."""
@@ -104,11 +97,8 @@ class _EngineUnion:
 
     def _owner(self, source: str) -> Optional[Any]:
         for engine in self.engines:
-            try:
-                engine.cube(source)
-            except Exception:
-                continue
-            return engine
+            if engine.has_cube(source):
+                return engine
         return None
 
     def cube(self, source: str) -> Any:

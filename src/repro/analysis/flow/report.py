@@ -135,9 +135,7 @@ class StatementInfo:
             "plan": self.plan_name,
             "composite": self.composite,
             "parallel_safe": self.parallel_safe,
-            "diagnostics": [
-                _diagnostic_json(d) for d in self.bag.sorted()
-            ],
+            "diagnostics": [d.to_json() for d in self.bag.sorted()],
         }
 
 
@@ -369,24 +367,6 @@ class WorkloadReport:
         }
 
 
-def _diagnostic_json(diagnostic: Diagnostic) -> Dict[str, object]:
-    """One diagnostic in the stable JSON layout shared with plain lint."""
-    span = diagnostic.span
-    return {
-        "code": diagnostic.code,
-        "severity": str(diagnostic.severity),
-        "message": diagnostic.message,
-        "span": None if span is None else {
-            "start": span.start,
-            "end": span.end,
-            "line": span.line,
-            "column": span.column,
-        },
-        "hint": diagnostic.hint,
-        "source": diagnostic.source,
-    }
-
-
 def report_results_json(results: Sequence[object]) -> List[Dict[str, object]]:
     """Plain lint results (``LintResult``) in the same JSON layout."""
     documents: List[Dict[str, object]] = []
@@ -396,7 +376,7 @@ def report_results_json(results: Sequence[object]) -> List[Dict[str, object]]:
                 "origin": result.origin,  # type: ignore[attr-defined]
                 "statement": result.statement,  # type: ignore[attr-defined]
                 "diagnostics": [
-                    _diagnostic_json(d)
+                    d.to_json()
                     for d in result.bag.sorted()  # type: ignore[attr-defined]
                 ],
             }

@@ -333,9 +333,8 @@ def _expected_join_levels(
     if isinstance(benchmark, SiblingBenchmark):
         return tuple(l for l in levels if l != benchmark.level)
     if isinstance(benchmark, PastBenchmark):
-        try:
-            temporal = statement.temporal_level
-        except Exception:
+        temporal = statement.temporal_level
+        if temporal is None:
             return None
         return tuple(l for l in levels if l != temporal)
     return None

@@ -1,11 +1,14 @@
 """Statement passes: semantic checks over the raw (unvalidated) AST.
 
-Each pass inspects one aspect of a :class:`~repro.parser.raw.RawStatement`
+Each pass inspects one clause of a :class:`~repro.parser.raw.RawStatement`
 and reports *every* defect it finds into a shared
-:class:`~repro.core.diagnostics.DiagnosticBag` — unlike the binding stage,
-which raises on the first.  Passes degrade gracefully: when the ``with``
-cube cannot be resolved, schema-dependent checks are skipped rather than
-producing follow-on noise.
+:class:`~repro.core.diagnostics.DiagnosticBag`, anchored at the clause's
+source span.  The rules of Sections 3.1 and 4.1 are not written here: the
+passes apply the functions of :mod:`repro.core.rules` and report what the
+``Interval`` and ``CubeSchema.measure`` constructors raise, the same code
+that guards a statement built in code.  Passes degrade gracefully: when
+the ``with`` cube cannot be resolved, schema-dependent checks are skipped
+rather than producing follow-on noise.
 
 The checks mirror the constraints of the paper: group-by well-formedness
 (Definition 2.3), benchmark joinability (Definition 3.1 for external cubes,
@@ -16,13 +19,26 @@ completeness/non-overlap (Section 3.3.1).
 
 from __future__ import annotations
 
-import math
-from typing import List, Optional, Set, Tuple, Union
+from itertools import chain
+from typing import Iterable, List, Optional, Set, Tuple
 
 from ..core.diagnostics import Diagnostic, DiagnosticBag, Severity, Span
-from ..core.errors import ParseError, ReproError
+from ..core.errors import ParseError, SchemaError, ValidationError
 from ..core.expression import BinaryOp, Expression, FunctionCall, Literal, MeasureRef
 from ..core.labels import Interval, LabelRule, find_gaps, find_overlaps
+from ..core.rules import (
+    Finding,
+    ancestor_findings,
+    ancestor_slice_level,
+    by_level_findings,
+    external_findings,
+    for_level_findings,
+    past_findings,
+    past_window_findings,
+    property_findings,
+    sibling_findings,
+    slices,
+)
 from ..core.schema import CubeSchema
 from ..core.statement import AssessStatement
 from ..parser.parser import bind_statement, parse_raw
@@ -39,12 +55,14 @@ _DENOMINATOR_FUNCTIONS = frozenset({"ratio"})
 def analyze_text(
     text: str, context: AnalysisContext
 ) -> Tuple[Optional[AssessStatement], DiagnosticBag]:
-    """Analyze statement *text*: ``(statement_or_None, DiagnosticBag)``.
+    """Parse, check and bind statement *text*: ``(statement_or_None, bag)``.
 
-    The full pipeline a linter wants: syntax (ASSESS001), every statement
-    pass, and — when the cube resolves and no error was found — a binding
-    attempt whose residual failures surface as ASSESS002 instead of raising.
-    In non-strict contexts an unresolvable cube skips binding silently.
+    The one path from text to a statement: syntax (ASSESS001), every
+    statement pass, then — when the cube resolves and no pass found an
+    error — :func:`~repro.parser.parser.bind_statement`, which only
+    resolves names.  ``parse_statement`` is this call raising the bag's
+    first error.  In non-strict contexts an unresolvable cube yields no
+    statement and no error.
     """
     try:
         raw = parse_raw(text)
@@ -58,29 +76,6 @@ def analyze_text(
             [Diagnostic("ASSESS001", Severity.ERROR, error.args[0], span,
                         source="parse")]
         )
-    bag = analyze_raw_statement(raw, context)
-    if bag.has_errors or context.resolve(raw.source) is None:
-        return None, bag
-    try:
-        return bind_statement(raw, context), bag
-    except ReproError as error:
-        span = (
-            Span.from_text(text, error.position)
-            if error.position >= 0
-            else None
-        )
-        bag.report("ASSESS002", Severity.ERROR, error.args[0], span,
-                   source="bind")
-        return None, bag
-
-
-def analyze_raw_statement(
-    raw: RawStatement, context: Union[AnalysisContext, object]
-) -> DiagnosticBag:
-    """Run every statement pass; ``context`` is an :class:`AnalysisContext`
-    or a schema resolver (mapping/callable), as ``parse_statement`` takes."""
-    if not isinstance(context, AnalysisContext):
-        context = AnalysisContext(schemas=context)
     bag = DiagnosticBag()
     schema = _resolve_cube_pass(raw, context, bag)
     _group_by_pass(raw, schema, bag)
@@ -89,7 +84,9 @@ def analyze_raw_statement(
     _benchmark_pass(raw, schema, context, bag)
     _using_pass(raw, schema, context, bag)
     _labels_pass(raw, context, bag)
-    return bag
+    if bag.has_errors or schema is None:
+        return None, bag
+    return bind_statement(raw, schema), bag
 
 
 # ----------------------------------------------------------------------
@@ -130,31 +127,10 @@ def _group_by_pass(
 ) -> None:
     if schema is None:
         return
-    first_by_hierarchy = {}
-    for name, span in raw.levels:
-        if not schema.has_level(name):
-            bag.report(
-                "ASSESS102",
-                Severity.ERROR,
-                f"cube {schema.name!r} has no level {name!r}",
-                span,
-                source=SOURCE,
-            )
-            continue
-        hierarchy = schema.hierarchy_of_level(name)
-        earlier = first_by_hierarchy.get(hierarchy.name)
-        if earlier is not None and earlier != name:
-            bag.report(
-                "ASSESS103",
-                Severity.ERROR,
-                f"levels {earlier!r} and {name!r} both belong to hierarchy "
-                f"{hierarchy.name!r}; a group-by set takes at most one level "
-                "per hierarchy",
-                span,
-                source=SOURCE,
-            )
-        else:
-            first_by_hierarchy[hierarchy.name] = name
+    names = raw.level_names()
+    for position, (name, span) in enumerate(raw.levels):
+        for code, message in by_level_findings(schema, name, names[:position]):
+            bag.report(code, Severity.ERROR, message, span, source=SOURCE)
 
 
 # ----------------------------------------------------------------------
@@ -163,16 +139,19 @@ def _group_by_pass(
 def _measure_pass(
     raw: RawStatement, schema: Optional[CubeSchema], bag: DiagnosticBag
 ) -> None:
-    if schema is None or schema.has_measure(raw.measure):
+    if schema is None:
         return
-    bag.report(
-        "ASSESS104",
-        Severity.ERROR,
-        f"cube {schema.name!r} has no measure {raw.measure!r}",
-        raw.measure_span,
-        hint=f"measures: {', '.join(schema.measure_names())}",
-        source=SOURCE,
-    )
+    try:
+        schema.measure(raw.measure)
+    except SchemaError as error:
+        bag.report(
+            "ASSESS104",
+            Severity.ERROR,
+            error.args[0],
+            raw.measure_span,
+            hint=f"measures: {', '.join(schema.measure_names())}",
+            source=SOURCE,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -193,14 +172,10 @@ def _predicate_pass(
 ) -> None:
     earlier_by_level = {}
     for predicate in raw.predicates:
-        if schema is not None and not schema.has_level(predicate.level):
-            bag.report(
-                "ASSESS105",
-                Severity.ERROR,
-                f"for predicate on unknown level {predicate.level!r}",
-                predicate.level_span,
-                source=SOURCE,
-            )
+        if schema is not None:
+            for code, message in for_level_findings(schema, predicate.level):
+                bag.report(code, Severity.ERROR, message, predicate.level_span,
+                           source=SOURCE)
         for earlier in earlier_by_level.get(predicate.level, ()):
             if (earlier.op, earlier.values) == (predicate.op, predicate.values):
                 bag.report(
@@ -238,14 +213,28 @@ def _benchmark_pass(
     benchmark = raw.benchmark
     if benchmark is None or benchmark.kind == "constant":
         return
+    levels = raw.level_names()
+    findings: Iterable[Finding] = ()
     if benchmark.kind == "external":
         _external_benchmark_pass(raw, benchmark, context, bag)
     elif benchmark.kind == "sibling":
-        _sibling_benchmark_pass(raw, benchmark, bag)
+        findings = sibling_findings(
+            levels, slices(raw.predicates), benchmark.level, benchmark.member
+        )
     elif benchmark.kind == "past":
-        _past_benchmark_pass(raw, benchmark, schema, bag)
-    elif benchmark.kind == "ancestor":
-        _ancestor_benchmark_pass(raw, benchmark, schema, bag)
+        findings = past_window_findings(benchmark.k)
+        if schema is not None:
+            findings = chain(
+                findings, past_findings(schema, levels, slices(raw.predicates))
+            )
+    elif schema is not None:  # ancestor
+        ancestor = benchmark.ancestor_level
+        findings = ancestor_findings(
+            schema, levels, ancestor_slice_level(schema, levels, ancestor),
+            ancestor,
+        )
+    for code, message in findings:
+        bag.report(code, Severity.ERROR, message, benchmark.span, source=SOURCE)
 
 
 def _external_benchmark_pass(
@@ -265,172 +254,14 @@ def _external_benchmark_pass(
                 source=SOURCE,
             )
         return
-    # Joinability (Definition 3.1): the drill-across needs every group-by
-    # level to exist in the external cube's schema as well.
-    missing = [
-        name for name, _ in raw.levels if not external.has_level(name)
-    ]
-    if missing:
-        bag.report(
-            "ASSESS111",
-            Severity.ERROR,
-            f"external cube {benchmark.cube!r} has no level"
-            f"{'s' if len(missing) > 1 else ''} "
-            f"{', '.join(repr(m) for m in missing)}; the cubes are not "
-            "joinable (Definition 3.1)",
-            benchmark.span,
-            source=SOURCE,
-        )
-    if not external.has_measure(benchmark.measure):
-        bag.report(
-            "ASSESS112",
-            Severity.ERROR,
-            f"external cube {benchmark.cube!r} has no measure "
-            f"{benchmark.measure!r}",
-            benchmark.span,
-            hint=f"measures: {', '.join(external.measure_names())}",
-            source=SOURCE,
-        )
-
-
-def _single_member(raw: RawStatement, level: str) -> Optional[object]:
-    """The single member a for-clause predicate slices ``level`` on, if any."""
-    predicate = raw.predicate_on(level)
-    if predicate is None:
-        return None
-    members = predicate.member_set()
-    if members is None or len(members) != 1:
-        return None
-    return next(iter(members))
-
-
-def _sibling_benchmark_pass(
-    raw: RawStatement, benchmark: RawBenchmark, bag: DiagnosticBag
-) -> None:
-    if benchmark.level not in raw.level_names():
-        bag.report(
-            "ASSESS113",
-            Severity.ERROR,
-            f"sibling level {benchmark.level!r} must belong to the by clause "
-            f"({', '.join(raw.level_names())})",
-            benchmark.span,
-            source=SOURCE,
-        )
-        return
-    member = _single_member(raw, benchmark.level)
-    if member is None:
-        bag.report(
-            "ASSESS113",
-            Severity.ERROR,
-            f"the for clause must slice level {benchmark.level!r} on a "
-            "single member for a sibling benchmark",
-            benchmark.span,
-            source=SOURCE,
-        )
-    elif member == benchmark.member:
-        bag.report(
-            "ASSESS113",
-            Severity.ERROR,
-            f"sibling member {benchmark.member!r} equals the target slice "
-            "member; a sibling must differ",
-            benchmark.span,
-            source=SOURCE,
-        )
-
-
-def _past_benchmark_pass(
-    raw: RawStatement,
-    benchmark: RawBenchmark,
-    schema: Optional[CubeSchema],
-    bag: DiagnosticBag,
-) -> None:
-    if benchmark.k < 1:
-        bag.report(
-            "ASSESS114",
-            Severity.ERROR,
-            f"past benchmark needs k >= 1, got {benchmark.k}",
-            benchmark.span,
-            source=SOURCE,
-        )
-    if schema is None:
-        return
-    temporal = schema.temporal_hierarchy()
-    if temporal is None:
-        bag.report(
-            "ASSESS114",
-            Severity.ERROR,
-            "past benchmark requires a temporal hierarchy (named or "
-            "containing a level 'date'/'time')",
-            benchmark.span,
-            source=SOURCE,
-        )
-        return
-    temporal_levels = [
-        name for name, _ in raw.levels if temporal.has_level(name)
-    ]
-    if not temporal_levels:
-        bag.report(
-            "ASSESS114",
-            Severity.ERROR,
-            f"past benchmark requires a level of the temporal hierarchy "
-            f"{temporal.name!r} in the by clause",
-            benchmark.span,
-            source=SOURCE,
-        )
-        return
-    level = temporal_levels[0]
-    if _single_member(raw, level) is None:
-        bag.report(
-            "ASSESS114",
-            Severity.ERROR,
-            f"the for clause must slice temporal level {level!r} on a "
-            "single member for a past benchmark",
-            benchmark.span,
-            source=SOURCE,
-        )
-
-
-def _ancestor_benchmark_pass(
-    raw: RawStatement,
-    benchmark: RawBenchmark,
-    schema: Optional[CubeSchema],
-    bag: DiagnosticBag,
-) -> None:
-    if schema is None:
-        return
-    if not schema.has_level(benchmark.ancestor_level):
-        bag.report(
-            "ASSESS115",
-            Severity.ERROR,
-            f"cube {schema.name!r} has no level {benchmark.ancestor_level!r}",
-            benchmark.span,
-            source=SOURCE,
-        )
-        return
-    hierarchy = schema.hierarchy_of_level(benchmark.ancestor_level)
-    finer = [
-        name
-        for name, _ in raw.levels
-        if hierarchy.has_level(name) and name != benchmark.ancestor_level
-    ]
-    if not finer:
-        bag.report(
-            "ASSESS115",
-            Severity.ERROR,
-            f"ancestor benchmark on {benchmark.ancestor_level!r} requires a "
-            f"finer level of hierarchy {hierarchy.name!r} in the by clause",
-            benchmark.span,
-            source=SOURCE,
-        )
-        return
-    if not hierarchy.rolls_up_to(finer[0], benchmark.ancestor_level):
-        bag.report(
-            "ASSESS115",
-            Severity.ERROR,
-            f"{finer[0]!r} does not roll up to {benchmark.ancestor_level!r}",
-            benchmark.span,
-            source=SOURCE,
-        )
+    for code, message in external_findings(
+        benchmark.cube, benchmark.measure, external, raw.level_names()
+    ):
+        hint = ""
+        if code == "ASSESS112":
+            hint = f"measures: {', '.join(external.measure_names())}"
+        bag.report(code, Severity.ERROR, message, benchmark.span, hint=hint,
+                   source=SOURCE)
 
 
 # ----------------------------------------------------------------------
@@ -541,59 +372,25 @@ def _using_pass(
 
     def _check_ref(node: MeasureRef) -> None:
         span = _expr_span(raw, node)
+        engine = context.engine
         if node.qualifier is None:
             if schema is None or schema.has_measure(node.name):
                 return
-            engine = context.engine
-            if engine is not None:
-                if engine.has_property(raw.source, node.name):
-                    level, _, _ = (
-                        engine.cube(raw.source).star.property_binding(node.name)
-                    )
-                    if level not in raw.level_names():
-                        bag.report(
-                            "ASSESS124",
-                            Severity.ERROR,
-                            f"property {node.name!r} belongs to level "
-                            f"{level!r}, which must be in the by clause to "
-                            "be referenced",
-                            span,
-                            source=SOURCE,
-                        )
-                    return
-                bag.report(
-                    "ASSESS124",
-                    Severity.ERROR,
-                    f"{node.name!r} is neither a measure of {raw.source!r} "
-                    "nor a bound level property",
-                    span,
-                    source=SOURCE,
-                )
-            else:
-                bag.report(
-                    "ASSESS124",
-                    Severity.WARNING,
-                    f"{node.name!r} is not a measure of {raw.source!r} "
-                    "(level properties cannot be checked without an engine)",
-                    span,
-                    source=SOURCE,
-                )
         elif node.qualifier == "benchmark":
             if provided is None or node.name in provided:
                 return
-            engine = context.engine
-            if engine is not None and engine.has_property(raw.source, node.name):
-                return  # benchmark-qualified level property (§8 extension)
-            kind = raw.benchmark.kind if raw.benchmark is not None else "zero"
-            bag.report(
-                "ASSESS123",
-                Severity.ERROR,
-                f"the {kind} benchmark provides no measure {node.name!r} "
-                f"under the benchmark qualifier",
-                span,
-                hint=f"available: {', '.join(sorted(provided))}",
-                source=SOURCE,
-            )
+            if engine is not None and not engine.has_property(raw.source, node.name):
+                kind = raw.benchmark.kind if raw.benchmark is not None else "zero"
+                bag.report(
+                    "ASSESS123",
+                    Severity.ERROR,
+                    f"the {kind} benchmark provides no measure {node.name!r} "
+                    f"under the benchmark qualifier",
+                    span,
+                    hint=f"available: {', '.join(sorted(provided))}",
+                    source=SOURCE,
+                )
+                return
         else:
             bag.report(
                 "ASSESS126",
@@ -603,6 +400,29 @@ def _using_pass(
                 span,
                 source=SOURCE,
             )
+            return
+        # Not a measure, so a level property (§8 extension) if anything.
+        if engine is None:
+            bag.report(
+                "ASSESS124",
+                Severity.WARNING,
+                f"{node.name!r} is not a measure of {raw.source!r} "
+                "(level properties cannot be checked without an engine)",
+                span,
+                source=SOURCE,
+            )
+            return
+        _check_property(node.name, span)
+
+    def _check_property(name: str, span: Optional[Span]) -> None:
+        engine = context.engine
+        level = None
+        if engine.has_property(raw.source, name):
+            level, _, _ = engine.cube(raw.source).star.property_binding(name)
+        for code, message in property_findings(
+            name, raw.source, level, raw.level_names()
+        ):
+            bag.report(code, Severity.ERROR, message, span, source=SOURCE)
 
     walk(expression)
 
@@ -638,34 +458,17 @@ def _labels_pass(
     valid_rules: List[LabelRule] = []
     span_by_rule = {}
     for rule in labels.rules:
-        # Infinite bounds are always open (Interval forces this), so a
-        # syntactically closed '[inf' must be judged as open here.
-        low_closed = rule.low_closed and not math.isinf(rule.low)
-        high_closed = rule.high_closed and not math.isinf(rule.high)
-        if rule.low > rule.high:
-            bag.report(
-                "ASSESS132",
-                Severity.ERROR,
-                f"empty interval: low {rule.low} > high {rule.high}",
-                rule.span,
-                source=SOURCE,
+        try:
+            interval = Interval(
+                rule.low, rule.high, rule.low_closed, rule.high_closed
             )
-        elif rule.low == rule.high and not (low_closed and high_closed):
-            bag.report(
-                "ASSESS132",
-                Severity.ERROR,
-                f"degenerate interval at {rule.low} must be closed on both "
-                "ends",
-                rule.span,
-                source=SOURCE,
-            )
-        else:
-            valid = LabelRule(
-                Interval(rule.low, rule.high, low_closed, high_closed),
-                rule.label,
-            )
-            valid_rules.append(valid)
-            span_by_rule[id(valid)] = rule.span
+        except ValidationError as error:
+            bag.report("ASSESS132", Severity.ERROR, error.args[0], rule.span,
+                       source=SOURCE)
+            continue
+        valid = LabelRule(interval, rule.label)
+        valid_rules.append(valid)
+        span_by_rule[id(valid)] = rule.span
     if not valid_rules:
         return
     # Report every overlapping pair (ASSESS131) and every gap (ASSESS130).

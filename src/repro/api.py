@@ -156,8 +156,12 @@ class AssessSession:
     # Statement life cycle
     # ------------------------------------------------------------------
     def parse(self, text: str) -> AssessStatement:
-        """Parse statement text against the session's registered cubes."""
-        return parse_statement(text, lambda name: self.engine.cube(name).schema)
+        """Parse statement text against the session's registered cubes,
+        functions and labelings; raises the analyzer's first error (see
+        :func:`~repro.parser.parser.parse_statement`)."""
+        from .analysis.context import AnalysisContext
+
+        return parse_statement(text, AnalysisContext.for_session(self))
 
     def analyze(self, text: str):
         """Statically analyze statement text without raising.

@@ -259,10 +259,12 @@ def trace(args) -> int:
         return 1
 
     report = session.explain_analyze(statements, plan=args.plan)
+    # with ``--json -`` stdout carries the trace document alone
+    out = sys.stderr if args.json == "-" else sys.stdout
     if args.format_ == "chrome":
-        print(json.dumps(report.to_chrome(), indent=2))
+        print(json.dumps(report.to_chrome(), indent=2), file=out)
     else:
-        print(report.render())
+        print(report.render(), file=out)
     if args.json:
         document = json.dumps(report.to_json(), indent=2)
         if args.json == "-":
@@ -741,7 +743,8 @@ COMMANDS = {
                "(default) or Chrome trace_event JSON"),
         option("--json", metavar="PATH", default=None,
                help="also write the trace document (schema v1, estimates + "
-               "actuals + span tree) to PATH ('-' for stdout)"),
+               "actuals + span tree) to PATH ('-': stdout, the tree then "
+               "goes to stderr)"),
         PARALLELISM,
     )),
     "cube": Command(cube, (

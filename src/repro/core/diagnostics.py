@@ -14,7 +14,7 @@ planner and the CLI all share these types without import cycles.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 
 class Severity(enum.IntEnum):
@@ -121,8 +121,9 @@ DIAGNOSTIC_JSON = {
         "source": str,
     },
 }
-"""The JSON layout of one diagnostic (``repro lint --format=json``), as a
-:mod:`repro.contract` spec."""
+"""The JSON layout of one diagnostic (:meth:`Diagnostic.to_json`: the
+``repro lint --format=json`` documents and the server's ``lint_failed``
+errors), as a :mod:`repro.contract` spec."""
 
 
 class Diagnostic:
@@ -150,6 +151,23 @@ class Diagnostic:
     @property
     def is_error(self) -> bool:
         return self.severity is Severity.ERROR
+
+    def to_json(self) -> Dict[str, object]:
+        """The :data:`DIAGNOSTIC_JSON` document of this diagnostic."""
+        span = self.span
+        return {
+            "code": self.code,
+            "severity": str(self.severity),
+            "message": self.message,
+            "span": None if span is None else {
+                "start": span.start,
+                "end": span.end,
+                "line": span.line,
+                "column": span.column,
+            },
+            "hint": self.hint,
+            "source": self.source,
+        }
 
     def render(self, text: str = "") -> str:
         """One- or three-line rendering, with a caret when text is known."""

@@ -12,23 +12,14 @@ from __future__ import annotations
 class ReproError(Exception):
     """Base class for every error raised by the library.
 
-    Any library error can carry a source position: :meth:`at` attaches the
-    offending offset (and the statement text) after the fact, which the
-    parser uses to point semantic errors raised by ``core`` constructors —
-    which know nothing about the surface text — at the clause that caused
-    them.  ``__str__`` renders a ``line:column`` prefix and a caret line
-    whenever a position is known.
+    A parse or validation error raised for statement text carries a source
+    position — ``parse_statement`` raises the analyzer's first diagnostic
+    at its span — and ``__str__`` then renders a ``line:column`` suffix and
+    a caret line.
     """
 
     position: int = -1
     text: str = ""
-
-    def at(self, position: int, text: str) -> "ReproError":
-        """Attach a source position (no-op if one is already set)."""
-        if self.position < 0 and position >= 0:
-            self.position = position
-            self.text = text
-        return self
 
     def __str__(self) -> str:
         base = super().__str__()
@@ -74,8 +65,8 @@ class ValidationError(ReproError):
 
     Examples: the ``by`` clause names an unknown level, the sibling member in
     ``against`` belongs to a level outside the group-by set, or a label range
-    set is incomplete/overlapping.  Like every :class:`ReproError` it can
-    carry a source position (see :meth:`ReproError.at`).
+    set is incomplete/overlapping.  Raised for statement text, it carries
+    the offending clause's source position.
     """
 
     def __init__(self, message: str, position: int = -1, text: str = ""):

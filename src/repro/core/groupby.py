@@ -14,6 +14,7 @@ from typing import Dict, Iterable, Tuple
 
 from .errors import SchemaError
 from .hierarchy import Member
+from .rules import by_level_findings, raise_first
 from .schema import CubeSchema
 
 Coordinate = Tuple[Member, ...]
@@ -34,14 +35,12 @@ class GroupBySet:
     def __init__(self, schema: CubeSchema, level_names: Iterable[str]):
         requested = list(level_names)
         by_hierarchy: Dict[str, str] = {}
-        for level_name in requested:
-            hierarchy = schema.hierarchy_of_level(level_name)
-            if hierarchy.name in by_hierarchy and by_hierarchy[hierarchy.name] != level_name:
-                raise SchemaError(
-                    f"group-by set picks two levels ({by_hierarchy[hierarchy.name]!r}, "
-                    f"{level_name!r}) from hierarchy {hierarchy.name!r}"
-                )
-            by_hierarchy[hierarchy.name] = level_name
+        for position, level_name in enumerate(requested):
+            raise_first(
+                by_level_findings(schema, level_name, requested[:position]),
+                SchemaError,
+            )
+            by_hierarchy[schema.hierarchy_of_level(level_name).name] = level_name
         ordered = [
             by_hierarchy[h.name] for h in schema.hierarchies if h.name in by_hierarchy
         ]

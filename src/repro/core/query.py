@@ -20,6 +20,7 @@ import numpy as np
 from .errors import SchemaError
 from .groupby import GroupBySet
 from .hierarchy import Member
+from .rules import for_level_findings, raise_first
 from .schema import CubeSchema
 
 
@@ -131,11 +132,7 @@ class CubeQuery:
     ):
         schema = group_by.schema
         for predicate in predicates:
-            if not schema.has_level(predicate.level):
-                raise SchemaError(
-                    f"predicate on unknown level {predicate.level!r} "
-                    f"for schema {schema.name!r}"
-                )
+            raise_first(for_level_findings(schema, predicate.level), SchemaError)
         for measure in measures:
             schema.measure(measure)
         self.source = source

@@ -164,8 +164,7 @@ class CubeSchema:
             return self._measure_by_name[name]
         except KeyError:
             raise SchemaError(
-                f"schema {self.name!r} has no measure {name!r} "
-                f"(measures: {', '.join(self.measure_names())})"
+                f"cube {self.name!r} has no measure {name!r}"
             ) from None
 
     def has_measure(self, name: str) -> bool:

@@ -15,7 +15,7 @@ and consumed by the planner (:mod:`repro.algebra.planner`).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from .errors import ValidationError
 from .expression import Expression, default_using
@@ -23,6 +23,17 @@ from .groupby import GroupBySet
 from .hierarchy import Member
 from .labels import LabelingSpec
 from .query import Predicate
+from .rules import (
+    Finding,
+    ancestor_findings,
+    for_level_findings,
+    past_findings,
+    past_window_findings,
+    raise_first,
+    sibling_findings,
+    slices,
+    temporal_level,
+)
 from .schema import CubeSchema
 
 CONSTANT_MEASURE = "constant"
@@ -162,8 +173,7 @@ class PastBenchmark(BenchmarkSpec):
     __slots__ = ("k", "method")
 
     def __init__(self, k: int, method: str = "linearRegression"):
-        if k < 1:
-            raise ValidationError(f"past benchmark needs k >= 1, got {k}")
+        raise_first(past_window_findings(k))
         self.k = int(k)
         self.method = method
 
@@ -225,14 +235,13 @@ class AncestorBenchmark(BenchmarkSpec):
 class AssessStatement:
     """A fully validated assess statement, ready for planning.
 
-    Validation applies the constraints of Sections 3.1 and 4.1:
-
-    * the assessed measure belongs to the schema;
-    * every ``for`` predicate constrains a known level;
-    * a sibling benchmark requires the ``for`` clause to slice on a member of
-      the sibling's level, and that level to be in the group-by set;
-    * a past benchmark requires a temporal level in the group-by set sliced
-      by the ``for`` clause.
+    The constructor applies the rules of Sections 3.1 and 4.1 that need no
+    engine (:mod:`repro.core.rules`) and raises the first broken one as a
+    :class:`ValidationError`: the assessed measure belongs to the schema,
+    every ``for`` predicate constrains a known level, and a sibling, past
+    or ancestor benchmark finds the grouped, sliced level it needs.  The
+    planner applies the two engine-dependent rules (external joinability,
+    level properties).
     """
 
     def __init__(
@@ -258,7 +267,7 @@ class AssessStatement:
         self.benchmark: BenchmarkSpec = benchmark if benchmark is not None else ZeroBenchmark()
         self.labels = labels
         self.star = bool(star)
-        self._validate_benchmark()
+        raise_first(self._findings())
         if using is None:
             using = default_using(measure, self.benchmark_measure)
         self.using: Expression = _expand_implicit_totals(using, measure)
@@ -270,82 +279,30 @@ class AssessStatement:
         return self.benchmark.benchmark_measure(self.measure)
 
     def slice_predicate(self, level: str) -> Predicate:
-        """The ``for`` predicate slicing on a given level (must exist)."""
+        """The first ``for`` predicate on ``level`` (the constructor's rules
+        guarantee one on a sibling or past benchmark's level)."""
+        return next(p for p in self.predicates if p.level == level)
+
+    def _findings(self) -> Iterator[Finding]:
         for predicate in self.predicates:
-            if predicate.level == level:
-                return predicate
-        raise ValidationError(
-            f"the for clause must include a predicate on level {level!r}"
-        )
-
-    # ------------------------------------------------------------------
-    def _validate_benchmark(self) -> None:
+            yield from for_level_findings(self.schema, predicate.level)
         benchmark = self.benchmark
+        levels = self.group_by.levels
         if isinstance(benchmark, SiblingBenchmark):
-            if benchmark.level not in self.group_by:
-                raise ValidationError(
-                    f"sibling level {benchmark.level!r} must belong to the "
-                    f"group-by set {list(self.group_by.levels)}"
-                )
-            predicate = self.slice_predicate(benchmark.level)
-            members = predicate.member_set()
-            if members is None or len(members) != 1:
-                raise ValidationError(
-                    f"the for clause must slice level {benchmark.level!r} "
-                    f"on a single member for a sibling benchmark"
-                )
-            if benchmark.sibling in members:
-                raise ValidationError(
-                    f"sibling member {benchmark.sibling!r} equals the target slice member"
-                )
+            yield from sibling_findings(
+                levels, slices(self.predicates), benchmark.level, benchmark.sibling
+            )
         elif isinstance(benchmark, PastBenchmark):
-            temporal = self.schema.temporal_hierarchy()
-            if temporal is None:
-                raise ValidationError(
-                    "past benchmark requires a temporal hierarchy "
-                    "(named or containing a level 'date'/'time')"
-                )
-            level = self._temporal_level_in_group_by(temporal)
-            predicate = self.slice_predicate(level)
-            members = predicate.member_set()
-            if members is None or len(members) != 1:
-                raise ValidationError(
-                    f"the for clause must slice temporal level {level!r} "
-                    f"on a single member for a past benchmark"
-                )
+            yield from past_findings(self.schema, levels, slices(self.predicates))
         elif isinstance(benchmark, AncestorBenchmark):
-            if benchmark.level not in self.group_by:
-                raise ValidationError(
-                    f"ancestor benchmark level {benchmark.level!r} must belong "
-                    f"to the group-by set"
-                )
-            hierarchy = self.schema.hierarchy_of_level(benchmark.level)
-            if not hierarchy.has_level(benchmark.ancestor_level):
-                raise ValidationError(
-                    f"ancestor level {benchmark.ancestor_level!r} is not in "
-                    f"hierarchy {hierarchy.name!r}"
-                )
-            if not hierarchy.rolls_up_to(benchmark.level, benchmark.ancestor_level):
-                raise ValidationError(
-                    f"{benchmark.level!r} does not roll up to "
-                    f"{benchmark.ancestor_level!r}"
-                )
-
-    def _temporal_level_in_group_by(self, temporal) -> str:
-        for level_name in self.group_by.levels:
-            if temporal.has_level(level_name):
-                return level_name
-        raise ValidationError(
-            "past benchmark requires a temporal level in the group-by set"
-        )
+            yield from ancestor_findings(
+                self.schema, levels, benchmark.level, benchmark.ancestor_level
+            )
 
     @property
-    def temporal_level(self) -> str:
-        """The temporal level used by a past benchmark."""
-        temporal = self.schema.temporal_hierarchy()
-        if temporal is None:
-            raise ValidationError("schema has no temporal hierarchy")
-        return self._temporal_level_in_group_by(temporal)
+    def temporal_level(self) -> Optional[str]:
+        """The grouped temporal level (the one a past benchmark slides)."""
+        return temporal_level(self.schema, self.group_by.levels)
 
     # ------------------------------------------------------------------
     def render(self) -> str:

@@ -64,7 +64,7 @@ def trace_diagnostics(session, statements: Sequence[object]) -> DiagnosticBag:
     """Pre-flight check for tracing: every cube must be registered.
 
     Statement *texts* are raw-parsed (no schema needed) so the check can
-    run before semantic binding would abort; already-bound
+    run before the statement checker would reject them; already-bound
     ``AssessStatement`` objects are checked by their ``source``.  Reports
     ``ASSESS401`` per offending statement.
     """

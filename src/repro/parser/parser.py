@@ -32,22 +32,21 @@ Parsing runs in two stages (see :mod:`repro.parser.raw`):
 * :func:`parse_raw` — purely syntactic; produces a span-carrying
   :class:`~repro.parser.raw.RawStatement` and raises only
   :class:`~repro.core.errors.ParseError`;
-* :func:`bind_statement` — resolves the ``with`` cube against a schema
-  mapping and builds the fully validated
-  :class:`~repro.core.statement.AssessStatement`, raising on the first
-  semantic defect with the offending clause's source position attached.
+* :func:`bind_statement` — name resolution only: turns a raw statement
+  the static analyzer found free of errors into the
+  :class:`~repro.core.statement.AssessStatement` over a resolved schema.
 
-:func:`parse_statement` composes the two (the classic single-error
-contract); with ``collect_diagnostics=True`` it instead runs the static
-analyzer over the raw form and returns *every* defect at once.
+Between the two the statement passes of :mod:`repro.analysis` check every
+rule; :func:`repro.analysis.analyze_text` runs all three stages.
+:func:`parse_statement` is that call raising its first error.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Mapping, Optional, Tuple, Union
 
 from ..core.diagnostics import Span
-from ..core.errors import ParseError, ReproError
+from ..core.errors import ParseError, ValidationError
 from ..core.expression import BinaryOp, Expression, FunctionCall, Literal, MeasureRef
 from ..core.groupby import GroupBySet
 from ..core.labels import (
@@ -58,6 +57,7 @@ from ..core.labels import (
     RangeLabeling,
 )
 from ..core.query import Predicate
+from ..core.rules import ancestor_slice_level
 from ..core.schema import CubeSchema
 from ..core.statement import (
     AncestorBenchmark,
@@ -70,6 +70,9 @@ from ..core.statement import (
 )
 from .raw import RawBenchmark, RawLabelRule, RawLabels, RawPredicate, RawStatement
 from .tokenizer import Token, TokenType, tokenize
+
+if TYPE_CHECKING:
+    from ..analysis.context import AnalysisContext
 
 SchemaResolver = Union[Mapping[str, CubeSchema], Callable[[str], CubeSchema]]
 
@@ -86,52 +89,37 @@ STAR, SLASH = TokenType.STAR, TokenType.SLASH
 
 
 def parse_statement(
-    text: str,
-    schemas: SchemaResolver,
-    collect_diagnostics: bool = False,
-):
-    """Parse statement text into a validated :class:`AssessStatement`.
+    text: str, schemas: Union[SchemaResolver, "AnalysisContext"]
+) -> Optional[AssessStatement]:
+    """Parse, check and bind statement text into an :class:`AssessStatement`.
 
-    ``schemas`` maps cube names to their schemas (a dict, or any callable
-    returning a schema for a name — e.g. ``lambda n: engine.cube(n).schema``).
+    Runs :func:`repro.analysis.analyze_text` and raises its first error
+    diagnostic, positioned at the diagnostic's span: a
+    :class:`~repro.core.errors.ParseError` for a syntax error (ASSESS001)
+    or an unknown cube (ASSESS101), a
+    :class:`~repro.core.errors.ValidationError` for any other rule.
 
-    With ``collect_diagnostics=True`` the call never raises on statement
-    defects: it returns ``(statement_or_None, DiagnosticBag)`` where the bag
-    holds *every* finding of the static analyzer (not just the first), and
-    the statement is ``None`` whenever an error-severity diagnostic exists.
+    ``schemas`` is an :class:`~repro.analysis.AnalysisContext`, or maps cube
+    names to their schemas (a dict, or any callable returning a schema for
+    a name — e.g. ``lambda n: engine.cube(n).schema``), resolved with the
+    library's function registry.  Only a non-strict context that cannot
+    resolve the cube makes the call return ``None``.
     """
-    if not collect_diagnostics:
-        return bind_statement(parse_raw(text), schemas)
+    from ..analysis.context import AnalysisContext
+    from ..analysis.statement_passes import analyze_text
 
-    from ..analysis import analyze_raw_statement
-    from ..core.diagnostics import Diagnostic, DiagnosticBag, Severity
+    if not isinstance(schemas, AnalysisContext):
+        schemas = AnalysisContext(schemas=schemas)
+    statement, bag = analyze_text(text, schemas)
+    for diagnostic in bag.errors():
+        error = ParseError if diagnostic.code in _PARSE_CODES else ValidationError
+        start = diagnostic.span.start if diagnostic.span is not None else -1
+        raise error(diagnostic.message, position=start, text=text)
+    return statement
 
-    try:
-        raw = parse_raw(text)
-    except ParseError as error:
-        span = (
-            Span.from_text(text, error.position)
-            if error.position >= 0
-            else None
-        )
-        bag = DiagnosticBag(
-            [Diagnostic("ASSESS001", Severity.ERROR, error.args[0], span, source="parse")]
-        )
-        return None, bag
 
-    bag = analyze_raw_statement(raw, schemas)
-    if bag.has_errors:
-        return None, bag
-    try:
-        return bind_statement(raw, schemas), bag
-    except ReproError as error:
-        span = (
-            Span.from_text(text, error.position)
-            if error.position >= 0
-            else None
-        )
-        bag.report("ASSESS002", Severity.ERROR, error.args[0], span, source="bind")
-        return None, bag
+_PARSE_CODES = frozenset({"ASSESS001", "ASSESS101"})
+"""Diagnostics :func:`parse_statement` raises as a ``ParseError``."""
 
 
 def parse_raw(text: str) -> RawStatement:
@@ -484,72 +472,27 @@ class _Parser:
 
 
 # ----------------------------------------------------------------------
-# Binding stage: RawStatement -> validated AssessStatement
+# Binding stage: RawStatement -> AssessStatement (name resolution only)
 # ----------------------------------------------------------------------
-def resolve_schema(
-    schemas: SchemaResolver, cube_name: str
-) -> CubeSchema:
-    """Resolve a cube name; raises ``KeyError`` for unknown mapping keys."""
-    if callable(schemas):
-        return schemas(cube_name)
-    return schemas[cube_name]
+def bind_statement(raw: RawStatement, schema: CubeSchema) -> AssessStatement:
+    """Build the statement a raw statement names, over its cube's schema.
 
-
-def bind_statement(raw: RawStatement, schemas: SchemaResolver) -> AssessStatement:
-    """Semantic stage: resolve the schema and build the validated statement.
-
-    Raises the first semantic error encountered — as the original one-shot
-    parser did — but with the offending clause's source position attached
-    (see :meth:`~repro.core.errors.ReproError.at`).
+    Binding only resolves names: the statement passes have already checked
+    every rule, so an exception here is a defect of the checker, not of
+    the statement.
     """
-    text = raw.text
-    try:
-        schema = resolve_schema(schemas, raw.source)
-    except KeyError:
-        known = ", ".join(sorted(schemas)) if not callable(schemas) else ""
-        suffix = f" (known: {known})" if known else ""
-        raise ParseError(
-            f"unknown cube {raw.source!r}{suffix}",
-            position=raw.source_span.start,
-            text=text,
-        ) from None
-    except ReproError as error:
-        raise error.at(raw.source_span.start, text)
-
-    predicates = [_bind_predicate(p) for p in raw.predicates]
-
-    try:
-        group_by = GroupBySet(schema, raw.level_names())
-    except ReproError as error:
-        raise error.at(raw.levels[0][1].start, text)
-
-    benchmark: Optional[BenchmarkSpec] = None
-    if raw.benchmark is not None:
-        try:
-            benchmark = _bind_benchmark(raw.benchmark, schema, group_by, text)
-        except ReproError as error:
-            raise error.at(raw.benchmark.span.start, text)
-
-    try:
-        labels = _bind_labels(raw.labels, text)
-    except ReproError as error:
-        raise error.at(raw.labels.span.start, text)
-
-    anchor = raw.benchmark.span.start if raw.benchmark is not None else raw.measure_span.start
-    try:
-        return AssessStatement(
-            source=raw.source,
-            schema=schema,
-            group_by=group_by,
-            measure=raw.measure,
-            predicates=tuple(predicates),
-            benchmark=benchmark,
-            using=raw.using,
-            labels=labels,
-            star=raw.star,
-        )
-    except ReproError as error:
-        raise error.at(anchor, text)
+    group_by = GroupBySet(schema, raw.level_names())
+    return AssessStatement(
+        source=raw.source,
+        schema=schema,
+        group_by=group_by,
+        measure=raw.measure,
+        predicates=tuple(_bind_predicate(p) for p in raw.predicates),
+        benchmark=_bind_benchmark(raw.benchmark, schema, group_by),
+        using=raw.using,
+        labels=_bind_labels(raw.labels),
+        star=raw.star,
+    )
 
 
 def _bind_predicate(raw: RawPredicate) -> Predicate:
@@ -562,8 +505,10 @@ def _bind_predicate(raw: RawPredicate) -> Predicate:
 
 
 def _bind_benchmark(
-    raw: RawBenchmark, schema: CubeSchema, group_by: GroupBySet, text: str
-) -> BenchmarkSpec:
+    raw: Optional[RawBenchmark], schema: CubeSchema, group_by: GroupBySet
+) -> Optional[BenchmarkSpec]:
+    if raw is None:
+        return None
     if raw.kind == "constant":
         return ConstantBenchmark(raw.value)
     if raw.kind == "past":
@@ -572,41 +517,19 @@ def _bind_benchmark(
         return ExternalBenchmark(raw.cube, raw.measure)
     if raw.kind == "sibling":
         return SiblingBenchmark(raw.level, raw.member)
-    if raw.kind == "ancestor":
-        return _resolve_ancestor(schema, group_by, raw, text)
-    raise ParseError(
-        f"unknown benchmark kind {raw.kind!r}", position=raw.span.start, text=text
-    )
+    # ancestor: the syntax names only the ancestor level; the compared
+    # level is the by clause's finer level of the same hierarchy
+    level = ancestor_slice_level(schema, group_by.levels, raw.ancestor_level)
+    return AncestorBenchmark(level, raw.ancestor_level)
 
 
-def _bind_labels(raw: Optional[RawLabels], text: str) -> Optional[LabelingSpec]:
-    if raw is None:
-        return None
+def _bind_labels(raw: RawLabels) -> LabelingSpec:
     if raw.kind == "named":
         return NamedLabeling(raw.name)
-    rules = []
-    for rule in raw.rules:
-        try:
-            interval = Interval(
-                rule.low, rule.high, rule.low_closed, rule.high_closed
-            )
-        except ReproError as error:
-            raise error.at(rule.span.start, text)
-        rules.append(LabelRule(interval, rule.label))
-    return RangeLabeling(rules)
-
-
-def _resolve_ancestor(
-    schema: CubeSchema, group_by: GroupBySet, raw: RawBenchmark, text: str
-) -> AncestorBenchmark:
-    """Recover the slice level of an ancestor benchmark from the by clause."""
-    hierarchy = schema.hierarchy_of_level(raw.ancestor_level)
-    for level_name in group_by.levels:
-        if hierarchy.has_level(level_name) and level_name != raw.ancestor_level:
-            return AncestorBenchmark(level_name, raw.ancestor_level)
-    raise ParseError(
-        f"ancestor benchmark on {raw.ancestor_level!r} requires a finer "
-        f"level of hierarchy {hierarchy.name!r} in the by clause",
-        position=raw.span.start,
-        text=text,
-    )
+    return RangeLabeling([
+        LabelRule(
+            Interval(rule.low, rule.high, rule.low_closed, rule.high_closed),
+            rule.label,
+        )
+        for rule in raw.rules
+    ])

@@ -1,20 +1,21 @@
 """The unvalidated (raw) statement AST produced by the syntactic stage.
 
-Parsing is split into two stages so that the static analyzer
-(:mod:`repro.analysis`) can inspect a statement *before* semantic
-validation aborts on the first defect:
+Parsing is split into stages so that the static analyzer
+(:mod:`repro.analysis`) can check a statement and report every defect
+before anything is built:
 
 1. the **syntactic stage** (:class:`repro.parser.parser._Parser`) turns
    text into a :class:`RawStatement` — plain names, numbers and spans, with
    no schema resolution and no constraint checking;
-2. the **binding stage** (:func:`repro.parser.parser.bind_statement`)
-   resolves the cube schema and constructs the validated
-   :class:`~repro.core.statement.AssessStatement`, raising on the first
-   semantic error (the classic ``parse_statement`` contract).
+2. the **statement passes** check every rule over the raw form;
+3. the **binding stage** (:func:`repro.parser.parser.bind_statement`)
+   only resolves names: it builds the
+   :class:`~repro.core.statement.AssessStatement` of a statement the
+   passes found free of errors.
 
 Every raw node carries the :class:`~repro.core.diagnostics.Span` of its
-source text, so analyzer diagnostics and bound semantic errors can point at
-the offending clause.
+source text, so each diagnostic — and the error ``parse_statement`` raises
+from the first one — points at the offending clause.
 """
 
 from __future__ import annotations
@@ -109,9 +110,3 @@ class RawStatement:
 
     def span_of_expr(self, node: Expression) -> Optional[Span]:
         return self.expr_spans.get(id(node))
-
-    def predicate_on(self, level: str) -> Optional[RawPredicate]:
-        for predicate in self.predicates:
-            if predicate.level == level:
-                return predicate
-        return None

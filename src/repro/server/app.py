@@ -55,7 +55,6 @@ from .tenant import AdmissionRejected, Tenant
 from .wire import (
     SCHEMA_VERSION,
     serialize_batch,
-    serialize_diagnostics,
     serialize_result,
 )
 
@@ -111,7 +110,7 @@ class LintFailure(RequestError):
     """A statement the static analyzer rejected (ASSESSxxx errors)."""
 
     def __init__(self, bag, statement_index: Optional[int] = None):
-        diagnostics = serialize_diagnostics(bag)
+        diagnostics = [d.to_json() for d in bag.sorted()]
         codes = sorted({
             d["code"] for d in diagnostics if str(d["severity"]) == "error"
         })

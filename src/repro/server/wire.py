@@ -154,11 +154,7 @@ RESPONSES = {
                 "diagnostics": {
                     "type": list,
                     "min_len": 1,
-                    "items": {"required": {
-                        key: spec
-                        for key, spec in DIAGNOSTIC_JSON["required"].items()
-                        if key != "source"
-                    }},
+                    "items": DIAGNOSTIC_JSON,
                 },
                 "retry_after_s": NON_NEGATIVE,
             },
@@ -257,23 +253,3 @@ def serialize_batch(batch) -> Dict[str, object]:
             key: value for key, value in batch.report.to_dict().items()
         },
     }
-
-
-def serialize_diagnostics(bag) -> List[Dict[str, object]]:
-    """A diagnostic bag in the lint JSON layout (ASSESSxxx codes first-class)."""
-    documents: List[Dict[str, object]] = []
-    for diagnostic in bag.sorted():
-        span = diagnostic.span
-        documents.append({
-            "code": diagnostic.code,
-            "severity": str(diagnostic.severity),
-            "message": diagnostic.message,
-            "span": None if span is None else {
-                "start": span.start,
-                "end": span.end,
-                "line": span.line,
-                "column": span.column,
-            },
-            "hint": diagnostic.hint,
-        })
-    return documents

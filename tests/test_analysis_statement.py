@@ -8,6 +8,7 @@ import pytest
 
 from repro.analysis import AnalysisContext, analyze_text
 from repro.core.diagnostics import Severity
+from repro.core.errors import ValidationError
 from repro.parser.parser import parse_statement
 
 
@@ -73,7 +74,7 @@ def test_clean_statement_has_no_diagnostics(text, ctx):
 
 
 # ----------------------------------------------------------------------
-# ASSESS001 / ASSESS002 — parse and bind residuals
+# ASSESS001 — syntax; binding after a clean check
 # ----------------------------------------------------------------------
 def test_syntax_error_is_assess001(ctx):
     statement, bag = analyze_text("with with with", ctx)
@@ -82,22 +83,17 @@ def test_syntax_error_is_assess001(ctx):
     assert bag.has_errors
 
 
-def test_bind_residual_is_assess002(monkeypatch, schema_only_ctx):
-    # The passes subsume every binder check, so ASSESS002 is the safety net
-    # for binder failures the passes missed; drive it with a stubbed binder.
+def test_bind_failure_after_clean_check_propagates(monkeypatch, schema_only_ctx):
+    # Binding only resolves names; a failure after a clean check is a
+    # checker defect, so it propagates instead of becoming a diagnostic.
     import repro.analysis.statement_passes as statement_passes
-    from repro.core.errors import ValidationError
 
-    def failing_binder(raw, schemas):
-        raise ValidationError("synthetic residual").at(5, raw.text)
+    def failing_binder(raw, schema):
+        raise RuntimeError("binder defect")
 
     monkeypatch.setattr(statement_passes, "bind_statement", failing_binder)
-    statement, bag = analyze_text(CLEAN_ZERO, schema_only_ctx)
-    assert statement is None
-    assert bag.codes() == ("ASSESS002",)
-    d = bag.errors()[0]
-    assert "synthetic residual" in d.message
-    assert d.span is not None and d.span.start == 5
+    with pytest.raises(RuntimeError, match="binder defect"):
+        analyze_text(CLEAN_ZERO, schema_only_ctx)
 
 
 # ----------------------------------------------------------------------
@@ -427,6 +423,19 @@ def test_unknown_reference_without_engine_is_warning(schema_only_ctx):
     assert d.severity is Severity.WARNING
 
 
+def test_benchmark_reference_without_engine_is_warning(schema_only_ctx):
+    # without an engine a non-measure may still be a level property, as
+    # for an unqualified reference
+    text = (
+        "with SALES for country = 'Italy' by product, country "
+        "assess quantity against country = 'France' "
+        "using ratio(quantity, benchmark.population) " + COMPLETE_LABELS
+    )
+    d = diags(text, schema_only_ctx, "ASSESS124")[0]
+    assert d.severity is Severity.WARNING
+    assert spanned_text(text, d) == "benchmark.population"
+
+
 def test_unused_benchmark_warns(ctx):
     text = (
         "with SALES for country = 'Italy' by product, country "
@@ -551,18 +560,18 @@ def test_all_defects_reported_in_one_run(ctx):
         assert code in bag.codes(), f"missing {code} in {bag.codes()}"
 
 
-def test_parse_statement_collect_diagnostics(sales):
+def test_parse_statement_raises_first_diagnostic(sales):
     resolver = {"SALES": sales.cube("SALES").schema}
-    statement, bag = parse_statement(CLEAN_ZERO, resolver, collect_diagnostics=True)
-    assert statement is not None and bag.codes() == ()
+    assert parse_statement(CLEAN_ZERO, resolver) is not None
 
-    statement, bag = parse_statement(
-        "with SALES by mnth assess bogus labels quartiles",
-        resolver,
-        collect_diagnostics=True,
-    )
-    assert statement is None
+    text = "with SALES by mnth assess bogus labels quartiles"
+    _, bag = analyze_text(text, AnalysisContext(schemas=resolver))
     assert {"ASSESS102", "ASSESS104"} <= set(bag.codes())
+    with pytest.raises(ValidationError) as raised:
+        parse_statement(text, resolver)
+    first = bag.errors()[0]
+    assert raised.value.args[0] == first.message
+    assert raised.value.position == first.span.start
 
 
 def test_session_analyze(sales_session):

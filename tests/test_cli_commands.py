@@ -14,7 +14,9 @@ import re
 import pytest
 
 from repro.cli import main
+from repro.contract import violations
 from repro.experiments.statements import INTENTIONS, statement_text
+from repro.obs.analyze import TRACE_REPORT
 from repro.obs.export import validate_trace
 
 ROWS = "3000"
@@ -45,6 +47,13 @@ class TestTrace:
         document = json.loads(path.read_text())
         validate_trace(document["trace"])
         assert len(document["statements"]) == 3
+
+    def test_json_to_stdout_is_the_document_alone(self, capsys):
+        argv = ["trace", "--cube", "sales", "--rows", ROWS, "--json", "-"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert violations(json.loads(captured.out), TRACE_REPORT) == []
+        assert "[statement 1] Plan NP  (estimated cost" in captured.err
 
 
 # ----------------------------------------------------------------------

@@ -135,7 +135,7 @@ ERROR_DOC = {
             "code": "ASSESS101", "severity": "error",
             "message": "unknown cube",
             "span": {"start": 5, "end": 9, "line": 1, "column": 6},
-            "hint": None,
+            "hint": None, "source": "statement",
         }],
     },
 }
@@ -355,6 +355,8 @@ MUTANTS = [
     ("int diagnostic message", "error", {EDIAG + ("message",): 5}),
     ("span missing line", "error", {EDIAG + ("span", "line"): DELETE}),
     ("string span start", "error", {EDIAG + ("span", "start"): "5"}),
+    ("missing diagnostic source", "error", {EDIAG + ("source",): DELETE}),
+    ("null diagnostic source", "error", {EDIAG + ("source",): None}),
 ]
 
 

@@ -16,7 +16,7 @@ from repro.algebra import (
     STEP_TRANSFORM,
     build_plan,
 )
-from repro.core import FunctionError
+from repro.core import FunctionError, ValidationError
 
 
 SIBLING = """
@@ -126,7 +126,8 @@ class TestLabelingDispatch:
         assert set(result.label_counts()) == {"Q1", "Q2", "Q3", "Q4"}
 
     def test_non_labeling_function_rejected(self, sales_session):
-        with pytest.raises(FunctionError):
+        # rejected at parse time (ASSESS134), before anything executes
+        with pytest.raises(ValidationError, match="needs a labeling function"):
             sales_session.assess(
                 "with SALES by month assess storeSales labels minMaxNorm"
             )

@@ -2,10 +2,11 @@
 
 A token-mutation fuzzer over the ``examples/*.assess`` corpus (plus the
 bundled experiment statements): every mutated text is fed to
-``parse_statement(..., collect_diagnostics=True)``, which must either
-return a statement or a :class:`DiagnosticBag` whose error entries all
-carry an ``ASSESSxxx`` code and a span inside the source text — and must
-**never** raise an unstructured exception.
+``analyze_text``, which must either return a statement or a
+:class:`DiagnosticBag` whose error entries all carry an ``ASSESSxxx`` code
+and a span inside the source text — and must **never** raise — and to
+``parse_statement``, which must raise nothing but the first of those
+errors as a positioned :class:`~repro.core.errors.ReproError`.
 
 The original fuzz campaign (seed 20260806, 6000 mutants) surfaced one
 defect, pinned below: unexpected-EOF parse errors produced a diagnostic
@@ -23,7 +24,8 @@ import re
 import numpy as np
 import pytest
 
-from repro.analysis import extract_statements
+from repro.analysis import AnalysisContext, analyze_text, extract_statements
+from repro.core.errors import ReproError
 from repro.datagen import sales_engine
 from repro.experiments.statements import STATEMENTS, prepare_engine
 from repro.parser.parser import parse_statement
@@ -87,7 +89,17 @@ def _mutate(rng, text: str) -> str:
 def _assert_structured(text: str, resolver) -> None:
     """The fuzzing invariant for one input text."""
     try:
-        statement, bag = parse_statement(text, resolver, collect_diagnostics=True)
+        statement, bag = analyze_text(text, AnalysisContext(schemas=resolver))
+    except Exception as error:  # noqa: BLE001 - the invariant under test
+        pytest.fail(
+            f"analyze_text raised {type(error).__name__}: {error!r} "
+            f"on input {text!r}"
+        )
+    try:
+        parse_statement(text, resolver)
+    except ReproError as error:
+        first = bag.errors()[0]
+        assert (error.args[0], error.position) == (first.message, first.span.start)
     except Exception as error:  # noqa: BLE001 - the invariant under test
         pytest.fail(
             f"parse_statement raised {type(error).__name__}: {error!r} "
@@ -134,7 +146,7 @@ EOF_SPAN_CRASHERS = (
 @pytest.mark.parametrize("text", EOF_SPAN_CRASHERS)
 def test_pinned_eof_span_regressions(resolver, text):
     _assert_structured(text, resolver)
-    _, bag = parse_statement(text, resolver, collect_diagnostics=True)
+    _, bag = analyze_text(text, AnalysisContext(schemas=resolver))
     assert any(d.span.end <= len(text) for d in bag.errors())
 
 
