@@ -3,9 +3,11 @@
 The executor walks the plan tree bottom-up.  *Pushed* nodes (gets, and the
 pushed joins/pivots of JOP/POP) are delegated to the multidimensional engine
 as single queries; everything else runs in memory on cube objects — exactly
-the split Section 5.2 prescribes.  Every node's own runtime (excluding its
-children) is accumulated into its Figure 4 step bucket, enabling the
-breakdown experiment.
+the split Section 5.2 prescribes.  A join or pivot is the same cube
+operator on either side of that boundary (:meth:`Cube.join`,
+:meth:`Cube.pivot`): the engine applies it to its gets.  Every node's own
+runtime (excluding its children) is accumulated into its Figure 4 step
+bucket, enabling the breakdown experiment.
 """
 
 from __future__ import annotations
@@ -121,7 +123,12 @@ class PlanExecutor:
             left = self._run(node.left, timings)
             right = self._run(node.right, timings)
             return self._timed(
-                node, timings, lambda: self._memory_join(node, left, right)
+                node,
+                timings,
+                lambda: left.join(
+                    right, node.join_levels, alias=node.alias,
+                    outer=node.outer, multi=node.multi,
+                ),
             )
         if isinstance(node, PivotNode):
             child = self._run(node.child, timings)
@@ -169,18 +176,13 @@ class PlanExecutor:
     def _run_pushed_join(self, node: JoinNode, timings: Dict[str, float]) -> Cube:
         if not (isinstance(node.left, GetNode) and isinstance(node.right, GetNode)):
             raise ExecutionError("a pushed join requires two get children")
-        join_levels = (
-            node.join_levels
-            if node.join_levels is not None
-            else node.left.query.group_by.levels
-        )
         return self._timed(
             node,
             timings,
             lambda: self.engine.drill_across(
                 node.left.query,
                 node.right.query,
-                join_levels,
+                node.join_levels,
                 alias=node.alias,
                 outer=node.outer,
                 multi=node.multi,
@@ -200,16 +202,6 @@ class PlanExecutor:
                 node.member_renames,
                 require_all=node.require_all,
             ),
-        )
-
-    # ------------------------------------------------------------------
-    # In-memory operators
-    # ------------------------------------------------------------------
-    def _memory_join(self, node: JoinNode, left: Cube, right: Cube) -> Cube:
-        if node.join_levels is None:
-            return left.natural_join(right, alias=node.alias, outer=node.outer)
-        return left.partial_join(
-            right, node.join_levels, alias=node.alias, outer=node.outer
         )
 
     def _predict(self, node: PredictNode, cube: Cube) -> Cube:

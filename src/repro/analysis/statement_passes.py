@@ -25,7 +25,7 @@ from typing import Iterable, List, Optional, Set, Tuple
 from ..core.diagnostics import Diagnostic, DiagnosticBag, Severity, Span
 from ..core.errors import ParseError, SchemaError, ValidationError
 from ..core.expression import BinaryOp, Expression, FunctionCall, Literal, MeasureRef
-from ..core.labels import Interval, LabelRule, find_gaps, find_overlaps
+from ..core.labels import Interval, LabelRule
 from ..core.rules import (
     Finding,
     ancestor_findings,
@@ -33,6 +33,8 @@ from ..core.rules import (
     by_level_findings,
     external_findings,
     for_level_findings,
+    label_gap_findings,
+    label_overlap_findings,
     past_findings,
     past_window_findings,
     property_findings,
@@ -472,26 +474,14 @@ def _labels_pass(
     if not valid_rules:
         return
     # Report every overlapping pair (ASSESS131) and every gap (ASSESS130).
-    for earlier, later in find_overlaps(valid_rules):
+    for later, (code, message) in label_overlap_findings(valid_rules):
         bag.report(
-            "ASSESS131",
-            Severity.ERROR,
-            f"label ranges {earlier.interval.render()} and "
-            f"{later.interval.render()} overlap",
+            code, Severity.ERROR, message,
             span_by_rule.get(id(later), labels.span),
             source=SOURCE,
         )
-    gaps = find_gaps(valid_rules)
-    if gaps:
-        bag.report(
-            "ASSESS130",
-            Severity.WARNING,
-            "label ranges leave gaps: "
-            + ", ".join(gap.render() for gap in gaps)
-            + "; values there receive the null label",
-            labels.span,
-            source=SOURCE,
-        )
+    for code, message in label_gap_findings(valid_rules):
+        bag.report(code, Severity.WARNING, message, labels.span, source=SOURCE)
 
 
 def _named_labels_pass(

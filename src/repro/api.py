@@ -399,14 +399,9 @@ class AssessSession:
         consumed_gets = set()
         for node in plan.nodes():
             if isinstance(node, JoinNode) and node.pushed:
-                join_levels = (
-                    node.join_levels
-                    if node.join_levels is not None
-                    else node.left.query.group_by.levels
-                )
                 statements.append(
                     self.engine.sql_for_drill_across(
-                        node.left.query, node.right.query, join_levels,
+                        node.left.query, node.right.query, node.join_levels,
                         alias=node.alias, outer=node.outer,
                     )
                 )

@@ -4,8 +4,8 @@ During :meth:`AssessSession.execute_many` the engine's executor is
 temporarily replaced by a :class:`BatchEngineExecutor`.  It extends the
 caching executor with two batch-scoped mechanisms:
 
-* a **memo** keyed by canonical fingerprint, so any pushed query shape
-  (aggregate, drill-across, pivot) that several plans share executes
+* a **memo** keyed by canonical fingerprint, so any pushed get or
+  composite (drill-across, pivot) that several plans share executes
   exactly once and feeds every consuming plan — common-subexpression
   elimination across the merged plan DAG;
 * the **fusion groups** planned by :mod:`repro.batch.fuse`: the first
@@ -22,16 +22,14 @@ the same exactness gates cold execution would satisfy.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
-
-from typing import Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cache.executor import CachingEngineExecutor
 from ..cache.fingerprint import CacheableQuery, Fingerprint, fingerprint_query
 from ..cache.store import SemanticResultCache
 from ..engine.catalog import Catalog
 from ..engine.executor import ResultSet
-from ..engine.query import AggregateQuery, DrillAcrossQuery, PivotQuery
+from ..engine.query import AggregateQuery
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import active as _active_tracer
 from .fuse import FusionGroup
@@ -123,11 +121,19 @@ class BatchEngineExecutor(CachingEngineExecutor):
         self._memo[fingerprint] = (query, result)
         return result
 
-    def execute_drill_across(self, query: DrillAcrossQuery) -> ResultSet:
-        return self._composite(query, super().execute_drill_across)
-
-    def execute_pivot(self, query: PivotQuery) -> ResultSet:
-        return self._composite(query, super().execute_pivot)
+    def execute_composite(
+        self, query: CacheableQuery, run: Callable[[], ResultSet]
+    ) -> ResultSet:
+        fingerprint = fingerprint_query(query)
+        served = self._from_memo(fingerprint, query)
+        if served is not None:
+            self._count_cse_hit()
+            return served
+        # A cold composite runs its gets through execute_aggregate, so
+        # they still share.
+        result = super().execute_composite(query, run)
+        self._memo[fingerprint] = (query, result)
+        return result
 
     # ------------------------------------------------------------------
     def _count_cse_hit(self) -> None:
@@ -136,18 +142,6 @@ class BatchEngineExecutor(CachingEngineExecutor):
         tracer = _active_tracer()
         if tracer.enabled:
             tracer.event("batch.cse-hit")
-
-    def _composite(self, query: CacheableQuery, execute) -> ResultSet:
-        fingerprint = fingerprint_query(query)
-        served = self._from_memo(fingerprint, query)
-        if served is not None:
-            self._count_cse_hit()
-            return served
-        # A cold composite routes its aggregate sides back through
-        # execute_aggregate (method dispatch), so the sides still share.
-        result = execute(query)
-        self._memo[fingerprint] = (query, result)
-        return result
 
     def _from_memo(self, fingerprint: Fingerprint, query: CacheableQuery):
         entry = self._memo.get(fingerprint)

@@ -1,34 +1,37 @@
 """The caching engine executor: the cache's seat in the execution path.
 
 :class:`CachingEngineExecutor` subclasses the vectorised
-:class:`~repro.engine.executor.EngineExecutor` and intercepts every
-pushed query shape:
+:class:`~repro.engine.executor.EngineExecutor` and intercepts the two
+kinds of pushed work:
 
 * ``execute_aggregate`` — the choke point all *gets* flow through,
-  including the two inner aggregates of a drill-across, the base
-  aggregate of a pivot, and view construction in ``materialize()``.
-  Aggregate results participate in both exact and derivation reuse.
-* ``execute_drill_across`` / ``execute_pivot`` — the composite JOP/POP
-  queries.  Their results are memoized for exact reuse, because on
-  repeated statements the join/pivot post-processing dominates once the
-  aggregate sides are warm.  A cold composite still routes its sides
-  through ``execute_aggregate`` (method dispatch lands back here), so
-  the sides are individually cached and derivable either way.
+  including the gets of a pushed drill-across or pivot and view
+  construction in ``materialize()``.  Aggregate results participate in
+  both exact and derivation reuse.
+* ``execute_composite`` — a pushed JOP drill-across or POP pivot, keyed
+  by its :class:`~repro.engine.query.DrillAcrossQuery` or
+  :class:`~repro.engine.query.PivotQuery`, which the multidimensional
+  engine computes as the cube operator over its gets.  The result is
+  memoized for exact reuse, because on repeated statements the
+  join/pivot post-processing dominates once the gets are warm.  A cold
+  composite still runs its gets through ``execute_aggregate``, so they
+  are individually cached and derivable either way.
 
 The executor stays a drop-in replacement: with the cache disabled
-(``cache.enabled = False``) every call falls straight through to the
-superclass, which the experiment runner uses to keep the paper's cold
-timings honest.
+(``cache.enabled = False``) every call falls straight through, which the
+experiment runner uses to keep the paper's cold timings honest.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from ..engine.catalog import Catalog
 from ..engine.executor import EngineExecutor, ResultSet
-from ..engine.query import AggregateQuery, DrillAcrossQuery, PivotQuery
+from ..engine.query import AggregateQuery
 from ..obs.metrics import MetricsRegistry
+from .fingerprint import CacheableQuery
 from .store import SemanticResultCache
 
 
@@ -46,31 +49,22 @@ class CachingEngineExecutor(EngineExecutor):
         self.cache = cache
 
     def execute_aggregate(self, query: AggregateQuery) -> ResultSet:
-        if not self.cache.enabled:
-            return super().execute_aggregate(query)
-        cached = self.cache.fetch(query)
-        if cached is not None:
-            return cached
-        result = super().execute_aggregate(query)
-        self.cache.store(query, result)
-        return result
+        return self._cached(query, partial(super().execute_aggregate, query))
 
-    def execute_drill_across(self, query: DrillAcrossQuery) -> ResultSet:
-        if not self.cache.enabled:
-            return super().execute_drill_across(query)
-        cached = self.cache.fetch(query)
-        if cached is not None:
-            return cached
-        result = super().execute_drill_across(query)
-        self.cache.store(query, result)
-        return result
+    def execute_composite(
+        self, query: CacheableQuery, run: Callable[[], ResultSet]
+    ) -> ResultSet:
+        """The drill-across or pivot ``query``, which ``run`` computes."""
+        return self._cached(query, run)
 
-    def execute_pivot(self, query: PivotQuery) -> ResultSet:
+    def _cached(
+        self, query: CacheableQuery, run: Callable[[], ResultSet]
+    ) -> ResultSet:
         if not self.cache.enabled:
-            return super().execute_pivot(query)
+            return run()
         cached = self.cache.fetch(query)
         if cached is not None:
             return cached
-        result = super().execute_pivot(query)
+        result = run()
         self.cache.store(query, result)
         return result

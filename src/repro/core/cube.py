@@ -12,10 +12,12 @@ paper's use of Pandas DataFrames for in-memory post-processing.
 Each cube keeps, per level, the ``(codes, dictionary)`` pair its engine
 result grouped by (``dictionary[codes]`` is the column, the dictionary is
 sorted) and encodes a level on demand when it has none.  The logical
-operators run on those codes, through the same kernels
-(:mod:`repro.engine.kernels`) as the engine's pushed drill-across and
-pivot:
+operators run on those codes (kernels in :mod:`repro.engine.kernels`),
+wherever the plan places them: a pushed drill-across or pivot is the same
+operator applied to the engine's gets.
 
+* :meth:`Cube.join` — a plan's join node, pushed or in memory: the fan-in
+  partial join when it is ``multi``, else a join on unique matches;
 * :meth:`Cube.natural_join` — drill-across ``C1 ⋈ C2`` on full coordinates;
 * :meth:`Cube.partial_join` — ``C1 ⋈_{l1..lm} C2`` which matches on a subset
   of levels and appends the measures of *all* matching benchmark cells;
@@ -317,6 +319,34 @@ class Cube:
     # ------------------------------------------------------------------
     # Join and pivot (Section 4.2)
     # ------------------------------------------------------------------
+    def join(
+        self,
+        other: "Cube",
+        join_levels: Optional[Sequence[str]] = None,
+        alias: str = BENCHMARK_ALIAS,
+        outer: bool = False,
+        multi: bool = False,
+    ) -> "Cube":
+        """A plan's join node ``self ⋈ other``, pushed or in memory alike.
+
+        A fan-in join (``multi``) is :meth:`partial_join`.  Any other
+        matches each cell with the one cell of ``other`` that agrees on
+        ``join_levels`` (:meth:`join_on_codes`), or on every level when
+        they are ``None`` (:meth:`natural_join`).
+        """
+        if multi:
+            levels = self.group_by.levels if join_levels is None else join_levels
+            return self.partial_join(other, levels, alias=alias, outer=outer)
+        if join_levels is None:
+            return self.natural_join(other, alias=alias, outer=outer)
+        return self.join_on_codes(
+            other,
+            [self.encoded(level) for level in join_levels],
+            [other.encoded(level) for level in join_levels],
+            alias=alias,
+            outer=outer,
+        )
+
     def natural_join(
         self,
         other: "Cube",
@@ -351,7 +381,7 @@ class Cube:
         """The drill-across on given ``(codes, dictionary)`` key columns,
         which must be unique on ``other``'s side.
 
-        :meth:`natural_join` passes every level of both cubes; the ancestor
+        :meth:`join` passes the join levels of both cubes; the ancestor
         join passes the left cube's levels with one rolled up.
         """
         from ..engine.kernels import join_unique

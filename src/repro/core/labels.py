@@ -3,8 +3,9 @@
 A range-based labeling function maps real comparison values to labels via a
 set of intervals.  The paper requires the set of ranges to be *complete* and
 *non-overlapping* — every comparison value must receive exactly one label.
-:func:`validate_ranges` enforces exactly that, and is exercised both at
-parse time and by property-based tests.
+:func:`validate_ranges` rejects an overlapping set; a gap, whose values
+receive the null label, is reported (ASSESS130) but allowed.  Both rules
+are written once, in :mod:`repro.core.rules`.
 """
 
 from __future__ import annotations
@@ -195,38 +196,21 @@ def find_gaps(
     return gaps
 
 
-def validate_ranges(
-    rules: Sequence[LabelRule],
-    domain_low: float = NEG_INF,
-    domain_high: float = POS_INF,
-    require_complete: bool = False,
-) -> None:
-    """Check that a rule set is non-overlapping (and optionally complete).
+def validate_ranges(rules: Sequence[LabelRule]) -> None:
+    """Check that a rule set is non-empty and non-overlapping.
 
     The paper puts the user "in charge of ensuring that the set of ranges is
-    complete and non-overlapping"; we verify non-overlap always (an
-    overlapping set has no well-defined semantics) and completeness over
-    ``[domain_low, domain_high]`` on request (values falling in gaps
-    otherwise receive the null label).  Error messages enumerate *every*
-    overlapping pair and *every* uncovered gap, not just the first.
+    complete and non-overlapping".  An overlapping set has no well-defined
+    semantics, so its first overlapping pair raises — the ASSESS131 rule of
+    :func:`repro.core.rules.label_overlap_findings`, which the statement
+    passes report pair by pair.  A gap is no error (values there receive
+    the null label); :func:`find_gaps` enumerates them.
     """
+    from .rules import label_overlap_findings, raise_first
+
     if not rules:
         raise ValidationError("labeling function needs at least one range")
-    overlaps = find_overlaps(rules)
-    if overlaps:
-        rendered = "; ".join(
-            f"{p.interval.render()} and {c.interval.render()}" for p, c in overlaps
-        )
-        raise ValidationError(f"overlapping label ranges: {rendered}")
-    if require_complete:
-        gaps = find_gaps(rules, domain_low, domain_high)
-        if gaps:
-            rendered = ", ".join(gap.render() for gap in gaps)
-            raise ValidationError(
-                f"incomplete label ranges over "
-                f"[{_render_bound(domain_low)}, {_render_bound(domain_high)}]; "
-                f"uncovered: {rendered}"
-            )
+    raise_first(finding for _, finding in label_overlap_findings(rules))
 
 
 class LabelingSpec:

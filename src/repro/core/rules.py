@@ -9,8 +9,9 @@ findings.  Three kinds of caller apply the same functions:
   clause's source span and report every finding;
 * the constructors of :class:`~repro.core.statement.AssessStatement`,
   :class:`~repro.core.groupby.GroupBySet`,
-  :class:`~repro.core.query.CubeQuery` and
-  :class:`~repro.core.statement.PastBenchmark`, which raise the first
+  :class:`~repro.core.query.CubeQuery`,
+  :class:`~repro.core.statement.PastBenchmark` and
+  :class:`~repro.core.labels.RangeLabeling`, which raise the first
   finding (see :func:`raise_first`) — the guard for values built in code;
 * the planner, for the two rules that need an engine: an external cube's
   schema and a level property's binding.
@@ -27,6 +28,7 @@ from typing import (
 )
 
 from .errors import ReproError, ValidationError
+from .labels import LabelRule, find_gaps, find_overlaps
 
 Finding = Tuple[str, str]
 """``(code, message)``: one broken rule, named by its ``ASSESSxxx`` code."""
@@ -241,4 +243,34 @@ def property_findings(
             "ASSESS124",
             f"property {name!r} belongs to level {level!r}, which must be in "
             "the by clause to be referenced",
+        )
+
+
+# ----------------------------------------------------------------------
+# labels clause (Section 3.3.1)
+# ----------------------------------------------------------------------
+def label_overlap_findings(
+    rules: Sequence[LabelRule],
+) -> Iterator[Tuple[LabelRule, Finding]]:
+    """ASSESS131: no two label ranges overlap, or a value in both would
+    get two labels.  One finding per overlapping pair, in range order,
+    each with the later range of its pair (the one a span points at)."""
+    for earlier, later in find_overlaps(rules):
+        yield later, (
+            "ASSESS131",
+            f"label ranges {earlier.interval.render()} and "
+            f"{later.interval.render()} overlap",
+        )
+
+
+def label_gap_findings(rules: Sequence[LabelRule]) -> Iterator[Finding]:
+    """ASSESS130: the label ranges cover the real line; a value in a gap
+    receives the null label.  One finding listing every gap."""
+    gaps = find_gaps(rules)
+    if gaps:
+        yield (
+            "ASSESS130",
+            "label ranges leave gaps: "
+            + ", ".join(gap.render() for gap in gaps)
+            + "; values there receive the null label",
         )

@@ -1,14 +1,13 @@
-"""Vectorised execution of pushed queries (the engine's query processor).
+"""Vectorised execution of pushed gets (the engine's query processor).
 
-This is the substitute for the paper's DBMS: it evaluates the three query
-shapes of :mod:`repro.engine.query` with set-oriented NumPy kernels —
-semi-join filtering through dimension tables, factorised multi-column
-group-by, and drill-across and pivot over the dictionary codes each
-result carries (sort-based join, scatter-based pivot, both in
-:mod:`repro.engine.kernels`).  The in-memory join and pivot of the NP
-plans run the same kernels on the codes a cube keeps, so what pushing an
-operator saves is what the paper says it saves: a second materialised
-cube and a separate join, against one query.
+This is the substitute for the paper's DBMS: it evaluates the aggregate
+queries of :mod:`repro.engine.query` with set-oriented NumPy kernels —
+semi-join filtering through dimension tables and factorised multi-column
+group-by — and hands each result back with the dictionary codes it
+grouped by.  A pushed drill-across or pivot is not evaluated here: the
+multidimensional engine runs it as the cube operator over its gets
+(:meth:`repro.olap.engine.MultidimensionalEngine.drill_across`), the
+same operator the NP plans run in memory.
 """
 
 from __future__ import annotations
@@ -47,12 +46,7 @@ from .kernels import REAGGREGATION_OPS
 from .kernels import aggregate as _aggregate
 from .kernels import combine_codes as _combine_codes
 from .kernels import dictionary_encode as _dictionary_encode
-from .kernels import fan_in_columns as _fan_in_columns
-from .kernels import gather_with_nulls as _gather_with_nulls
-from .kernels import join_fan_in as _join_fan_in
-from .kernels import join_unique as _join_unique
 from .kernels import narrow_codes as _narrow_codes
-from .kernels import pivot_rows as _pivot_rows
 from .spill import (
     SpillAggregator,
     choose_partitions as _choose_partitions,
@@ -60,13 +54,7 @@ from .spill import (
     over_budget as _over_budget,
 )
 from ..settings import Settings
-from .query import (
-    AggregateQuery,
-    ColumnPredicate,
-    DrillAcrossQuery,
-    FACT,
-    PivotQuery,
-)
+from .query import AggregateQuery, ColumnPredicate, FACT
 from .table import Table
 
 _MAX_COMBINED_KEY = 2**62
@@ -80,8 +68,9 @@ class ResultSet:
 
     ``codes`` keeps, per grouping column, the ``(codes, dictionary)`` pair
     the fact pass grouped by: ``dictionary[codes]`` is the column, the
-    dictionary is sorted.  Joins and pivots read it through
-    :meth:`encoded`, which encodes on demand for a result built without.
+    dictionary is sorted.  The cube a result becomes keeps the pair, and
+    its joins and pivots read it; :meth:`encoded` encodes on demand for a
+    result built without.
     """
 
     def __init__(self, columns: "Dict[str, np.ndarray]"):
@@ -98,15 +87,6 @@ class ResultSet:
         if entry is None:
             entry = self.codes[name] = _dictionary_encode(self.column(name))
         return entry
-
-    def take(self, rows: np.ndarray) -> "ResultSet":
-        """The rows an index array or mask selects, codes carried along."""
-        taken = ResultSet({name: col[rows] for name, col in self.columns.items()})
-        taken.codes = {
-            name: (codes[rows], dictionary)
-            for name, (codes, dictionary) in self.codes.items()
-        }
-        return taken
 
     def copy(self) -> "ResultSet":
         """A shallow copy: its own column and code dicts, shared arrays."""
@@ -308,16 +288,6 @@ class EngineExecutor:
                 zones=zones, zones_pruned=zones_pruned, rows_pruned=rows_pruned
             )
             return pruner
-
-    def execute(self, query) -> ResultSet:
-        """Dispatch on the query shape."""
-        if isinstance(query, AggregateQuery):
-            return self.execute_aggregate(query)
-        if isinstance(query, DrillAcrossQuery):
-            return self.execute_drill_across(query)
-        if isinstance(query, PivotQuery):
-            return self.execute_pivot(query)
-        raise EngineError(f"cannot execute query of type {type(query).__name__}")
 
     # ------------------------------------------------------------------
     # Aggregate (get): one pipeline for every tier and batch size
@@ -800,104 +770,3 @@ class EngineExecutor:
             ops,
             merged,
         )
-
-    # ------------------------------------------------------------------
-    # Drill-across (JOP)
-    # ------------------------------------------------------------------
-    def execute_drill_across(self, query: DrillAcrossQuery) -> ResultSet:
-        """Join two aggregate results on grouping aliases.
-
-        The join-key columns of both sides are brought onto shared integer
-        codes straight from the dictionary codes each side's pass grouped
-        by, then matched by one sort of the right side's codes — the
-        vectorised analogue of the DBMS join the paper's JOP relies on.
-        """
-        self.metrics.inc("engine.drill_across")
-        tracer = _active_tracer()
-        with tracer.span("engine.join", multi=bool(query.multi)) as span:
-            with tracer.span("engine.side", side="left") as side:
-                left = self.execute_aggregate(query.left)
-                side.set(rows_out=len(left))
-            with tracer.span("engine.side", side="right") as side:
-                right = self.execute_aggregate(query.right)
-                side.set(rows_out=len(right))
-            result = self._drill_across_join(query, left, right)
-            if tracer.enabled:
-                span.set(rows_in=len(left) + len(right), rows_out=len(result))
-            return result
-
-    def _drill_across_join(
-        self, query: DrillAcrossQuery, left: ResultSet, right: ResultSet
-    ) -> ResultSet:
-        """The join itself, after both sides have been aggregated.
-
-        A fan-in (``multi``) join slots each right match by its grouping
-        values outside the join key (:func:`~repro.engine.kernels.join_fan_in`).
-        """
-        left_keys = [left.encoded(alias) for alias in query.join_on]
-        right_keys = [right.encoded(alias) for alias in query.join_on]
-        if query.multi:
-            residual = [
-                right.encoded(gb.alias)
-                for gb in query.right.group_by
-                if gb.alias not in query.join_on
-            ]
-            rows, slots = _join_fan_in(
-                left_keys, right_keys, residual, len(left), len(right), query.outer
-            )
-        else:
-            rows, matches = _join_unique(
-                left_keys, right_keys, len(left), len(right), query.outer
-            )
-            slots = matches[:, None]
-        result = left.take(rows)
-        for agg in query.right.aggregates:
-            name = query.renames.get(agg.alias, agg.alias)
-            result.columns.update(
-                _fan_in_columns(name, right.column(agg.alias), slots)
-            )
-        return result
-
-    # ------------------------------------------------------------------
-    # Pivot (POP)
-    # ------------------------------------------------------------------
-    def execute_pivot(self, query: PivotQuery) -> ResultSet:
-        """Evaluate the base aggregate once and pivot one grouping column.
-
-        The rest-key (all grouping columns but the pivoted one) is
-        factorised into dense ids; a ``(rest_groups × members)`` matrix is
-        then filled by scatter for each aggregate, and reference rows are
-        emitted with their neighbours' values as extra columns (Listing 5).
-        """
-        self.metrics.inc("engine.pivots")
-        tracer = _active_tracer()
-        with tracer.span("engine.pivot") as span:
-            with tracer.span("engine.side", side="base") as side:
-                base = self.execute_aggregate(query.base)
-                side.set(rows_out=len(base))
-            result = self._pivot_of_base(query, base)
-            if tracer.enabled:
-                span.set(rows_in=len(base), rows_out=len(result))
-            return result
-
-    def _pivot_of_base(self, query: PivotQuery, base: ResultSet) -> ResultSet:
-        """The pivot scatter itself, after the base has been aggregated."""
-        rows, member_rows = _pivot_rows(
-            [
-                base.encoded(gb.alias)
-                for gb in query.base.group_by
-                if gb.alias != query.pivot_alias
-            ],
-            base.encoded(query.pivot_alias),
-            query.reference,
-            list(query.members),
-            query.require_all,
-        )
-        # The base's group-by and aggregate columns, at the reference rows.
-        result = base.take(rows)
-        for slot, renames in enumerate(query.members.values()):
-            for agg_alias, new_name in renames.items():
-                result.columns[new_name] = _gather_with_nulls(
-                    base.column(agg_alias), member_rows[:, slot]
-                )
-        return result

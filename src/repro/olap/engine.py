@@ -14,7 +14,10 @@ executor can attribute time to "get the target cube", "get the benchmark",
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, FrozenSet, List, Mapping, Optional,
+    Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -24,7 +27,7 @@ from ..core.groupby import GroupBySet
 from ..core.query import CubeQuery
 from ..core.schema import CubeSchema
 from ..engine.catalog import Catalog
-from ..engine.executor import EngineExecutor, ResultSet
+from ..engine.executor import ResultSet
 from ..engine.kernels import REAGGREGATION_OPS, Rollup
 from ..engine.query import (
     Aggregate,
@@ -36,8 +39,12 @@ from ..engine.query import (
 )
 from ..engine.sqlgen import render_sql
 from ..engine.star import StarSchema
+from ..obs.tracer import active as _active_tracer
 from ..parallel.config import ParallelConfig
 from ..settings import Settings
+
+if TYPE_CHECKING:
+    from ..cache import CachingEngineExecutor
 
 
 class RegisteredCube:
@@ -92,7 +99,7 @@ class MultidimensionalEngine:
         self.settings = Settings.from_env()
         self.parallel: Optional[ParallelConfig] = _parallel_config(self.settings)
         self._configured = False
-        self.executor: EngineExecutor = CachingEngineExecutor(
+        self.executor: CachingEngineExecutor = CachingEngineExecutor(
             catalog, self.result_cache, metrics=self.metrics, engine=self
         )
         self._cubes: Dict[str, RegisteredCube] = {}
@@ -261,29 +268,40 @@ class MultidimensionalEngine:
         self,
         left: CubeQuery,
         right: CubeQuery,
-        join_levels: Sequence[str],
+        join_levels: Optional[Sequence[str]] = None,
         alias: str = "benchmark",
         outer: bool = False,
         multi: bool = False,
     ) -> Cube:
         """Execute a pushed drill-across (the JOP join, Listing 4).
 
-        Measures of the right side appear in the result cube qualified with
-        ``alias`` (the statement syntax's ``benchmark.`` prefix).  With
-        ``multi=True`` a fan-in partial join appends one column per match
-        (``benchmark.m_1 …``), as the P2-rewritten past plan needs.
+        The two gets joined by :meth:`Cube.join`, the join the NP plans
+        run in memory: on ``join_levels``, or every level when ``None``.
+        Measures of the right side appear in the result cube qualified
+        with ``alias`` (the statement syntax's ``benchmark.`` prefix).
+        With ``multi=True`` a fan-in partial join appends one column per
+        match (``benchmark.m_1 …``), as the P2-rewritten past plan needs.
         """
-        left_aggregate = self.build_aggregate_query(left)
-        right_aggregate = self.build_aggregate_query(right)
-        renames = {
-            agg.alias: f"{alias}.{agg.alias}" for agg in right_aggregate.aggregates
-        }
-        query = DrillAcrossQuery(
-            left_aggregate, right_aggregate, tuple(join_levels), renames,
-            outer=outer, multi=multi,
+        query = self._drill_across_query(
+            left, right, join_levels, f"{alias}.", outer, multi
         )
-        result = self.executor.execute_drill_across(query)
-        return self._to_cube(result, left, measure_aliases=None)
+
+        def run() -> Cube:
+            self.executor.metrics.inc("engine.drill_across")
+            tracer = _active_tracer()
+            with tracer.span("engine.join", multi=query.multi) as span:
+                target = self._side("left", query.left, left)
+                benchmark = self._side("right", query.right, right)
+                joined = target.join(
+                    benchmark, join_levels, alias=alias, outer=outer, multi=multi
+                )
+                if tracer.enabled:
+                    span.set(
+                        rows_in=len(target) + len(benchmark), rows_out=len(joined)
+                    )
+            return joined
+
+        return self._composite(query, left, run)
 
     def pivot_get(
         self,
@@ -295,14 +313,54 @@ class MultidimensionalEngine:
     ) -> Cube:
         """Execute a pushed get+pivot (the POP rewrite, Listing 5).
 
-        ``base`` must select all the needed slices of ``pivot_level`` at
-        once (the widened predicate of property P3); ``member_renames`` maps
-        each non-reference member to ``{measure: new_column}``.
+        The get pivoted by :meth:`Cube.pivot`.  ``base`` must select all
+        the needed slices of ``pivot_level`` at once (the widened predicate
+        of property P3); ``member_renames`` maps each non-reference member
+        to ``{measure: new_column}``.
         """
         aggregate = self.build_aggregate_query(base)
         query = PivotQuery(aggregate, pivot_level, reference, member_renames, require_all)
-        result = self.executor.execute_pivot(query)
-        return self._to_cube(result, base, measure_aliases=None)
+
+        def run() -> Cube:
+            self.executor.metrics.inc("engine.pivots")
+            tracer = _active_tracer()
+            with tracer.span("engine.pivot") as span:
+                cube = self._side("base", aggregate, base)
+                pivoted = cube.pivot(
+                    pivot_level, reference, member_renames, require_all=require_all
+                )
+                if tracer.enabled:
+                    span.set(rows_in=len(cube), rows_out=len(pivoted))
+            return pivoted
+
+        return self._composite(query, base, run)
+
+    def _side(self, side: str, aggregate: AggregateQuery, query: CubeQuery) -> Cube:
+        """One get of a pushed drill-across or pivot."""
+        with _active_tracer().span("engine.side", side=side) as span:
+            cube = self._to_cube(self.executor.execute_aggregate(aggregate), query)
+            span.set(rows_out=len(cube))
+        return cube
+
+    def _composite(
+        self,
+        query: Union[DrillAcrossQuery, PivotQuery],
+        base: CubeQuery,
+        run: Callable[[], Cube],
+    ) -> Cube:
+        """A pushed drill-across or pivot through the executor's memo.
+
+        ``run`` computes it from its gets on a miss; the memo keeps the
+        answer as a result keyed by ``query``, the SQL the plan pushes.
+        """
+
+        def result() -> ResultSet:
+            cube = run()
+            answer = ResultSet({**cube.coords, **cube.measures})
+            answer.codes = dict(cube.codes)
+            return answer
+
+        return self._to_cube(self.executor.execute_composite(query, result), base)
 
     # ------------------------------------------------------------------
     # Materialized views
@@ -366,19 +424,36 @@ class MultidimensionalEngine:
         self,
         left: CubeQuery,
         right: CubeQuery,
-        join_levels: Sequence[str],
+        join_levels: Optional[Sequence[str]] = None,
         alias: str = "benchmark",
         outer: bool = False,
     ) -> str:
         """The SQL text of the JOP drill-across."""
+        return render_sql(
+            self._drill_across_query(left, right, join_levels, "bc_", outer)
+        )
+
+    def _drill_across_query(
+        self,
+        left: CubeQuery,
+        right: CubeQuery,
+        join_levels: Optional[Sequence[str]],
+        prefix: str,
+        outer: bool,
+        multi: bool = False,
+    ) -> DrillAcrossQuery:
+        """The pushed drill-across of two gets, the right side's measures
+        renamed with ``prefix``; every level joins when ``join_levels`` is
+        ``None``."""
         left_aggregate = self.build_aggregate_query(left)
         right_aggregate = self.build_aggregate_query(right)
-        renames = {
-            agg.alias: f"bc_{agg.alias}" for agg in right_aggregate.aggregates
-        }
-        return render_sql(
-            DrillAcrossQuery(left_aggregate, right_aggregate, tuple(join_levels),
-                             renames, outer=outer)
+        return DrillAcrossQuery(
+            left_aggregate,
+            right_aggregate,
+            tuple(left.group_by.levels if join_levels is None else join_levels),
+            {agg.alias: f"{prefix}{agg.alias}" for agg in right_aggregate.aggregates},
+            outer=outer,
+            multi=multi,
         )
 
     def sql_for_pivot(
@@ -500,22 +575,17 @@ class MultidimensionalEngine:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _to_cube(
-        self,
-        result: ResultSet,
-        query: CubeQuery,
-        measure_aliases: Optional[Sequence[str]] = None,
-    ) -> Cube:
+    def _to_cube(self, result: ResultSet, query: CubeQuery) -> Cube:
         registered = self.cube(query.source)
         levels = set(query.group_by.levels)
-        if measure_aliases is None:
-            # Every non-coordinate result column is a measure; this covers
-            # drill-across renames and pivot-created columns uniformly.
-            measure_aliases = [
-                name for name in result.column_names if name not in levels
-            ]
         coords = {level: result.column(level) for level in query.group_by.levels}
-        measures = {alias: result.column(alias) for alias in measure_aliases}
+        # Every non-coordinate result column is a measure; this covers
+        # drill-across renames and pivot-created columns uniformly.
+        measures = {
+            name: result.column(name)
+            for name in result.column_names
+            if name not in levels
+        }
         cube = Cube(registered.schema, query.group_by, coords, measures)
         cube.codes = {
             level: result.codes[level]

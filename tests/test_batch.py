@@ -231,6 +231,32 @@ def test_batch_scans_fewer_than_statements():
     assert batch.report.fused_groups >= 1
 
 
+@pytest.mark.parametrize("cache", [True, False])
+@pytest.mark.parametrize("plan,counter", [
+    ("JOP", "engine.drill_across"), ("POP", "engine.pivots"),
+])
+def test_repeated_composite_is_one_cse_hit(plan, counter, cache):
+    """A statement repeated in one batch takes its pushed drill-across or
+    pivot from the batch memo: one CSE hit, and the join runs once."""
+    hits = []
+    for copies in (1, 2):
+        engine, (h0, h1) = _random_engine(21)
+        engine.result_cache.enabled = cache
+        level, other = h0.level_names()[0], h1.level_names()[0]
+        target, sibling = sorted(h0.members_of(level))[:2]
+        text = (
+            f"with RAND for {level} = '{target}' by {level}, {other} "
+            f"assess m_sum against {level} = '{sibling}' "
+            f"using ratio(m_sum, benchmark.m_sum) {LABELS}"
+        )
+        batch = AssessSession(engine).execute_many([text] * copies, plan=plan)
+        assert batch.report.plan_names == [plan] * copies
+        assert engine.metrics.get(counter) == 1
+        assert engine.metrics.get("batch.cse_hits") == batch.report.shared_hits
+        hits.append(batch.report.shared_hits)
+    assert hits[1] == hits[0] + 1
+
+
 # ----------------------------------------------------------------------
 # Batch-aware cost model
 # ----------------------------------------------------------------------

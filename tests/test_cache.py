@@ -16,7 +16,7 @@ from repro.cache import fingerprint_query
 from repro.core.groupby import GroupBySet
 from repro.core.query import CubeQuery, Predicate, PredicateOp
 from repro.datagen.flat import star_from_flat
-from repro.datagen.random_cube import random_hierarchy
+from repro.datagen.random_cube import brute_force_rollup, random_hierarchy
 from repro.engine.catalog import Catalog
 from repro.engine.executor import EngineExecutor
 from repro.engine.kernels import sums_exactly
@@ -454,6 +454,52 @@ def test_drill_across_results_are_cached_and_invalidated():
         replace=True,
     )
     assert engine.result_cache.stats()["entries"] == 0
+
+
+def test_pivot_results_are_cached_and_invalidated():
+    engine, hierarchies = _random_engine(47)
+    schema = engine.cube("RAND").schema
+    level = hierarchies[0].level_names()[0]
+    pivot = hierarchies[1].level_names()[0]
+    members = sorted(hierarchies[1].members_of(pivot))
+    base = CubeQuery("RAND", GroupBySet(schema, [level, pivot]), (), ("m_sum",))
+    renames = {
+        member: {"m_sum": f"benchmark.m_sum_{i}"}
+        for i, member in enumerate(members[1:], start=1)
+    }
+    first = engine.pivot_get(base, pivot, members[0], renames, require_all=False)
+    before = engine.result_cache.stats()["hits"]
+    second = engine.pivot_get(base, pivot, members[0], renames, require_all=False)
+    # The composite entry answers before the base is even consulted.
+    assert engine.result_cache.stats()["hits"] == before + 1
+    _assert_same_cube(first, second)
+
+    fact = engine.catalog.table("rand_fact")
+    engine.catalog.register(
+        Table("rand_fact", {n: fact.column(n) for n in fact.column_names}),
+        replace=True,
+    )
+    assert engine.result_cache.stats()["entries"] == 0
+
+
+def test_derived_rollup_matches_brute_force_oracle():
+    """A coarser get derived from a cached finer one re-aggregates the
+    finer cells exactly as a cell-by-cell roll-up does."""
+    for seed in range(3):
+        engine, (h0, h1) = _random_engine(seed)
+        schema = engine.cube("RAND").schema
+        fine = engine.get(CubeQuery(
+            "RAND",
+            GroupBySet(schema, [h0.level_names()[0], h1.level_names()[0]]),
+            (), ("m_sum",),
+        ))
+        target = GroupBySet(schema, [h0.level_names()[1]])
+        coarse = engine.get(CubeQuery("RAND", target, (), ("m_sum",)))
+        assert engine.result_cache.stats()["derivations"] == 1
+        oracle = brute_force_rollup(fine, target, "m_sum")
+        assert {
+            coordinate: values["m_sum"] for coordinate, values in coarse.cells()
+        } == oracle
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from repro.core import (
     Cube,
     CubeSchema,
+    EngineError,
     GroupBySet,
     Hierarchy,
     JoinabilityError,
@@ -171,6 +172,49 @@ class TestNaturalJoin:
         left = make_cube(schema, ITALY)
         joined = left.natural_join(make_cube(schema, ITALY), alias="goal")
         assert "goal.quantity" in joined.measure_names
+
+
+class TestDrillAcross:
+    def test_merges_measures(self, schema):
+        cube = make_cube(schema, ITALY)
+        other = cube.rename_measures({"quantity": "quantity2"})
+        merged = cube.natural_join(other, alias="other")
+        assert "other.quantity2" in merged.measure_names
+        assert np.allclose(merged.measure("quantity"), merged.measure("other.quantity2"))
+
+
+class TestJoinRule:
+    """``Cube.join`` — the one rule every plan join runs by, pushed or not."""
+
+    @staticmethod
+    def same(left, right):
+        assert left.measure_names == right.measure_names
+        assert left.coordinates() == right.coordinates()
+        for name in left.measure_names:
+            assert np.array_equal(
+                left.measure(name).view(np.int64), right.measure(name).view(np.int64)
+            ), name
+
+    def test_no_levels_is_the_natural_join(self, schema):
+        left, right = make_cube(schema, ITALY), make_cube(schema, ITALY[:2])
+        self.same(left.join(right, outer=True), left.natural_join(right, outer=True))
+
+    def test_levels_join_the_one_matching_cell(self, schema):
+        italy, france = make_cube(schema, ITALY), make_cube(schema, FRANCE[1:])
+        joined = italy.join(france, ["product"], outer=True)
+        self.same(joined, italy.partial_join(france, ["product"], outer=True))
+
+    def test_multi_is_the_fan_in_join(self, schema):
+        italy = make_cube(schema, ITALY)
+        both = make_cube(schema, ITALY + FRANCE)
+        joined = italy.join(both, ["product"], multi=True)
+        self.same(joined, italy.partial_join(both, ["product"]))
+        assert "benchmark.quantity_2" in joined.measure_names
+
+    def test_second_match_without_multi_rejected(self, schema):
+        italy = make_cube(schema, ITALY)
+        with pytest.raises(EngineError, match="not unique"):
+            italy.join(make_cube(schema, ITALY + FRANCE), ["product"])
 
 
 class TestPartialJoin:

@@ -1,7 +1,8 @@
 """Unit tests for the engine's vectorised query processor.
 
-The aggregate kernel is validated against a brute-force Python oracle on a
-small star; drill-across and pivot are validated against hand-computed
+The aggregate kernel is validated against hand-computed expectations on a
+small star; the pushed drill-across and pivot, which the multidimensional
+engine runs as cube operators over its gets, against hand-computed
 expectations and against each other (P3 equivalence at the engine level).
 """
 
@@ -10,7 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import EngineError, Predicate
+from repro.core import CubeQuery, EngineError, GroupBySet, Predicate
+from repro.datagen.flat import star_from_flat
 from repro.engine import (
     Aggregate,
     AggregateQuery,
@@ -24,6 +26,7 @@ from repro.engine import (
     PivotQuery,
     Table,
 )
+from repro.olap import MultidimensionalEngine
 
 # A small, fully hand-checkable star:
 #   products: 0 apple/fruit, 1 pear/fruit, 2 milk/dairy
@@ -99,14 +102,14 @@ def result_as_dict(result, keys, value="qty"):
 
 class TestAggregate:
     def test_group_by_one_dim_column(self, executor):
-        result = executor.execute(agg_query((GroupByColumn("store", "country", "country"),)))
+        result = executor.execute_aggregate(agg_query((GroupByColumn("store", "country", "country"),)))
         assert result_as_dict(result, ["country"]) == {
             ("Italy",): 25.0,
             ("France",): 34.0,
         }
 
     def test_group_by_two_columns(self, executor):
-        result = executor.execute(
+        result = executor.execute_aggregate(
             agg_query(
                 (
                     GroupByColumn("product", "type", "type"),
@@ -122,12 +125,12 @@ class TestAggregate:
         }
 
     def test_complete_aggregation(self, executor):
-        result = executor.execute(agg_query(()))
+        result = executor.execute_aggregate(agg_query(()))
         assert len(result) == 1
         assert result.column("qty")[0] == 59.0
 
     def test_dimension_predicate(self, executor):
-        result = executor.execute(
+        result = executor.execute_aggregate(
             agg_query(
                 (GroupByColumn("product", "name", "product"),),
                 where=(ColumnPredicate("store", "country", Predicate.eq("country", "Italy")),),
@@ -140,7 +143,7 @@ class TestAggregate:
         }
 
     def test_fact_predicate(self, executor):
-        result = executor.execute(
+        result = executor.execute_aggregate(
             AggregateQuery(
                 "fact",
                 JOINS,
@@ -155,7 +158,7 @@ class TestAggregate:
         }
 
     def test_conjunctive_predicates(self, executor):
-        result = executor.execute(
+        result = executor.execute_aggregate(
             agg_query(
                 (GroupByColumn("product", "name", "product"),),
                 where=(
@@ -170,7 +173,7 @@ class TestAggregate:
         }
 
     def test_empty_selection(self, executor):
-        result = executor.execute(
+        result = executor.execute_aggregate(
             agg_query(
                 (GroupByColumn("product", "name", "product"),),
                 where=(ColumnPredicate("store", "country", Predicate.eq("country", "Spain")),),
@@ -189,7 +192,7 @@ class TestAggregate:
         ],
     )
     def test_aggregation_operators(self, executor, op, expected):
-        result = executor.execute(
+        result = executor.execute_aggregate(
             agg_query(
                 (GroupByColumn("store", "country", "country"),),
                 where=(ColumnPredicate("store", "country", Predicate.eq("country", "Italy")),),
@@ -223,137 +226,141 @@ class TestAggregate:
             (Aggregate("v", "sum", "v"),),
         )
         with pytest.raises(EngineError, match="64-bit group key"):
-            EngineExecutor(catalog).execute(query)
+            EngineExecutor(catalog).execute_aggregate(query)
+
+
+# The same star as one cube, plus a lemon sold only in France: the pushed
+# drill-across and pivot are the engine's gets joined or pivoted as cubes.
+ENGINE_ROWS = [
+    (("apple", "pear", "milk")[pkey], ("fruit", "fruit", "dairy")[pkey],
+     ("Italy", "France")[skey], qty)
+    for pkey, skey, qty in FACT_ROWS
+] + [("lemon", "fruit", "France", 6.0)]
+
+
+@pytest.fixture(scope="module")
+def engine():
+    engine = MultidimensionalEngine(Catalog())
+    columns = list(zip(*ENGINE_ROWS))
+    star_from_flat(
+        engine,
+        "S",
+        Table("flat", {
+            "product": np.array(columns[0], dtype=object),
+            "type": np.array(columns[1], dtype=object),
+            "country": np.array(columns[2], dtype=object),
+            "qty": np.array(columns[3], dtype=np.float64),
+        }),
+        {"Product": ["product", "type"], "Store": ["country"]},
+        {"qty": "sum"},
+    )
+    return engine
+
+
+def get(engine, levels, *predicates):
+    schema = engine.cube("S").schema
+    return CubeQuery("S", GroupBySet(schema, levels), predicates, ("qty",))
+
+
+def cells(cube, value):
+    return {
+        coordinate[0]: measures[value] for coordinate, measures in cube.cells()
+    }
 
 
 class TestDrillAcross:
-    def left(self):
-        return agg_query(
+    def left(self, engine):
+        return get(engine, ["product"], Predicate.eq("country", "Italy"))
+
+    def right(self, engine):
+        return get(engine, ["product"], Predicate.eq("country", "France"))
+
+    def test_inner_join(self, engine):
+        cube = engine.drill_across(self.left(engine), self.right(engine), ["product"])
+        assert cells(cube, "benchmark.qty") == {
+            "apple": 20.0, "pear": 10.0, "milk": 4.0,
+        }
+        assert cells(cube, "qty") == {"apple": 15.0, "pear": 7.0, "milk": 3.0}
+
+    def test_outer_join_fills_nan(self, engine):
+        right = get(
+            engine, ["product"],
+            Predicate.eq("country", "France"), Predicate.eq("type", "fruit"),
+        )
+        cube = engine.drill_across(self.left(engine), right, ["product"], outer=True)
+        rows = cells(cube, "benchmark.qty")
+        assert math.isnan(rows["milk"])
+        assert rows["apple"] == 20.0
+        assert "lemon" not in rows
+
+    def test_non_unique_right_without_multi_rejected(self, engine):
+        wide = get(engine, ["product", "country"])
+        with pytest.raises(EngineError):
+            engine.drill_across(self.left(engine), wide, ["product"])
+
+    def test_multi_join_appends_numbered_columns(self, engine):
+        left = get(engine, ["product", "country"], Predicate.eq("country", "Italy"))
+        wide = get(engine, ["product", "country"])
+        cube = engine.drill_across(left, wide, ["product"], multi=True)
+        # each product matches France + Italy rows, ordered by coordinate
+        assert "benchmark.qty_1" in cube.measure_names
+        assert "benchmark.qty_2" in cube.measure_names
+        # 'France' < 'Italy' lexicographically → slot 1 is France
+        assert cells(cube, "benchmark.qty_1")["apple"] == 20.0
+        assert cells(cube, "benchmark.qty_2")["apple"] == 15.0
+
+    def test_join_alias_validation(self):
+        left = agg_query(
             (GroupByColumn("product", "name", "product"),),
             where=(ColumnPredicate("store", "country", Predicate.eq("country", "Italy")),),
         )
-
-    def right(self):
-        return agg_query(
-            (GroupByColumn("product", "name", "product"),),
-            where=(ColumnPredicate("store", "country", Predicate.eq("country", "France")),),
-        )
-
-    def test_inner_join(self, executor):
-        query = DrillAcrossQuery(self.left(), self.right(), ("product",), {"qty": "bc_qty"})
-        result = executor.execute(query)
-        rows = result_as_dict(result, ["product"], value="bc_qty")
-        assert rows == {("apple",): 20.0, ("pear",): 10.0, ("milk",): 4.0}
-        own = result_as_dict(result, ["product"], value="qty")
-        assert own == {("apple",): 15.0, ("pear",): 7.0, ("milk",): 3.0}
-
-    def test_outer_join_fills_nan(self, executor, catalog):
-        right = agg_query(
-            (GroupByColumn("product", "name", "product"),),
-            where=(
-                ColumnPredicate("store", "country", Predicate.eq("country", "France")),
-                ColumnPredicate("product", "type", Predicate.eq("type", "fruit")),
-            ),
-        )
-        query = DrillAcrossQuery(self.left(), right, ("product",), {"qty": "bc_qty"},
-                                 outer=True)
-        result = executor.execute(query)
-        rows = result_as_dict(result, ["product"], value="bc_qty")
-        assert math.isnan(rows[("milk",)])
-        assert rows[("apple",)] == 20.0
-
-    def test_non_unique_right_without_multi_rejected(self, executor):
-        wide = agg_query(
-            (
-                GroupByColumn("product", "name", "product"),
-                GroupByColumn("store", "country", "country"),
-            )
-        )
-        query = DrillAcrossQuery(self.left(), wide, ("product",), {"qty": "bc"})
         with pytest.raises(EngineError):
-            executor.execute(query)
-
-    def test_multi_join_appends_numbered_columns(self, executor):
-        wide = agg_query(
-            (
-                GroupByColumn("product", "name", "product"),
-                GroupByColumn("store", "country", "country"),
-            )
-        )
-        query = DrillAcrossQuery(self.left(), wide, ("product",), {"qty": "bc"},
-                                 multi=True)
-        result = executor.execute(query)
-        # each product matches France + Italy rows, ordered by coordinate
-        assert "bc_1" in result.column_names and "bc_2" in result.column_names
-        rows1 = result_as_dict(result, ["product"], value="bc_1")
-        rows2 = result_as_dict(result, ["product"], value="bc_2")
-        # 'France' < 'Italy' lexicographically → slot 1 is France
-        assert rows1[("apple",)] == 20.0 and rows2[("apple",)] == 15.0
-
-    def test_join_alias_validation(self):
-        with pytest.raises(EngineError):
-            DrillAcrossQuery(self.left(), self.right(), ("country",), {})
+            DrillAcrossQuery(left, left, ("country",), {})
 
 
 class TestPivot:
-    def base(self):
-        return agg_query(
-            (
-                GroupByColumn("product", "name", "product"),
-                GroupByColumn("store", "country", "country"),
-            )
-        )
+    def base(self, engine):
+        return get(engine, ["product", "country"])
 
-    def test_pivot_matches_drill_across(self, executor):
+    def test_pivot_matches_drill_across(self, engine):
         """P3 at the engine level: pivot ≡ get+get+join."""
-        pivot = PivotQuery(
-            self.base(), "country", "Italy", {"France": {"qty": "bc_qty"}}
+        pivot = engine.pivot_get(
+            self.base(engine), "country", "Italy",
+            {"France": {"qty": "benchmark.qty"}},
         )
-        joined = DrillAcrossQuery(
-            agg_query(
-                (GroupByColumn("product", "name", "product"),
-                 GroupByColumn("store", "country", "country")),
-                where=(ColumnPredicate("store", "country",
-                                       Predicate.eq("country", "Italy")),),
-            ),
-            agg_query(
-                (GroupByColumn("product", "name", "product"),),
-                where=(ColumnPredicate("store", "country",
-                                       Predicate.eq("country", "France")),),
-            ),
-            ("product",),
-            {"qty": "bc_qty"},
+        joined = engine.drill_across(
+            get(engine, ["product", "country"], Predicate.eq("country", "Italy")),
+            get(engine, ["product"], Predicate.eq("country", "France")),
+            ["product"],
         )
-        via_pivot = result_as_dict(executor.execute(pivot), ["product"], "bc_qty")
-        via_join = result_as_dict(executor.execute(joined), ["product"], "bc_qty")
-        assert via_pivot == via_join
+        assert cells(pivot, "benchmark.qty") == cells(joined, "benchmark.qty")
 
-    def test_pivot_require_all_filters(self, executor, catalog):
+    def test_pivot_require_all_filters(self, engine):
+        # lemon is sold in France only: it has no Italian neighbour
+        strict = engine.pivot_get(
+            self.base(engine), "country", "France", {"Italy": {"qty": "it"}},
+            require_all=True,
+        )
+        assert "lemon" not in cells(strict, "it")
+        lax = engine.pivot_get(
+            self.base(engine), "country", "France", {"Italy": {"qty": "it"}},
+            require_all=False,
+        )
+        assert math.isnan(cells(lax, "it")["lemon"])
+        assert len(lax) == len(strict) + 1
+
+    def test_reference_slice_retained(self, engine):
+        cube = engine.pivot_get(
+            self.base(engine), "country", "France", {"Italy": {"qty": "it"}}
+        )
+        assert set(cube.coords["country"]) == {"France"}
+
+    def test_unknown_pivot_alias_rejected(self):
         base = agg_query(
             (
                 GroupByColumn("product", "name", "product"),
                 GroupByColumn("store", "country", "country"),
-            ),
-            where=(ColumnPredicate(FACT, "qty", Predicate.between("qty", 4.0, 50.0)),),
+            )
         )
-        # milk Italy (3.0) filtered out → France milk has no Italian reference
-        strict = executor.execute(
-            PivotQuery(base, "country", "Italy", {"France": {"qty": "bc"}},
-                       require_all=True)
-        )
-        assert ("milk",) not in result_as_dict(strict, ["product"], "bc")
-        lax = executor.execute(
-            PivotQuery(base, "country", "Italy", {"France": {"qty": "bc"}},
-                       require_all=False)
-        )
-        assert len(lax) == len(strict)  # milk has no reference row either way
-
-    def test_reference_slice_retained(self, executor):
-        result = executor.execute(
-            PivotQuery(self.base(), "country", "France", {"Italy": {"qty": "it"}})
-        )
-        assert set(result.column("country")) == {"France"}
-
-    def test_unknown_pivot_alias_rejected(self):
         with pytest.raises(EngineError):
-            PivotQuery(self.base(), "region", "Italy", {})
+            PivotQuery(base, "region", "Italy", {})

@@ -14,6 +14,7 @@ from repro.core import (
     five_stars_rules,
     validate_ranges,
 )
+from repro.core.labels import find_gaps
 
 INF = float("inf")
 
@@ -88,24 +89,23 @@ class TestValidateRanges:
             LabelRule(Interval(-INF, 0, False, False), "a"),
             LabelRule(Interval(1, INF, True, False), "b"),
         ]
-        validate_ranges(rules)  # gaps allowed by default
-        with pytest.raises(ValidationError):
-            validate_ranges(rules, require_complete=True)
+        validate_ranges(rules)  # gaps allowed
+        assert [gap.render() for gap in find_gaps(rules)] == ["[0, 1)"]
 
     def test_completeness_open_endpoint_gap(self):
         rules = [
             LabelRule(Interval(-INF, 0, False, False), "a"),
             LabelRule(Interval(0, INF, False, False), "b"),  # 0 uncovered
         ]
-        with pytest.raises(ValidationError):
-            validate_ranges(rules, require_complete=True)
+        assert [gap.render() for gap in find_gaps(rules)] == ["[0, 0]"]
 
     def test_complete_partition_accepted(self):
         rules = [
             LabelRule(Interval(-INF, 0, False, False), "a"),
             LabelRule(Interval(0, INF, True, False), "b"),
         ]
-        validate_ranges(rules, require_complete=True)
+        validate_ranges(rules)
+        assert find_gaps(rules) == []
 
     def test_empty_rules_rejected(self):
         with pytest.raises(ValidationError):
@@ -175,7 +175,7 @@ class TestFiveStars:
         assert labeling.apply_scalar(0.61) == "*****"
 
     def test_partition_complete_over_domain(self):
-        validate_ranges(five_stars_rules(), -1.0, 1.0, require_complete=True)
+        assert find_gaps(five_stars_rules(), -1.0, 1.0) == []
 
 
 class TestNamedLabeling:

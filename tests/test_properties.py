@@ -35,6 +35,7 @@ from repro.core import (
     RangeLabeling,
     validate_ranges,
 )
+from repro.core.labels import find_gaps
 from repro.datagen import brute_force_rollup, random_detailed_cube, random_schema
 from repro.functions import (
     linear_regression,
@@ -74,7 +75,8 @@ class TestRangeLabelingProperties:
     @settings(max_examples=100)
     def test_complete_partition_labels_every_value_once(self, bounds, values):
         labeling = partition_from_bounds(bounds)
-        validate_ranges(labeling.rules, require_complete=True)
+        validate_ranges(labeling.rules)
+        assert find_gaps(labeling.rules) == []
         labels = labeling.apply(values)
         assert all(label is not None for label in labels)
         # cross-check: exactly one rule matches each value

@@ -9,10 +9,12 @@ measures (``quantity``) exactly, fractional ones (``revenue``,
 ``expected_revenue``) within a relative 1e-9, since sqlite sums in its
 own row order.  sqlite is a test oracle here, not a backend.
 
-Out of scope, because the SQL as printed does not compute the engine's
-result: Past JOP returns one row per benchmark match (72 rows for 44
-cells at this size; the engine fans the matches into slots after the
-join), and POP's Oracle ``pivot (...)`` clause is a sqlite syntax error.
+Past JOP's SQL returns one row per benchmark match (72 rows for 44 cells
+at this size): the engine's fan-in join slots each target cell's matches
+into one column per past month.  The SQL does not select the benchmark's
+month, so its rows are folded per target cell and compared with the
+cell's filled slots as a set.  Out of scope: POP's Oracle ``pivot (...)``
+clause is a sqlite syntax error.
 """
 
 from __future__ import annotations
@@ -64,9 +66,7 @@ def pushed_queries(engine, plan):
     queries, consumed = [], set()
     for node in plan.nodes():
         if isinstance(node, JoinNode) and node.pushed:
-            levels = (node.join_levels if node.join_levels is not None
-                      else node.left.query.group_by.levels)
-            args = (node.left.query, node.right.query, levels)
+            args = (node.left.query, node.right.query, node.join_levels)
             options = {"alias": node.alias, "outer": node.outer}
             queries.append((engine.sql_for_drill_across(*args, **options),
                             engine.drill_across(*args, **options)))
@@ -121,3 +121,34 @@ def test_pushed_sql_matches_the_engine(star, text, plan_name, rows):
                 else:
                     assert math.isclose(value, want, rel_tol=REL_TOL), (sql, key)
     assert counts[0] == rows
+
+
+def test_past_jop_sql_fans_in_to_the_engine_join(star):
+    """The rendered Past JOP drill-across, folded into one row per target
+    cell, holds exactly the matches the engine's fan-in join slots."""
+    session, connection = star
+    plan = build_plan(session.parse(statement_text("Past")), session.engine, "JOP")
+    (join,) = [node for node in plan.nodes() if isinstance(node, JoinNode)]
+    assert join.pushed and join.multi
+    (sql,) = session.pushed_sql(plan)
+    cube = session.engine.drill_across(
+        join.left.query, join.right.query, join.join_levels,
+        alias=join.alias, outer=join.outer, multi=join.multi,
+    )
+    rows = connection.execute(sql).fetchall()
+    fanned = {}
+    for month, customer, revenue, benchmark in rows:
+        fanned.setdefault((month, customer), (revenue, []))[1].append(benchmark)
+    assert (len(rows), len(fanned), len(cube)) == (72, 44, 44)
+    slots = [name for name in cube.measure_names if name.startswith(join.alias)]
+    assert len(slots) == 4
+    for row, coordinate in enumerate(cube.coordinates()):
+        revenue, matches = fanned[coordinate]
+        assert math.isclose(revenue, cube.measure("revenue")[row], rel_tol=REL_TOL)
+        filled = sorted(
+            value for value in (cube.measure(slot)[row] for slot in slots)
+            if not math.isnan(value)
+        )
+        assert len(matches) == len(filled), coordinate
+        for got, want in zip(sorted(matches), filled):
+            assert math.isclose(got, want, rel_tol=REL_TOL), coordinate

@@ -279,6 +279,7 @@ GUARDED = [
     "with SALES by product assess quantity against ancestor galaxy "
     "labels quartiles",
     "with SALES by month assess quantity labels {[5, 2]: bad}",
+    "with SALES by month assess quantity labels {[0, 2]: a, [1, 3]: b}",
 ]
 
 

@@ -1,5 +1,6 @@
-"""validate_ranges must enumerate *every* defect: all overlapping pairs and
-all uncovered gaps, not just the first."""
+"""The label-range rules enumerate *every* defect: all overlapping pairs
+and all uncovered gaps, not just the first; validate_ranges raises the
+first overlap."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from repro.core.labels import (
     find_overlaps,
     validate_ranges,
 )
+from repro.core.rules import label_gap_findings, label_overlap_findings
 
 
 def rule(low, high, label, low_closed=True, high_closed=True):
@@ -75,7 +77,7 @@ class TestFindGaps:
 
 
 # ----------------------------------------------------------------------
-# validate_ranges — messages carry the complete defect set
+# the rules enumerate the complete defect set; validate_ranges raises one
 # ----------------------------------------------------------------------
 class TestValidateRanges:
     def test_accepts_valid_partition(self):
@@ -92,25 +94,22 @@ class TestValidateRanges:
 
     def test_message_enumerates_every_overlapping_pair(self):
         rules = [rule(0, 5, "a"), rule(3, 8, "b"), rule(4, 9, "c")]
+        messages = [message for _, (_, message) in label_overlap_findings(rules)]
+        assert messages == [
+            "label ranges [0, 5] and [3, 8] overlap",
+            "label ranges [0, 5] and [4, 9] overlap",
+            "label ranges [3, 8] and [4, 9] overlap",
+        ]
         with pytest.raises(ValidationError) as excinfo:
             validate_ranges(rules)
-        message = str(excinfo.value)
-        assert "[0, 5] and [3, 8]" in message
-        assert "[0, 5] and [4, 9]" in message
-        assert "[3, 8] and [4, 9]" in message
+        assert str(excinfo.value) == messages[0]
 
     def test_message_enumerates_every_gap(self):
-        with pytest.raises(ValidationError) as excinfo:
-            validate_ranges(
-                [rule(0, 1, "a"), rule(2, 3, "b")],
-                domain_low=-1,
-                domain_high=4,
-                require_complete=True,
-            )
-        message = str(excinfo.value)
-        assert "[-1, 0)" in message
+        ((code, message),) = label_gap_findings([rule(0, 1, "a"), rule(2, 3, "b")])
+        assert code == "ASSESS130"
+        assert "(-inf, 0)" in message
         assert "(1, 2)" in message
-        assert "(3, 4]" in message
+        assert "(3, inf)" in message
 
     def test_gaps_allowed_without_require_complete(self):
         validate_ranges([rule(0, 1, "a"), rule(2, 3, "b")])

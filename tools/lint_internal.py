@@ -2,7 +2,9 @@
 """Internal codebase lint: AST checks for the concurrency-sensitive layers.
 
 Enforced over ``src/repro/engine``, ``src/repro/cache`` and
-``src/repro/parallel`` (plus ``src/repro/obs`` where the tracer lives):
+``src/repro/parallel`` (plus ``src/repro/obs`` where the tracer lives, and
+``src/repro/olap``, ``src/repro/batch`` and ``src/repro/algebra``, where
+the pushed drill-across/pivot, batch and plan-operator spans open):
 
 * **span discipline** — every ``*.span(...)`` call must be the context
   expression of a ``with`` item, so the span is always closed on the way
@@ -30,6 +32,9 @@ DEFAULT_PATHS = [
     REPO_ROOT / "src" / "repro" / "cache",
     REPO_ROOT / "src" / "repro" / "parallel",
     REPO_ROOT / "src" / "repro" / "obs",
+    REPO_ROOT / "src" / "repro" / "olap",
+    REPO_ROOT / "src" / "repro" / "batch",
+    REPO_ROOT / "src" / "repro" / "algebra",
 ]
 
 
